@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     NegativeIntersectionNumber,
     OrderingViolation,
+    VerificationError,
 )
 
 
@@ -101,7 +102,7 @@ def eigenvalues(p: ClassicalParams) -> list[Fraction]:
         first = gaussian(p.D - i, p.b) * (p.beta - p.alpha * gi) - gi
         second = b_number(p, i) / Fraction(p.b) ** i - gi
         if first != second:
-            raise AssertionError(f"eigenvalue closed forms disagree at i={i}")
+            raise VerificationError(f"eigenvalue closed forms disagree at i={i}")
         vals.append(first)
     if any(vals[i] <= vals[i + 1] for i in range(p.D)):
         raise OrderingViolation(f"eigenvalues not strictly decreasing: {vals}")
@@ -116,7 +117,7 @@ def delsarte_bound(p: ClassicalParams) -> Fraction:
     k = b_number(p, 0)
     bound = 1 + k / (-lam_min)
     if bound != 1 + p.beta:
-        raise AssertionError("clique bound failed to simplify to 1 + beta")
+        raise VerificationError("clique bound failed to simplify to 1 + beta")
     return bound
 
 
@@ -124,7 +125,8 @@ def check_ie1(p: ClassicalParams) -> bool:
     """beta - 1 >= alpha [D-1]_b, equivalently a_D >= 0."""
     lhs = p.beta - 1 - p.alpha * gaussian(p.D - 1, p.b)
     a_d = gaussian(p.D, p.b) * lhs
-    assert (lhs >= 0) == (a_d >= 0)
+    if (lhs >= 0) != (a_d >= 0):
+        raise VerificationError("(IE1) and a_D >= 0 disagree")
     return lhs >= 0
 
 
@@ -134,7 +136,7 @@ def p_number(p: ClassicalParams, i: int, h: int) -> tuple[Fraction, bool]:
     """p^{i+h}_{ih} = c_{i+1}...c_{i+h} / (c_1...c_h), with integrality flag.
 
     Computed two independent ways (one product of c's over another, and an
-    incremental ratio product) and asserted equal.
+    incremental ratio product) and checked equal.
     """
     if i < 1 or h < 1 or i + h > p.D:
         raise IndexOutOfRange(f"need i, h >= 1 and i + h <= D = {p.D}; got ({i}, {h})")
@@ -149,7 +151,7 @@ def p_number(p: ClassicalParams, i: int, h: int) -> tuple[Fraction, bool]:
     for j in range(1, h + 1):
         incremental *= c_number(p, i + j) / c_number(p, j)
     if direct != incremental:
-        raise AssertionError("triple-intersection routes disagree")
+        raise VerificationError("triple-intersection routes disagree")
     return direct, direct.denominator == 1 and direct >= 0
 
 
@@ -164,7 +166,7 @@ def p66_leading_constant(b: int, D: int = 12) -> int:
     for j in range(1, 7):
         den *= gaussian(j, b)
     if num % den:
-        raise AssertionError("bracket ratio is not integral")
+        raise VerificationError("bracket ratio is not integral")
     return num // den
 
 

@@ -7,14 +7,19 @@ predicates instead of enumeration, which terminates and covers every
 parameter value.
 
 Certificates for claims of the form lambda_min(G) < -t are rational vectors
-x with x^T (A + tI) x < 0, produced either by direct LDL^T on the adjacency
-matrix or, for large expansions, by lifting a witness from the (verified)
-equitable-partition quotient; every certificate is re-checked directly
-against the graph.
+x with x^T (A + tI) x < 0.  Every expansion claim (the nine pairs of
+:func:`verify_proposition_cal` and the threshold expansions of
+:func:`prop215`) gets its witness from one path: the equitable partition is
+verified and its quotient computed by :func:`graph_quotient_matrix`, the
+r x r block form diag(sizes)(Q + tI) is refuted by exact LDL^T, and the
+witness is lifted to a block-constant vector and re-checked on the graph
+itself with an integer edge sum.  LDL^T on the full adjacency matrix remains
+for graphs without a partition and serves as the tests' reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -24,6 +29,7 @@ import numpy as np
 
 from .errors import NotEquitable, VerificationError
 from .exact import (
+    FLOAT_ORDER_LIMIT,
     Partition,
     RationalMatrix,
     det_exact,
@@ -37,13 +43,11 @@ from .hgraphs import (
     catalog,
     clique_with_two_fats,
     expand,
+    expansion_blocks,
     m_matrix,
     pendant_slim_pair,
     slim_with_fats,
 )
-
-DIRECT_PSD_ORDER_LIMIT = 300
-
 
 # -- matrix equivalence -------------------------------------------------------
 
@@ -122,7 +126,7 @@ def adjacency_rational(G: Graph) -> RationalMatrix:
 
 def graph_lambda_min_float(G: Graph) -> float:
     """Smallest adjacency eigenvalue, skipping the rational-matrix detour."""
-    if G.n > 2000:
+    if G.n > FLOAT_ORDER_LIMIT:
         raise ValueError(f"order {G.n} exceeds the floating solver limit")
     if G.n == 0:
         return 0.0
@@ -162,15 +166,23 @@ def graph_quotient_matrix(G: Graph, P: Partition) -> RationalMatrix:
 
 
 def graph_quadratic_form(G: Graph, t, x: Sequence) -> Fraction:
-    """x^T (A(G) + t I) x evaluated edge-wise, exactly."""
+    """x^T (A(G) + t I) x evaluated edge-wise, exactly.
+
+    Denominators are cleared once: with y = L x integral and t = a/b the value
+    is (2b sum_{uv in E} y_u y_v + a sum_u y_u^2) / (b L^2), all in integers.
+    """
     xs = [Fraction(v) for v in x]
     if len(xs) != G.n:
         raise ValueError("vector length mismatch")
     t = Fraction(t)
-    total = t * sum(v * v for v in xs)
-    for u, v in G.edges():
-        total += 2 * xs[u] * xs[v]
-    return total
+    scale = math.lcm(*(v.denominator for v in xs))
+    ys = [v.numerator * (scale // v.denominator) for v in xs]
+    edge_sum = sum(ys[u] * ys[v] for u, v in G.edges())
+    square_sum = sum(y * y for y in ys)
+    return Fraction(
+        2 * t.denominator * edge_sum + t.numerator * square_sum,
+        t.denominator * scale * scale,
+    )
 
 
 def certify_lambda_min_below(G: Graph, t) -> list[Fraction]:
@@ -228,14 +240,19 @@ def verify_proposition_cal() -> list[dict]:
 
     Each check is independent of the others; a failure aborts with the
     offending pair.  Results carry the floating eigenvalue as evidence and a
-    rational witness vector as the exact certificate.
+    rational witness vector, lifted from the expansion partition's quotient,
+    as the exact certificate.
     """
     results = []
     for name, p in PROP_CAL_PAIRS:
         h = catalog(name).hoffman
         G = expand(h, p)
+        # clique vertices are closed twins, so every eigenvector orthogonal
+        # to the block-constant vectors has eigenvalue -1 > -3: the lift from
+        # the expansion quotient finds a witness whenever lambda_min < -3
+        P = Partition(expansion_blocks(h, p))
         try:
-            witness = certify_lambda_min_below(G, 3)
+            witness = _lift_quotient_witness(G, 3, P, graph_quotient_matrix(G, P))
         except VerificationError as exc:
             raise VerificationError(f"({name}, p={p}): {exc}") from exc
         lm = graph_lambda_min_float(G)
@@ -264,12 +281,11 @@ def _quotient_check(G: Graph, s: int, blocks, expected_det: int, construction: s
         )
     if det >= 0:
         raise VerificationError(f"{construction}: determinant certificate is not negative")
-    if G.n <= DIRECT_PSD_ORDER_LIMIT:
-        witness = certify_lambda_min_below(G, s)
-    else:
-        witness = _lift_quotient_witness(G, s, partition, Q)
+    # det(T) = prod(sizes) * det < 0 for the block form T of the lift, so T
+    # is not PSD and the lift cannot miss
+    witness = _lift_quotient_witness(G, s, partition, Q)
     qmin = quotient_eigenvalues_float(Q, partition.sizes())[0]
-    gmin = graph_lambda_min_float(G)
+    gmin = graph_lambda_min_float(G) if G.n <= FLOAT_ORDER_LIMIT else None
     if gmin is not None and qmin < gmin - 1e-7:
         raise VerificationError(f"{construction}: quotient eigenvalue below graph minimum")
     return {
@@ -291,7 +307,9 @@ def prop215(s: int) -> dict:
     three expansions is built explicitly, its stated equitable partition is
     verified, the shifted quotient determinant is matched against the closed
     form (all three equal -1), and lambda_min < -s is certified by a rational
-    witness on the graph itself.
+    witness lifted from the quotient and re-checked on the graph itself.  The
+    floating evidence ``graph_lambda_min`` is None above the floating solver's
+    order limit.
     """
     if s < 2:
         raise ValueError("s must be at least 2")

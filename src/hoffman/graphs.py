@@ -244,11 +244,28 @@ def max_independent_set_in_neighborhood(G: Graph, x: int) -> tuple[int, ...]:
 
 # -- file formats ------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(obj) -> Graph:
-    """Build a graph from ``{"n": int, "edges": [[u, v], ...]}``."""
+    """Build a graph from ``{"n": int, "edges": [[u, v], ...]}``.
+
+    The vertex count and every endpoint must be JSON integers; anything else
+    raises ValueError rather than being coerced or truncated.
+    """
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("graph JSON must be an object with keys 'n' and 'edges'")
-    return Graph(int(obj["n"]), obj.get("edges", []))
+    n = obj["n"]
+    if not _is_int(n):
+        raise ValueError(f"graph JSON: 'n' must be an integer, got {n!r}")
+    edges = obj.get("edges", [])
+    if not isinstance(edges, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(v) for v in e)
+        for e in edges
+    ):
+        raise ValueError("graph JSON: 'edges' must be a list of [u, v] integer pairs")
+    return Graph(n, edges)
 
 
 def graph_to_json(G: Graph) -> dict:
@@ -299,11 +316,22 @@ def parse_graph6(text: str | bytes) -> Graph:
 
 
 def load_graph(text: str) -> Graph:
-    """Autodetect JSON (first byte ``{``) versus graph6 and parse."""
+    """Autodetect JSON (first byte ``{`` or ``[``) versus graph6 and parse.
+
+    ``[`` and ``{`` are also the graph6 headers of 28 and 60 vertices, so
+    such text that is not a JSON graph is tried as graph6 before the JSON
+    error is reported.
+    """
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if not stripped.startswith(("{", "[")):
+        return parse_graph6(stripped)
+    try:
         return graph_from_json(json.loads(stripped))
-    return parse_graph6(stripped)
+    except ValueError as json_error:
+        try:
+            return parse_graph6(stripped)
+        except ValueError:
+            raise json_error from None
 
 
 def load_graph_file(path: str) -> Graph:

@@ -150,18 +150,28 @@ def hoffman_at_least(h: HoffmanGraph, t) -> bool:
 
 # -- clique expansion --------------------------------------------------------
 
-def expand(h: HoffmanGraph, p: int) -> Graph:
-    """Replace each fat vertex by a slim p-clique joined to its neighbors."""
+def expansion_blocks(h: HoffmanGraph, p: int) -> list[range]:
+    """Vertex blocks of :func:`expand`: each slim vertex alone, then the
+    p-clique of each fat vertex, in the order of ``h.fat_neighbors``.
+
+    :func:`expand` numbers its vertices by these blocks, and they form an
+    equitable partition of G(h, p).
+    """
     if p < 1:
         raise ValueError("p must be a positive integer")
+    slim = [range(v, v + 1) for v in range(h.n_slim)]
+    fat = [range(h.n_slim + k * p, h.n_slim + (k + 1) * p) for k in range(h.n_fat)]
+    return slim + fat
+
+
+def expand(h: HoffmanGraph, p: int) -> Graph:
+    """Replace each fat vertex by a slim p-clique joined to its neighbors."""
+    cliques = expansion_blocks(h, p)[h.n_slim:]
     edges = list(h.slim_edges)
-    n = h.n_slim
-    for f in h.fat_neighbors:
-        block = range(n, n + p)
-        edges.extend((i, j) for i, j in combinations(block, 2))
+    for f, block in zip(h.fat_neighbors, cliques):
+        edges.extend(combinations(block, 2))
         edges.extend((s, i) for s in f for i in block)
-        n += p
-    return Graph(n, edges)
+    return Graph(h.n_slim + p * h.n_fat, edges)
 
 
 def is_t_fat(h: HoffmanGraph, t: int) -> bool:

@@ -129,6 +129,17 @@ def test_verify_prop215_small(capsys):
     assert report["results"]["ok"] is True
 
 
+def test_verify_prop215_beyond_float_limit(capsys):
+    # s = 7 builds a 2025-vertex expansion: the exact certificate holds and
+    # the floating evidence is reported as null above the solver's limit
+    code, report = run_cli(capsys, "verify-paper", "prop215", "--s-max", "7")
+    assert code == 0
+    checks = report["results"]["s_values"][-1]["checks"]
+    assert [c["vertices"] for c in checks] == [345, 165, 2025]
+    assert [c["graph_lambda_min"] is None for c in checks] == [False, False, True]
+    assert all(c["exact_verdict"] and c["det_shifted"] == "-1" for c in checks)
+
+
 def test_verify_prop5_reports_extra_survivor(capsys):
     # the exact scan has one survivor beyond the claimed set, so the suite
     # reports non-reproduction
@@ -164,6 +175,20 @@ def test_usage_error_exit_code(capsys):
 def test_input_error_exit_code(capsys, tmp_path):
     missing = str(tmp_path / "absent.json")
     assert main(["lambda-min", "--graph", missing]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "edges": [[0, "1"]]}',
+    '{"n": 2.5, "edges": []}',
+    '[[0, 1]]',
+])
+def test_malformed_graph_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["lambda-min", "--graph", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph JSON")
+    assert err.count("\n") == 1
 
 
 def test_report_determinism(capsys):

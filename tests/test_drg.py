@@ -10,6 +10,7 @@ from hoffman import (
     IndexOutOfRange,
     NegativeIntersectionNumber,
     OrderingViolation,
+    VerificationError,
     check_ie1,
     delsarte_bound,
     eigenvalues,
@@ -21,6 +22,7 @@ from hoffman import (
     p_number,
     theorem_beta_bounds,
 )
+from hoffman import drg
 
 
 def doubled_family(D: int) -> ClassicalParams:
@@ -115,6 +117,23 @@ def test_both_forms_agree_bulk():
 
 def test_delsarte_bound_is_one_plus_beta():
     assert delsarte_bound(ClassicalParams(4, 2, 2, 62)) == 63
+
+
+def test_delsarte_bound_mismatch_raises_verification_error(monkeypatch):
+    # a clique bound that does not simplify to 1 + beta is a failed
+    # verification, not an assert that python -O would strip
+    p = ClassicalParams(4, 2, 2, 62)
+    real = drg.eigenvalues(p)
+    monkeypatch.setattr(drg, "eigenvalues", lambda q: real[:-1] + [real[-1] - 1])
+    with pytest.raises(VerificationError):
+        delsarte_bound(p)
+
+
+def test_ie1_disagreement_raises_verification_error(monkeypatch):
+    real = drg.gaussian
+    monkeypatch.setattr(drg, "gaussian", lambda i, b: -real(i, b))
+    with pytest.raises(VerificationError):
+        check_ie1(ClassicalParams(5, 3, 0, 2))
 
 
 def test_ie1_cases():

@@ -12,23 +12,28 @@ from hoffman import (
     adjacency_rational,
     catalog,
     certify_lambda_min_below,
+    clique_with_two_fats,
     complete_graph,
     cycle_graph,
     expand,
+    expansion_blocks,
     find_min_p_below,
     graph_quadratic_form,
     graph_quotient_matrix,
     is_psd_exact,
     m_matrix,
+    pendant_slim_pair,
     permutation_equivalent,
     prop215,
+    psd_witness,
+    quadratic_form,
     quotient_matrix,
     scan_M_t,
     slim_with_fats,
     special_matrix,
     verify_proposition_cal,
 )
-from hoffman.forbidden import PROP_CAL_PAIRS
+from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness
 
 
 # -- permutation equivalence ---------------------------------------------------
@@ -105,6 +110,68 @@ def test_certificate_refuses_when_psd():
         certify_lambda_min_below(complete_graph(5), 1)
 
 
+def _threshold_expansions(s):
+    """The three Prop. 2.15 expansions at s with their stated partitions."""
+    p1 = s * (s - 1) + 1
+    p2 = (s - 1) * (2 * s - 1) + 1
+    p3 = (s + 1) * (s - 1) ** 2 + 1
+    g1 = expand(slim_with_fats(s + 1), p1)
+    g2 = expand(clique_with_two_fats(s), p2)
+    g3 = expand(pendant_slim_pair(s), p3)
+    return [
+        (g1, Partition([[0], list(range(1, g1.n))])),
+        (g2, Partition([list(range(s)), list(range(s, g2.n))])),
+        (g3, Partition([[0], [1], list(range(2, g3.n))])),
+    ]
+
+
+def _expansion_cases():
+    for name, p in PROP_CAL_PAIRS:
+        h = catalog(name).hoffman
+        yield f"{name}, p={p}", expand(h, p), 3, Partition(expansion_blocks(h, p))
+    for s in (2, 3, 4):
+        for k, (G, P) in enumerate(_threshold_expansions(s)):
+            yield f"prop215 s={s} #{k + 1}", G, s, P
+
+
+def test_lifted_witness_agrees_with_dense_ldlt():
+    # the lifted witness is checked against the dense matrix form, and LDL^T
+    # on the full A + tI (the route the lift replaced) must refute PSD too
+    for label, G, t, P in _expansion_cases():
+        x = _lift_quotient_witness(G, t, P, graph_quotient_matrix(G, P))
+        A = adjacency_rational(G).shifted(t)
+        assert quadratic_form(A, x) < 0, label
+        assert quadratic_form(A, x) == graph_quadratic_form(G, t, x), label
+        assert psd_witness(A) is not None, label
+
+
+def test_lift_refuses_when_psd():
+    # A + 3I is exactly PSD for (h_5, p = 10): no witness of any kind exists
+    h = catalog("h_5").hoffman
+    G, P = expand(h, 10), Partition(expansion_blocks(h, 10))
+    with pytest.raises(VerificationError):
+        _lift_quotient_witness(G, 3, P, graph_quotient_matrix(G, P))
+
+
+def test_expansion_blocks_are_equitable():
+    # the blocks follow expand's vertex numbering: singletons, then p-cliques
+    for name in ("h_{3,1}", "h_6", "h_7", "h_8^{(2)}"):
+        h = catalog(name).hoffman
+        assert h.n_fat >= 2, name
+        for p in (1, 2, 5):
+            G = expand(h, p)
+            P = Partition(expansion_blocks(h, p))
+            assert list(P.sizes()) == [1] * h.n_slim + [p] * h.n_fat
+            Q = graph_quotient_matrix(G, P)
+            assert Q == quotient_matrix(adjacency_rational(G), P), (name, p)
+            for k, f in enumerate(h.fat_neighbors):
+                clique = h.n_slim + k
+                assert Q.rows[clique][clique] == p - 1
+                assert [Q.rows[v][clique] for v in range(h.n_slim)] == [
+                    p if v in f else 0 for v in range(h.n_slim)
+                ]
+
+
 def test_graph_quotient_matches_dense_quotient():
     G = expand(slim_with_fats(3), 3)
     P = Partition([[0], list(range(1, G.n))])
@@ -159,8 +226,6 @@ def test_prop215_rejects_small_s():
 def test_prop215_second_construction_matches_h5():
     # the s = 3 clique-with-two-fats expansion at p2 = 11 is the same graph
     # as the catalog pair (h_5, 11)
-    from hoffman import clique_with_two_fats
-
     assert expand(catalog("h_5").hoffman, 11) == expand(clique_with_two_fats(3), 11)
 
 
@@ -200,13 +265,16 @@ def test_graph_form_matches_matrix_form():
     import random
     from fractions import Fraction
 
-    from hoffman import quadratic_form
     from .conftest import random_graph
 
     rng = random.Random(12)
-    for _ in range(25):
-        G = random_graph(rng, rng.randint(1, 9), rng.random())
+    for trial in range(40):
+        G = random_graph(rng, rng.randint(0, 9), rng.random())
         t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(G.n)]
-        assert graph_quadratic_form(G, t, x) == quadratic_form(
-            adjacency_rational(G).shifted(t), x)
+        if trial % 8 == 0:
+            x = [Fraction(0)] * G.n
+        else:
+            x = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(G.n)]
+        value = graph_quadratic_form(G, t, x)
+        assert isinstance(value, Fraction)
+        assert value == quadratic_form(adjacency_rational(G).shifted(t), x)

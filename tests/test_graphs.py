@@ -207,6 +207,17 @@ def test_load_graph_autodetects():
     assert load_graph("Dhc") == cycle_graph(5)
 
 
+@pytest.mark.parametrize("n", [28, 60])
+def test_load_graph_accepts_graph6_with_json_like_header(n):
+    # the one-byte graph6 headers of n = 28 and n = 60 are '[' and '{'
+    rng = random.Random(n)
+    for G in (Graph(n, []), random_graph(rng, n, 0.5), complete_graph(n)):
+        text = graph6_encode(G)
+        assert text[0] == chr(n + 63)
+        assert load_graph(text) == G
+        assert load_graph(text + "\n") == G
+
+
 def test_graph6_three_byte_header():
     # n = 63 uses the 126-prefixed three-byte length form
     n = 63
