@@ -11,6 +11,7 @@ reproduce under exact verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -18,15 +19,17 @@ import time
 from fractions import Fraction
 
 from .errors import HoffmanError, VerificationError
-from .exact import lambda_min_float, is_psd_exact
+from .exact import is_psd_exact
 from .forbidden import (
+    PROP_CAL_PAIRS,
     adjacency_rational,
+    graph_lambda_min_float,
     prop215,
     scan_M_t,
     verify_proposition_cal,
 )
-from .graphs import load_graph_file
-from .hgraphs import SpecialMatrix, load_hoffman_file, special_matrix
+from .graphs import _is_int, load_graph_file
+from .hgraphs import SpecialMatrix, catalog, load_hoffman_file, special_matrix
 from .structure import (
     associated_hoffman,
     bose_laskar,
@@ -68,10 +71,6 @@ REPORT_SCHEMA = {
 PROP5_CLAIMED = ("0", "1/3", "2/3", "1", "4/3", "2")
 ALPHAB_DESK_BS = (2, 3, 4, 5, 9, 16, 25)
 FIVE_CHECKS = ((7, 7), (6, 6), (5, 5), (4, 4), (3, 3))
-FORBIDDEN_N2_ARGS = (
-    (4, 1, 7), (5, 2, 7), (3, 2, 13), (3, 2, 5), (2, 3, 11),
-    (4, 3, 5), (4, 3, 15), (6, 3, 8), (5, 3, 11),
-)
 
 
 class _UsageError(Exception):
@@ -106,12 +105,19 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"certificate: {cert}")
 
 
+@functools.cache
+def _report_validator():
+    # imported on first use so that importing the CLI stays cheap; the
+    # constant schema is checked against its metaschema once, not per report
+    import jsonschema
+
+    validator_class = jsonschema.validators.validator_for(REPORT_SCHEMA)
+    validator_class.check_schema(REPORT_SCHEMA)
+    return validator_class(REPORT_SCHEMA)
+
+
 def _validate_report(report: dict) -> None:
-    try:
-        import jsonschema
-    except ImportError:  # pragma: no cover - jsonschema is a declared dependency
-        return
-    jsonschema.validate(report, REPORT_SCHEMA)
+    _report_validator().validate(report)
 
 
 def build_parser() -> _Parser:
@@ -181,12 +187,11 @@ def build_parser() -> _Parser:
 
 def _cmd_lambda_min(args, timings):
     G = load_graph_file(args.graph)
-    A = adjacency_rational(G)
-    results = {"n": G.n, "lambda_min_float": lambda_min_float(A) if G.n else None}
+    results = {"n": G.n, "lambda_min_float": graph_lambda_min_float(G)}
     certs = []
     if args.at_least is not None:
         t = -Fraction(args.at_least)
-        verdict = is_psd_exact(A.shifted(t))
+        verdict = is_psd_exact(adjacency_rational(G).shifted(t))
         results["at_least"] = {"threshold": str(-t), "holds": verdict}
         certs.append(
             f"lambda_min >= {-t} decided exactly via PSD(A + ({t})I): {verdict}"
@@ -233,14 +238,27 @@ def _cmd_check_intro2(args, timings):
     return report, [], code
 
 
+def _load_matrix_file(path: str) -> SpecialMatrix:
+    """A square symmetric matrix of JSON integers, read as a special matrix."""
+    with open(path, "r", encoding="ascii") as fh:
+        rows = json.load(fh)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows) and all(_is_int(x) for x in row)
+        for row in rows
+    ):
+        raise ValueError("matrix JSON must be a square list of integer rows")
+    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
+        raise ValueError("matrix JSON must be symmetric")
+    return SpecialMatrix(tuple(tuple(row) for row in rows))
+
+
 def _cmd_scan_forbidden(args, timings):
     if args.hoffman:
         h = load_hoffman_file(args.hoffman)
         S = special_matrix(h)
         source = {"hoffman": args.hoffman}
     else:
-        with open(args.matrix, "r", encoding="ascii") as fh:
-            S = SpecialMatrix(tuple(tuple(int(x) for x in row) for row in json.load(fh)))
+        S = _load_matrix_file(args.matrix)
         source = {"matrix": args.matrix}
     hit = scan_M_t(S, args.t)
     results = {
@@ -408,15 +426,19 @@ def _suite_beta():
 
 def _suite_thresholds():
     n1_ok = n1_threshold(3) == 48
+    # (phi, sigma, p) of the nine expansions: fat count, slim count, clique order
+    n2_args = []
+    for name, p in PROP_CAL_PAIRS:
+        h = catalog(name).hoffman
+        n2_args.append((h.n_fat, h.n_slim, p))
     per_c = []
     ok = n1_ok
     for c in range(1, 21):
-        ct = min(c, 6)
-        q = max(c + 5, 50 * ct + 16)
-        worst = max(n2_threshold(phi, sigma, p, ct) for phi, sigma, p in FORBIDDEN_N2_ARGS)
-        good = q >= worst and 50 * ct + 16 >= 48
+        th = thresholds(3, c)
+        worst = max(n2_threshold(phi, sigma, p, th.c_tilde) for phi, sigma, p in n2_args)
+        good = th.q >= worst and th.q >= th.n1
         ok = ok and good
-        per_c.append({"c": c, "q": q, "max_n2": worst, "ok": good})
+        per_c.append({"c": c, "q": th.q, "max_n2": worst, "ok": good})
     results = {"ok": ok, "n1_3": n1_threshold(3), "n1_3_is_48": n1_ok, "per_c": per_c}
     return results, [], ok
 

@@ -155,10 +155,8 @@ def p_number(p: ClassicalParams, i: int, h: int) -> tuple[Fraction, bool]:
     return direct, direct.denominator == 1 and direct >= 0
 
 
-def p66_leading_constant(b: int, D: int = 12) -> int:
+def p66_leading_constant(b: int) -> int:
     """The alpha-free factor of p^{12}_{66}: product of bracket ratios."""
-    if D < 12:
-        raise IndexOutOfRange("needs D >= 12")
     num = 1
     den = 1
     for j in range(7, 13):

@@ -5,8 +5,8 @@ with the standard semidefinite pivot rule, so strict eigenvalue inequalities
 carry exact certificates: when a matrix is not PSD the routine produces a
 rational vector x with x^T M x < 0 that can be re-checked independently.
 
-The floating side is for reporting only and is backed by LAPACK's dense
-symmetric solver (tridiagonalization + QR/QL) via numpy.
+The floating side is for reporting only: :func:`eigenvalues_float`, backed by
+LAPACK's dense symmetric solver via numpy, gives None above FLOAT_ORDER_LIMIT.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceFailure, NotEquitable
+from .graphs import Graph
 
 FLOAT_ORDER_LIMIT = 2000
 
@@ -62,12 +63,6 @@ class RationalMatrix:
         return RationalMatrix(
             [[self._rows[i][j] + (t if i == j else 0) for j in range(n)] for i in range(n)]
         )
-
-    def principal(self, indices: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix([[self._rows[i][j] for j in indices] for i in indices])
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self._rows], dtype=float)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self._rows]
@@ -229,21 +224,32 @@ def det_exact(M: RationalMatrix) -> Fraction:
 
 # -- floating eigensolver ------------------------------------------------------
 
-def eigenvalues_float(M: RationalMatrix) -> list[float]:
-    """All eigenvalues of a symmetric matrix, ascending, to ~1e-9."""
-    if M.order > FLOAT_ORDER_LIMIT:
-        raise ValueError(f"order {M.order} exceeds the floating solver limit")
-    if not M.is_symmetric():
-        raise ValueError("floating eigensolver requires a symmetric matrix")
+def eigenvalues_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[list[float]]:
+    """Eigenvalues of a symmetric matrix or of a graph's adjacency matrix, ascending,
+    to ~1e-9; None above FLOAT_ORDER_LIMIT, with no array built."""
+    M = M.rows if isinstance(M, RationalMatrix) else M
+    n = M.n if isinstance(M, Graph) else len(M)
+    if n > FLOAT_ORDER_LIMIT:
+        return None
+    if isinstance(M, Graph):
+        width = (n + 7) // 8
+        packed = b"".join(M.bits(v).to_bytes(width, "little") for v in range(n))
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+        a = bits.reshape(n, 8 * width)[:, :n].astype(float)
+    else:
+        a = np.array(M, dtype=float).reshape(n, n)
+        if not np.array_equal(a, a.T):
+            raise ValueError("floating eigensolver requires a symmetric matrix")
     try:
-        return [float(v) for v in np.linalg.eigvalsh(M.to_float())]
+        return [float(v) for v in np.linalg.eigvalsh(a)]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def lambda_min_float(M: RationalMatrix) -> float:
-    """Smallest eigenvalue of a symmetric matrix to absolute accuracy ~1e-9."""
-    return eigenvalues_float(M)[0]
+def lambda_min_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[float]:
+    """Smallest eigenvalue to ~1e-9; None at order 0 or above the floating limit."""
+    values = eigenvalues_float(M)
+    return values[0] if values else None
 
 
 # -- quotient matrices --------------------------------------------------------
@@ -271,7 +277,7 @@ def quotient_matrix(M: RationalMatrix, P: Partition) -> RationalMatrix:
     return RationalMatrix(q)
 
 
-def quotient_eigenvalues_float(Q: RationalMatrix, block_sizes: Sequence[int]) -> list[float]:
+def quotient_eigenvalues_float(Q: RationalMatrix, block_sizes: Sequence[int]) -> Optional[list]:
     """Eigenvalues of a quotient matrix via its symmetrized similar matrix.
 
     With D = diag(block sizes), D^(1/2) Q D^(-1/2) is symmetric whenever Q
@@ -284,5 +290,4 @@ def quotient_eigenvalues_float(Q: RationalMatrix, block_sizes: Sequence[int]) ->
     sym = np.array(
         [[float(Q.rows[i][j]) * root[i] / root[j] for j in range(n)] for i in range(n)]
     )
-    sym = (sym + sym.T) / 2.0
-    return [float(v) for v in np.linalg.eigvalsh(sym)]
+    return eigenvalues_float((sym + sym.T) / 2.0)

@@ -25,14 +25,12 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import NotEquitable, VerificationError
 from .exact import (
-    FLOAT_ORDER_LIMIT,
     Partition,
     RationalMatrix,
     det_exact,
+    lambda_min_float,
     psd_witness,
     quotient_eigenvalues_float,
 )
@@ -124,16 +122,9 @@ def adjacency_rational(G: Graph) -> RationalMatrix:
     return RationalMatrix(G.adjacency_rows())
 
 
-def graph_lambda_min_float(G: Graph) -> float:
-    """Smallest adjacency eigenvalue, skipping the rational-matrix detour."""
-    if G.n > FLOAT_ORDER_LIMIT:
-        raise ValueError(f"order {G.n} exceeds the floating solver limit")
-    if G.n == 0:
-        return 0.0
-    a = np.zeros((G.n, G.n))
-    for u, v in G.edges():
-        a[u, v] = a[v, u] = 1.0
-    return float(np.linalg.eigvalsh(a)[0])
+def graph_lambda_min_float(G: Graph) -> Optional[float]:
+    """Smallest adjacency eigenvalue as floating evidence; None at order 0 or above the limit."""
+    return lambda_min_float(G)
 
 
 def graph_quotient_matrix(G: Graph, P: Partition) -> RationalMatrix:
@@ -285,7 +276,7 @@ def _quotient_check(G: Graph, s: int, blocks, expected_det: int, construction: s
     # is not PSD and the lift cannot miss
     witness = _lift_quotient_witness(G, s, partition, Q)
     qmin = quotient_eigenvalues_float(Q, partition.sizes())[0]
-    gmin = graph_lambda_min_float(G) if G.n <= FLOAT_ORDER_LIMIT else None
+    gmin = graph_lambda_min_float(G)
     if gmin is not None and qmin < gmin - 1e-7:
         raise VerificationError(f"{construction}: quotient eigenvalue below graph minimum")
     return {
@@ -354,7 +345,10 @@ def find_min_p_below(h: HoffmanGraph, threshold: float, p_max: int) -> Optional[
     if not 1 <= p_max <= 200:
         raise ValueError("p_max must be in 1..200")
     for p in range(1, p_max + 1):
-        if graph_lambda_min_float(expand(h, p)) < threshold - 1e-9:
+        lm = graph_lambda_min_float(expand(h, p))
+        if lm is None:
+            raise ValueError(f"G(h, {p}) is empty or above the floating solver's limit")
+        if lm < threshold - 1e-9:
             return p
     return None
 

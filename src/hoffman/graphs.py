@@ -248,6 +248,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_int_pairs(edges) -> bool:
+    return isinstance(edges, (list, tuple)) and all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(v) for v in e)
+        for e in edges
+    )
+
+
 def graph_from_json(obj) -> Graph:
     """Build a graph from ``{"n": int, "edges": [[u, v], ...]}``.
 
@@ -260,10 +267,7 @@ def graph_from_json(obj) -> Graph:
     if not _is_int(n):
         raise ValueError(f"graph JSON: 'n' must be an integer, got {n!r}")
     edges = obj.get("edges", [])
-    if not isinstance(edges, (list, tuple)) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(v) for v in e)
-        for e in edges
-    ):
+    if not _is_int_pairs(edges):
         raise ValueError("graph JSON: 'edges' must be a list of [u, v] integer pairs")
     return Graph(n, edges)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import IndexOutOfFamily, InvalidSubset, SizeLimit
 from .exact import RationalMatrix, is_psd_exact, lambda_min_float
-from .graphs import Graph
+from .graphs import Graph, _is_int, _is_int_pairs
 
 ISOMORPHISM_SIZE_LIMIT = 64
 
@@ -81,10 +81,28 @@ class HoffmanGraph:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "HoffmanGraph":
-        h = cls(int(obj["slim"]), obj.get("slim_edges", []), obj.get("fat_adj", []))
-        if "fat" in obj and int(obj["fat"]) != h.n_fat:
-            raise ValueError("fat count does not match fat_adj length")
+    def from_json(cls, obj) -> "HoffmanGraph":
+        """Build from ``{"slim": int, "fat": int, "slim_edges": [[u, v], ...],
+        "fat_adj": [[s, ...], ...]}``; ``fat`` is optional.
+
+        Counts and vertex indices must be JSON integers; anything else raises
+        ValueError rather than being coerced or truncated.
+        """
+        if not isinstance(obj, dict) or not _is_int(obj.get("slim")):
+            raise ValueError("Hoffman graph JSON must be an object with an integer 'slim'")
+        edges = obj.get("slim_edges", [])
+        if not _is_int_pairs(edges):
+            raise ValueError(
+                "Hoffman graph JSON: 'slim_edges' must be a list of [u, v] integer pairs"
+            )
+        fat_adj = obj.get("fat_adj", [])
+        if not isinstance(fat_adj, (list, tuple)) or not all(
+            isinstance(f, (list, tuple)) and all(_is_int(s) for s in f) for f in fat_adj
+        ):
+            raise ValueError("Hoffman graph JSON: 'fat_adj' must be a list of integer lists")
+        h = cls(obj["slim"], edges, fat_adj)
+        if "fat" in obj and (not _is_int(obj["fat"]) or obj["fat"] != h.n_fat):
+            raise ValueError("Hoffman graph JSON: 'fat' does not match the length of 'fat_adj'")
         return h
 
     def __eq__(self, other) -> bool:
@@ -119,9 +137,6 @@ class SpecialMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def principal(self, indices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.entries[i][j] for j in indices) for i in indices)
-
     def to_rational(self) -> RationalMatrix:
         return RationalMatrix(self.entries)
 
@@ -138,8 +153,8 @@ def special_matrix(h: HoffmanGraph) -> SpecialMatrix:
     return SpecialMatrix(tuple(tuple(row) for row in s))
 
 
-def lambda_min_hoffman(h: HoffmanGraph) -> float:
-    """Smallest eigenvalue of the special matrix (floating, reporting only)."""
+def lambda_min_hoffman(h: HoffmanGraph) -> Optional[float]:
+    """Smallest eigenvalue of the special matrix (floating, reporting only; None if no slim)."""
     return lambda_min_float(special_matrix(h).to_rational())
 
 

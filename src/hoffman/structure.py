@@ -23,8 +23,8 @@ from .errors import (
     CliqueTooSmall,
     SearchBudgetExhausted,
 )
-from .exact import is_psd_exact, lambda_min_float
-from .forbidden import adjacency_rational, scan_M_t
+from .exact import is_psd_exact
+from .forbidden import adjacency_rational, graph_lambda_min_float, scan_M_t
 from .graphs import (
     CliqueSet,
     Graph,
@@ -503,7 +503,7 @@ def theorem_intro2_check(G: Graph, c: int, limit: int = 100_000) -> dict:
     submatrices at t = 2.
     """
     th = thresholds(3, c)
-    report: dict = {"c": c, "c_tilde": min(c, 6), "q": th.q, "K": th.K}
+    report: dict = {"c": c, "c_tilde": th.c_tilde, "q": th.q, "K": th.K}
 
     mu = mu_parameter(G)
     report["condition_mu"] = {"passed": mu <= c, "mu": mu}
@@ -515,11 +515,9 @@ def theorem_intro2_check(G: Graph, c: int, limit: int = 100_000) -> dict:
             violations.append({"clique": list(clique), "min_degree": min_deg})
     report["condition_clique_order"] = {"passed": not violations, "violations": violations[:10]}
 
-    A = adjacency_rational(G)
-    exact_ok = is_psd_exact(A.shifted(3))
     report["condition_lambda_min"] = {
-        "passed": exact_ok,
-        "lambda_min_float": lambda_min_float(A) if G.n else 0.0,
+        "passed": is_psd_exact(adjacency_rational(G).shifted(3)),
+        "lambda_min_float": graph_lambda_min_float(G),
         "exact": True,
     }
 

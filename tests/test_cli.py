@@ -29,6 +29,23 @@ def k5_json(tmp_path):
 
 
 @pytest.fixture
+def k4_json(tmp_path):
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({
+        "n": 4,
+        "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)],
+    }))
+    return str(path)
+
+
+@pytest.fixture
+def small_float_limit(monkeypatch):
+    import hoffman.exact as exact
+
+    monkeypatch.setattr(exact, "FLOAT_ORDER_LIMIT", 3)
+
+
+@pytest.fixture
 def c5_g6(tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text("Dhc\n")
@@ -114,6 +131,8 @@ def test_verify_thresholds_ok(capsys):
     code, report = run_cli(capsys, "verify-paper", "thresholds")
     assert code == 0
     assert report["results"]["n1_3"] == 48
+    pinned = {(r["c"], r["q"], r["max_n2"]) for r in report["results"]["per_c"]}
+    assert {(1, 66, 66), (6, 316, 316), (20, 316, 316)} <= pinned
 
 
 def test_verify_cal_ok(capsys):
@@ -238,3 +257,65 @@ def test_lambda_min_empty_graph(capsys, tmp_path):
     code, report = run_cli(capsys, "lambda-min", "--graph", str(path))
     assert code == 0
     assert report["results"]["lambda_min_float"] is None
+
+
+def test_check_intro2_empty_graph_has_null_float(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "edges": []}')
+    code, report = run_cli(capsys, "check-intro2", "--graph", str(path), "--c", "1")
+    assert code == 0
+    cond = report["results"]["condition_lambda_min"]
+    assert cond["passed"] is True
+    assert cond["lambda_min_float"] is None
+
+
+def test_lambda_min_exact_verdict_beyond_float_limit(capsys, k4_json, small_float_limit):
+    code, report = run_cli(capsys, "lambda-min", "--graph", k4_json, "--at-least", "-1")
+    assert code == 0
+    assert report["results"]["at_least"]["holds"] is True
+    assert report["results"]["lambda_min_float"] is None
+
+
+def test_check_intro2_exact_verdict_beyond_float_limit(capsys, k4_json, small_float_limit):
+    # K4 fails the clique-order condition (exit 2), but condition (iii) is
+    # still decided exactly without the floating value
+    code, report = run_cli(capsys, "check-intro2", "--graph", k4_json, "--c", "1")
+    assert code == 2
+    cond = report["results"]["condition_lambda_min"]
+    assert cond["passed"] is True
+    assert cond["lambda_min_float"] is None
+
+
+_HOFFMAN = {"slim": 2, "fat": 1, "slim_edges": [[0, 1]], "fat_adj": [[0, 1]]}
+
+
+@pytest.mark.parametrize("flag,content", [
+    ("--hoffman", {**_HOFFMAN, "slim_edges": [[0, "1"]]}),
+    ("--hoffman", {**_HOFFMAN, "slim": 2.5}),
+    ("--hoffman", {**_HOFFMAN, "fat_adj": [[0, 1.0]]}),
+    ("--hoffman", {**_HOFFMAN, "fat": 2}),
+    ("--hoffman", [_HOFFMAN]),
+    ("--matrix", [[1.5, 0], [0, -2]]),
+    ("--matrix", [[1, 2], [3]]),
+    ("--matrix", [[0, 1], [0, 0]]),
+])
+def test_malformed_scan_input_is_an_input_error(capsys, tmp_path, flag, content):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    assert main(["scan-forbidden", flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_every_report_is_validated():
+    from hoffman.cli import _validate_report
+
+    # the validator is built once and then reused; each call still checks
+    for _ in range(2):
+        with pytest.raises(jsonschema.ValidationError):
+            _validate_report({"command": "x"})
+    _validate_report({
+        "command": "x", "inputs": {}, "results": None,
+        "exact_certificates": [], "timings_ms": {"total": 1.0},
+    })

@@ -176,8 +176,26 @@ def test_float_solver_rejects_nonsymmetric(monkeypatch):
         lambda_min_float(RationalMatrix([[0, 1], [0, 0]]))
     import hoffman.exact as exact
     monkeypatch.setattr(exact, "FLOAT_ORDER_LIMIT", 2)
+    # above the limit there is no floating value, symmetric or not, and the
+    # size check comes before any array is built
+    assert exact.lambda_min_float(RationalMatrix.identity(3)) is None
+    assert exact.eigenvalues_float(RationalMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])) is None
+
+
+def test_float_solver_rejects_nonsymmetric_array():
+    import numpy as np
+
     with pytest.raises(ValueError):
-        exact.lambda_min_float(RationalMatrix.identity(3))
+        eigenvalues_float(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_empty_matrix_has_no_smallest_eigenvalue():
+    from hoffman import Graph
+
+    assert eigenvalues_float(RationalMatrix([])) == []
+    assert eigenvalues_float(Graph(0)) == []
+    assert lambda_min_float(RationalMatrix([])) is None
+    assert lambda_min_float(Graph(0)) is None
 
 
 # -- quotient matrices ----------------------------------------------------------------------

@@ -18,9 +18,11 @@ from hoffman import (
     expand,
     expansion_blocks,
     find_min_p_below,
+    graph_lambda_min_float,
     graph_quadratic_form,
     graph_quotient_matrix,
     is_psd_exact,
+    lambda_min_float,
     m_matrix,
     pendant_slim_pair,
     permutation_equivalent,
@@ -250,6 +252,16 @@ def test_find_min_p_below_irrational_threshold():
     assert find_min_p_below(catalog("h_7").hoffman, threshold, 100) == 77
 
 
+def test_find_min_p_below_raises_beyond_float_limit(monkeypatch):
+    import hoffman.exact as exact
+
+    # G(h_5, p) has 2p + 3 vertices and first drops below -3 at p = 11, so a
+    # limit of 13 vertices runs out at p = 6, before the threshold is crossed
+    monkeypatch.setattr(exact, "FLOAT_ORDER_LIMIT", 13)
+    with pytest.raises(ValueError, match=r"G\(h, 6\)"):
+        find_min_p_below(catalog("h_5").hoffman, -3, 20)
+
+
 def test_find_min_p_below_validates_pmax():
     with pytest.raises(ValueError):
         find_min_p_below(catalog("h_7").hoffman, -3, 300)
@@ -278,3 +290,31 @@ def test_graph_form_matches_matrix_form():
         value = graph_quadratic_form(G, t, x)
         assert isinstance(value, Fraction)
         assert value == quadratic_form(adjacency_rational(G).shifted(t), x)
+
+
+# -- floating evidence -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+def test_graph_float_matches_rational_route(n):
+    # orders around the byte boundaries of the bitset unpacking
+    import random
+
+    from .conftest import random_graph
+
+    rng = random.Random(n)
+    for p in (0.2, 0.5, 0.9):
+        G = random_graph(rng, n, p)
+        expected = lambda_min_float(adjacency_rational(G))
+        assert abs(graph_lambda_min_float(G) - expected) < 1e-9
+
+
+def test_prop215_float_evidence_is_null_above_the_limit(monkeypatch):
+    import hoffman.exact as exact
+
+    monkeypatch.setattr(exact, "FLOAT_ORDER_LIMIT", 3)
+    checks = prop215(2)["checks"]
+    assert [c["vertices"] for c in checks] == [10, 10, 10]
+    assert all(c["graph_lambda_min"] is None for c in checks)
+    assert all(c["exact_verdict"] and c["det_shifted"] == "-1" for c in checks)
+    # the quotients have at most three blocks, so their floating value stays
+    assert all(c["quotient_lambda_min"] < -2 for c in checks)
