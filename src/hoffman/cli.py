@@ -120,7 +120,9 @@ def _validate_report(report: dict) -> None:
     _report_validator().validate(report)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="hoffman", description=__doc__)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     # accept --format after the subcommand too; SUPPRESS keeps the top-level
@@ -179,7 +181,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s-max", type=int, default=6, help="largest s for prop215")
     p.add_argument("--bs", default=None, help="comma list of b values for alphab")
     p.add_argument("--full", action="store_true",
-                   help="alphab: scan every b in 2..100 (slow, not part of CI)")
+                   help="alphab: scan every b in 2..100")
     return parser
 
 
@@ -392,6 +394,7 @@ def _suite_alphab(bs, full: bool):
             "b": b,
             "square": square,
             "survivors": [str(a) for a in survivors],
+            "candidates": survivors.candidates,
             "offending": [str(a) for a in survivors if a not in allowed],
             "ok": good,
         })

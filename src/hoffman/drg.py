@@ -2,8 +2,17 @@
 
 Intersection numbers, eigenvalues, the clique bound, triple-intersection
 integrality, and the feasibility scans are all evaluated over exact
-rationals; the scans enumerate alpha on the grid k/(b+1) (forced by the
+rationals; the scans take alpha on the grid k/(b+1) (forced by the
 integrality of c_2 and c_3) and never touch floating point.
+
+A scan does not test every grid point.  For a check (i, h) with i, h >= 2,
+k+b+1 divides the denominator of p^{i+h}_{ih}, and a survivor forces k+b+1
+to divide a fixed integer R_ih; so the exact test runs only on the divisors
+of gcd(R_ih) in range.  The gcd is factored in pure Python: [m]_b splits into
+cyclotomic values Phi_d(b), which are factored by trial division and Pollard
+rho, and every prime is certified by deterministic Miller-Rabin (exact below
+3.3e24, which covers D = 14 and b <= 100).  Without such a check, or when a
+factor cannot be certified prime, the scan tests the whole grid.
 
 beta never enters the c_i-based integrality checks, so scans quantify over
 alpha only.  b = 1 is supported for formula evaluation, scans require b >= 2.
@@ -12,6 +21,7 @@ alpha only.  b = 1 is supported for formula evaluation, scans require b >= 2.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -168,14 +178,185 @@ def p66_leading_constant(b: int) -> int:
     return num // den
 
 
+# -- exact factoring, for the divisor route of the scans ------------------------------
+
+# trial division runs over the primes below 100
+_TRIAL_PRIMES = tuple(
+    p for p in range(2, 100) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
+# a strong probable prime to the first 13 prime bases is prime below this
+# bound (Sorenson and Webster 2015); larger factors are not certified
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_CERT_LIMIT = 3317044064679887385961981
+# squarings Pollard rho may spend on one composite; b <= 100 at D = 14 needs
+# at most about 5e4, a product of two primes near 1e11 about 8e5
+_RHO_STEPS = 1 << 21
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases :data:`_MR_BASES`.
+
+    ``False`` is always a proof of compositeness; ``True`` is a proof of
+    primality only for ``n < _PRIME_CERT_LIMIT``.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int | None:
+    """A proper divisor of the composite n by Brent's variant of Pollard rho.
+
+    Deterministic: the polynomials x^2 + c for c = 1, 2, ... in turn.
+    ``None`` after :data:`_RHO_STEPS` squarings, so that a composite with
+    only huge prime factors cannot stall a scan.  Loops until the budget on
+    a prime, so callers pass only n that :func:`_is_prime` rejects.
+    """
+    steps = 0
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps > _RHO_STEPS:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:
+            # the batched product hit 0 mod n; redo the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    return None
+
+
+def _factor(n: int) -> Counter | None:
+    """The prime factorization of n >= 1 as {prime: exponent}.
+
+    ``None`` when some prime factor is at least :data:`_PRIME_CERT_LIMIT`, so
+    that its primality cannot be certified, or when Pollard rho cannot split
+    a composite part within its budget.
+    """
+    factors: Counter = Counter()
+    for p in _TRIAL_PRIMES:
+        while n % p == 0:
+            factors[p] += 1
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            if m >= _PRIME_CERT_LIMIT:
+                return None
+            factors[m] += 1
+            continue
+        d = _pollard_brent(m)
+        if d is None:
+            return None
+        pending += [d, m // d]
+    return factors
+
+
+def _divisor_candidates(b: int, pairs, k_max: int) -> list[int] | None:
+    """The k in 0..k_max with k+b+1 dividing every R_ih, or ``None`` (full grid).
+
+    Write u_j = b+1 + k[j-1]_b, so that c_j = [j]_b u_j / (b+1) and
+    u_2 = k+b+1.  For h >= 2, u_2 divides the denominator of p^{i+h}_{ih},
+    so a survivor has u_2 | prod_{m=i+1}^{i+h} [m]_b u_m.  As
+    u_m = -(b+1) b [m-2]_b modulo u_2, u_2 divides the fixed integer
+    R_ih = prod_{m=i+1}^{i+h} [m]_b (b+1) b [m-2]_b, which is 0 for i = 1.
+    The candidates are the divisors of G = gcd of the R_ih over the checks
+    with i, h >= 2, read off the factorizations of b, b+1 and the cyclotomic
+    values Phi_d(b) that make up [m]_b = prod_{d | m, d > 1} Phi_d(b).
+
+    ``None`` when no check has i, h >= 2, or when G cannot be factored
+    into certified primes: the divisors of an unfactored composite would
+    miss survivors.
+    """
+    binding = [(i, h) for i, h in pairs if i >= 2 and h >= 2]
+    if not binding:
+        return None
+    ms = {m for i, h in binding for m in range(i - 1, i + h + 1)}
+    phi = {1: b - 1}
+    phi_factors: dict[int, Counter] = {}
+    for d in range(2, max(ms) + 1):
+        # b^d - 1 = prod_{e | d} Phi_e(b)
+        phi[d] = (b**d - 1) // math.prod(phi[e] for e in range(1, d) if d % e == 0)
+        if any(m % d == 0 for m in ms):
+            phi_factors[d] = _factor(phi[d])
+            if phi_factors[d] is None:
+                return None
+    b_factors, b1_factors = _factor(b), _factor(b + 1)
+    if b_factors is None or b1_factors is None:
+        return None
+    g_factors = {m: sum((phi_factors[d] for d in range(2, m + 1) if m % d == 0), Counter())
+                 for m in ms}
+    G = None
+    for i, h in binding:
+        R = Counter()
+        for m in range(i + 1, i + h + 1):
+            R += g_factors[m] + g_factors[m - 2] + b_factors + b1_factors
+        G = R if G is None else G & R
+    hi = b + 1 + k_max
+    divisors = [1]
+    for p, e in G.items():
+        grown = []
+        for d in divisors:
+            for _ in range(e + 1):
+                if d > hi:
+                    break
+                grown.append(d)
+                d *= p
+        divisors = grown
+    return sorted(d - b - 1 for d in divisors if d >= b + 1)
+
+
 # -- feasibility scans ---------------------------------------------------------------
+
+class ScanSurvivors(list):
+    """The ascending survivors of a scan.
+
+    ``candidates`` is the number of alpha values the exact test ran on.
+    """
+
+    candidates: int = 0
+
 
 def feasibility_scan(
     b: int,
     D: int,
     alpha_max,
     checks: Sequence[tuple[int, int]],
-) -> list[Fraction]:
+) -> ScanSurvivors:
     """All alpha = k/(b+1), 0 <= alpha <= alpha_max, passing every p-number check.
 
     A value survives iff every requested p^{i+h}_{ih} is a non-negative
@@ -183,6 +364,12 @@ def feasibility_scan(
     [j]_b (b+1+k[j-1]_b) / (b+1) and the (b+1) powers cancel in the ratio.
     The result is deterministic, ascending, and independent of the order of
     ``checks``.
+
+    The exact test runs only on the k with k+b+1 dividing a fixed integer
+    (see :func:`_divisor_candidates`), a necessary condition for surviving a
+    check with i, h >= 2.  Without such a check, or when that integer cannot
+    be factored into certified primes, it runs on every k of the grid.  The
+    candidate count is ``result.candidates``.
     """
     if b < 2:
         raise ValueError("scan mode requires b >= 2")
@@ -200,9 +387,12 @@ def feasibility_scan(
         num_idx = list(range(i + 1, i + h + 1))
         den_idx = list(range(1, h + 1))
         prepared.append((num_const, den_const, num_idx, den_idx))
-    survivors = []
+    survivors = ScanSurvivors()
     k_max = math.floor(Fraction(alpha_max) * (b + 1))
-    for k in range(k_max + 1):
+    candidates = _divisor_candidates(b, checklist, k_max)
+    if candidates is None:
+        candidates = range(k_max + 1)
+    for k in candidates:
         ok = True
         for num_const, den_const, num_idx, den_idx in prepared:
             num = num_const
@@ -216,6 +406,7 @@ def feasibility_scan(
                 break
         if ok:
             survivors.append(Fraction(k, b + 1))
+    survivors.candidates = len(candidates)
     return survivors
 
 

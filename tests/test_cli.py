@@ -6,7 +6,7 @@ import pytest
 
 import jsonschema
 
-from hoffman.cli import REPORT_SCHEMA, main
+from hoffman.cli import REPORT_SCHEMA, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +184,43 @@ def test_verify_alphab_desk_slice_small(capsys):
     assert per_b[2]["survivors"] == ["0", "1/3", "2/3", "1", "4/3", "2"]
     assert per_b[4]["square"] is True
     assert "6" in per_b[4]["survivors"]
+
+
+def test_verify_alphab_reports_candidates(capsys):
+    code, report = run_cli(capsys, "verify-paper", "alphab", "--bs", "2,9")
+    assert code == 0
+    for entry in report["results"]["per_b"]:
+        b = entry["b"]
+        # the divisor route tests fewer alpha values than the whole grid
+        assert len(entry["survivors"]) <= entry["candidates"] < b * b * (b + 1) ** 2 + 1
+
+
+def test_verify_alphab_full_range(capsys):
+    code, report = run_cli(capsys, "verify-paper", "alphab", "--full")
+    assert code == 0
+    per_b = report["results"]["per_b"]
+    assert [entry["b"] for entry in per_b] == list(range(2, 101))
+    assert all(entry["ok"] for entry in per_b)
+    assert report["results"]["ok"] is True
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    scan = ["drg", "scan", "--b", "2", "--D", "12", "--alpha-max", "9"]
+    assert main(["--format", "text"] + scan + ["--checks", "6,6", "--checks", "5,5"]) == 0
+    assert capsys.readouterr().out.startswith("# drg scan")
+    code, report = run_cli(capsys, *scan, "--checks", "6,6")
+    assert code == 0
+    assert report["results"]["checks"] == [[6, 6]]
+    assert main(scan + ["--checks", "6,6", "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("# drg scan")
+    code, report = run_cli(capsys, *scan, "--checks", "5,5")
+    assert code == 0
+    assert report["results"]["checks"] == [[5, 5]]
+    assert main(["drg", "scan"]) == 1
+    code, report = run_cli(capsys, "verify-paper", "thresholds")
+    assert code == 0
+    assert report["inputs"]["suite"] == "thresholds"
+    assert build_parser() is build_parser()
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,6 @@
 """Classical-parameter arithmetic: arrays, eigenvalues, p-numbers, scans."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -217,6 +218,109 @@ def test_scan_desk_slice_b4():
     survivors = feasibility_scan(4, 14, 80, ((7, 7), (6, 6), (5, 5), (4, 4), (3, 3)))
     assert all(a <= 4 or a == 6 for a in survivors)
     assert Fraction(6) in survivors
+
+
+# -- the divisor route of the scans, against a brute-force oracle -----------------------------
+
+FIVE_CHECKS = ((7, 7), (6, 6), (5, 5), (4, 4), (3, 3))
+
+
+def oracle_scan(b, D, alpha_max, checks):
+    """Every k = 0..k_max tested: c_j = [j]_b (b+1 + k[j-1]_b), (b+1) powers cancelled."""
+    g = [gaussian(j, b) for j in range(D + 1)]
+
+    def c(j, k):
+        return g[j] * (b + 1 + k * g[j - 1])
+
+    survivors = []
+    for k in range(math.floor(Fraction(alpha_max) * (b + 1)) + 1):
+        if all(
+            math.prod(c(j, k) for j in range(i + 1, i + h + 1))
+            % math.prod(c(j, k) for j in range(1, h + 1)) == 0
+            for i, h in sorted(checks, key=lambda ih: ih[1])
+        ):
+            survivors.append(Fraction(k, b + 1))
+    return survivors
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 5, 9, 16, 25])
+def test_scan_matches_oracle_on_desk_slice(b):
+    alpha_max = b * b * (b + 1)
+    survivors = feasibility_scan(b, 14, alpha_max, FIVE_CHECKS)
+    assert survivors == oracle_scan(b, 14, alpha_max, FIVE_CHECKS)
+    # the divisor route ran: fewer exact tests than grid points
+    assert len(survivors) <= survivors.candidates < alpha_max * (b + 1) + 1
+
+
+def test_scan_matches_oracle_on_random_check_sets():
+    rng = random.Random(2024)
+    full_grid_runs = 0
+    for _ in range(80):
+        D = rng.randint(6, 14)
+        b = rng.randint(2, 7)
+        checks = []
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(1, D - 1)
+            checks.append((i, rng.randint(1, D - i)))
+        if rng.random() < 0.5:
+            # an i = 1 or h = 1 check constrains no divisor; alone they
+            # send the scan down the full grid
+            i = rng.randint(1, D - 1)
+            checks.append((1, rng.randint(1, D - 1)) if rng.random() < 0.5 else (i, 1))
+        alpha_max = Fraction(rng.randint(0, b * b * (b + 1)), rng.randint(1, 3))
+        survivors = feasibility_scan(b, D, alpha_max, checks)
+        assert survivors == oracle_scan(b, D, alpha_max, checks), (b, D, alpha_max, checks)
+        if all(i == 1 or h == 1 for i, h in checks):
+            assert survivors.candidates == math.floor(alpha_max * (b + 1)) + 1
+            full_grid_runs += 1
+    assert full_grid_runs > 0
+
+
+def test_scan_falls_back_when_factors_are_uncertified(monkeypatch):
+    # with the certification limit below Phi_13(2) = 8191 no divisor list can
+    # be trusted; the full grid must give the same survivors
+    cases = [(2, 14, 12, FIVE_CHECKS), (9, 14, 810, FIVE_CHECKS), (3, 14, 36, [(5, 8)])]
+    divisor_route = [feasibility_scan(*case) for case in cases]
+    monkeypatch.setattr(drg, "_PRIME_CERT_LIMIT", 1000)
+    for case, expected in zip(cases, divisor_route):
+        b, _, alpha_max, _ = case
+        grid = alpha_max * (b + 1) + 1
+        survivors = feasibility_scan(*case)
+        assert survivors == expected == oracle_scan(*case)
+        assert survivors.candidates == grid > expected.candidates
+
+
+def test_miller_rabin_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5, 7 and 3825123056546413051 to every prime base up to 23
+    for n in (561, 3215031751, 3825123056546413051, 1, 0, 41 * 43):
+        assert not drg._is_prime(n), n
+    for p in (2, 41, 8191, 100000000003, 2**61 - 1):
+        assert drg._is_prime(p), p
+
+
+def test_factor_splits_semiprime_near_1e11():
+    p, q = 100000000003, 100000000019
+    assert drg._factor(p * q) == {p: 1, q: 1}
+    assert drg._factor(2**10 * 3 * p) == {2: 10, 3: 1, p: 1}
+    assert drg._factor(1) == {}
+
+
+def test_factor_refuses_uncertifiable_prime(monkeypatch):
+    monkeypatch.setattr(drg, "_PRIME_CERT_LIMIT", 10**6)
+    assert drg._factor(8191 * 7) == {7: 1, 8191: 1}
+    assert drg._factor(100000000003 * 6) is None
+
+
+def test_factor_gives_up_after_rho_budget(monkeypatch):
+    # a composite that rho cannot split in budget is not factored, and the
+    # scan that needs it tests the whole grid instead
+    monkeypatch.setattr(drg, "_RHO_STEPS", 64)
+    assert drg._factor(100000000003 * 100000000019) is None
+    assert drg._factor(101 * 103) == {101: 1, 103: 1}
+    survivors = feasibility_scan(97, 14, 3, FIVE_CHECKS)
+    assert survivors == oracle_scan(97, 14, 3, FIVE_CHECKS)
+    assert survivors.candidates == 3 * 98 + 1
 
 
 # -- degree-regime bounds ----------------------------------------------------------------------
