@@ -82,6 +82,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type for a rational option; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _report(command: str, inputs: dict, results, certificates, timings) -> dict:
     return {
         "command": command,
@@ -136,7 +144,7 @@ def build_parser() -> _Parser:
 
     p = add_parser("lambda-min", help="smallest adjacency eigenvalue of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--at-least", default=None,
+    p.add_argument("--at-least", type=_fraction, default=None,
                    help="also decide lambda_min >= this rational, exactly")
 
     p = add_parser("assoc", help="associated Hoffman graph at level q")
@@ -147,7 +155,7 @@ def build_parser() -> _Parser:
     p = add_parser("bose-laskar", help="large-clique extraction through a vertex")
     p.add_argument("--graph", required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--lam", type=Fraction, required=True)
+    p.add_argument("--lam", type=_fraction, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
 
@@ -166,14 +174,14 @@ def build_parser() -> _Parser:
     ps = dsub.add_parser("scan", parents=[common], help="feasible alpha scan")
     ps.add_argument("--b", type=int, required=True)
     ps.add_argument("--D", type=int, required=True)
-    ps.add_argument("--alpha-max", type=Fraction, required=True)
+    ps.add_argument("--alpha-max", type=_fraction, required=True)
     ps.add_argument("--checks", action="append", required=True,
                     help="pair 'i,h'; repeat for several checks")
     pp = dsub.add_parser("params", parents=[common], help="arrays, eigenvalues and bounds")
     pp.add_argument("--D", type=int, required=True)
     pp.add_argument("--b", type=int, required=True)
-    pp.add_argument("--alpha", type=Fraction, required=True)
-    pp.add_argument("--beta", type=Fraction, required=True)
+    pp.add_argument("--alpha", type=_fraction, required=True)
+    pp.add_argument("--beta", type=_fraction, required=True)
 
     p = add_parser("verify-paper", help="re-run the published computational claims")
     p.add_argument("suite", choices=(
@@ -192,7 +200,7 @@ def _cmd_lambda_min(args, timings):
     results = {"n": G.n, "lambda_min_float": graph_lambda_min_float(G)}
     certs = []
     if args.at_least is not None:
-        t = -Fraction(args.at_least)
+        t = -args.at_least
         verdict = is_psd_exact(adjacency_rational(G).shifted(t))
         results["at_least"] = {"threshold": str(-t), "holds": verdict}
         certs.append(
@@ -284,7 +292,7 @@ def _cmd_drg_scan(args, timings):
     results = {
         "b": args.b,
         "D": args.D,
-        "alpha_max": str(Fraction(args.alpha_max)),
+        "alpha_max": str(args.alpha_max),
         "checks": [list(c) for c in checks],
         "survivors": [str(a) for a in survivors],
     }

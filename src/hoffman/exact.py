@@ -1,9 +1,11 @@
 """Exact rational symmetric linear algebra plus a floating eigensolver.
 
-Positive semidefiniteness is decided over the rationals by LDL^T elimination
-with the standard semidefinite pivot rule, so strict eigenvalue inequalities
-carry exact certificates: when a matrix is not PSD the routine produces a
-rational vector x with x^T M x < 0 that can be re-checked independently.
+Positive semidefiniteness is decided over the rationals by fraction-free
+integer LDL^T with the semidefinite pivot rule (symmetric Bareiss
+elimination, no Fraction arithmetic in the elimination loop), so strict
+eigenvalue inequalities carry exact certificates: when a matrix is not PSD
+the routine produces a rational vector x with x^T M x < 0 that can be
+re-checked independently.
 
 The floating side is for reporting only: :func:`eigenvalues_float`, backed by
 LAPACK's dense symmetric solver via numpy, gives None above FLOAT_ORDER_LIMIT.
@@ -30,7 +32,9 @@ class RationalMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        mat = tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
+        )
         n = len(mat)
         if any(len(row) != n for row in mat):
             raise ValueError("matrix must be square")
@@ -52,17 +56,14 @@ class RationalMatrix:
         i, j = ij
         return self._rows[i][j]
 
-    def is_symmetric(self) -> bool:
-        n = self.order
-        return all(self._rows[i][j] == self._rows[j][i] for i in range(n) for j in range(i + 1, n))
-
     def shifted(self, t) -> "RationalMatrix":
-        """M + t*I."""
+        """M + t*I; only the diagonal entries are new, the others are shared."""
         t = Fraction(t)
-        n = self.order
-        return RationalMatrix(
-            [[self._rows[i][j] + (t if i == j else 0) for j in range(n)] for i in range(n)]
+        shifted = object.__new__(RationalMatrix)
+        shifted._rows = tuple(
+            row[:i] + (row[i] + t,) + row[i + 1:] for i, row in enumerate(self._rows)
         )
+        return shifted
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self._rows]
@@ -111,58 +112,71 @@ class Partition:
 
 # -- exact PSD decision ------------------------------------------------------
 
+def _integer_rows(M: RationalMatrix) -> tuple[list[list[int]], int]:
+    """Integer rows of ``scale * M``, with ``scale`` the least common denominator."""
+    scale = math.lcm(*(x.denominator for row in M.rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in M.rows], scale
+
+
 def psd_witness(M: RationalMatrix) -> Optional[list[Fraction]]:
     """None when M is PSD; otherwise a rational x with x^T M x < 0.
 
-    LDL^T with the semidefinite pivot rule: a negative pivot refutes PSD; a
-    zero pivot whose column has a nonzero residual refutes PSD via the
-    indefinite 2x2 block it exposes; a zero pivot with a zero column is
-    skipped.  Only the lower triangle is stored and updated.
+    Fraction-free integer LDL^T (symmetric Bareiss elimination on the lower
+    triangle of ``scale * M``) with the semidefinite pivot rule.  After the
+    pivots of the eliminated index set S, entry (i, j) holds the bordered
+    minor det A[S+i, S+j], so the Schur complement is W / prev with ``prev``
+    = det A[S] > 0, and each Bareiss division is exact.  A negative pivot
+    refutes PSD; a zero pivot whose column has a nonzero residual refutes PSD
+    via the indefinite 2x2 block it exposes; a zero pivot with a zero column
+    is skipped with ``prev`` unchanged, which is Bareiss on the matrix with
+    that index deleted.
     """
-    if not M.is_symmetric():
+    rows, _ = _integer_rows(M)
+    if list(map(tuple, rows)) != list(zip(*rows)):
         raise ValueError("PSD decision requires a symmetric matrix")
     n = M.order
-    W = [[M.rows[i][j] for j in range(i + 1)] for i in range(n)]
-    # column_mults[k] holds (i, l_ik) for rows eliminated against pivot k
-    column_mults: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-
-    def back_substitute(rhs: dict[int, Fraction], upto: int) -> list[Fraction]:
-        # solve L^T x = rhs with L unit lower triangular (recorded columns);
-        # rhs is supported on indices <= upto and x vanishes above it
-        x = [Fraction(0)] * n
-        for i in range(upto, -1, -1):
-            acc = rhs.get(i, Fraction(0))
-            for j, lji in column_mults[i]:
-                if x[j]:
-                    acc -= lji * x[j]
-            x[i] = acc
-        return x
-
+    W = [row[: i + 1] for i, row in enumerate(rows)]
+    prev = 1
     for k in range(n):
-        d = W[k][k]
-        if d < 0:
-            return back_substitute({k: Fraction(1)}, k)
-        if d == 0:
-            residual = next((i for i in range(k + 1, n) if W[i][k] != 0), None)
-            if residual is None:
+        p = W[k][k]
+        if p < 0:
+            return _refuting_vector(W, k, {k: Fraction(1)})
+        if p == 0:
+            r = next((i for i in range(k + 1, n) if W[i][k]), None)
+            if r is None:
                 continue
-            # remaining block restricted to (k, residual) is [[0, m], [m, c]]:
-            # a*e_k + e_residual with a = -(c+1)/(2m) has value -1
-            m = W[residual][k]
-            c = W[residual][residual]
-            a = -(c + 1) / (2 * m)
-            return back_substitute({k: a, residual: Fraction(1)}, residual)
-        col: list = [None] * k + [W[i][k] for i in range(k, n)]
+            # the Schur complement restricted to (k, r) is [[0, m], [m, c]]:
+            # a*e_k + e_r with a = -(c+1)/(2m) has value -1 there
+            m = Fraction(W[r][k], prev)
+            c = Fraction(W[r][r], prev)
+            return _refuting_vector(W, k, {k: -(c + 1) / (2 * m), r: Fraction(1)})
+        col = [W[j][k] for j in range(k + 1, n)]
         for i in range(k + 1, n):
-            if col[i] == 0:
-                continue
-            f = col[i] / d
-            column_mults[k].append((i, f))
-            row_i = W[i]
-            for j in range(k + 1, i + 1):
-                if col[j]:
-                    row_i[j] -= f * col[j]
+            row = W[i]
+            w = col[i - k - 1]
+            if w:
+                row[k + 1:] = [(p * a - w * b) // prev for a, b in zip(row[k + 1:], col)]
+            elif p != prev:
+                row[k + 1:] = [p * a // prev for a in row[k + 1:]]
+        prev = p
     return None
+
+
+def _refuting_vector(W: list[list[int]], k: int, y: dict[int, Fraction]) -> list[Fraction]:
+    """x with L^T x = y, where columns 0..k-1 of W hold the eliminated pivots
+    and l_ij = W[i][j] / W[j][j]; x^T M x then has the sign of y's value on
+    the Schur complement, which the caller made negative.  y is supported on
+    indices >= k.
+    """
+    x = [Fraction(0)] * len(W)
+    for i, v in y.items():
+        x[i] = v
+    support = max(y)
+    for j in range(k - 1, -1, -1):
+        if W[j][j]:  # a skipped pivot has a zero column and no multipliers
+            acc = sum((W[i][j] * x[i] for i in range(j + 1, support + 1) if x[i]), Fraction(0))
+            x[j] = -acc / W[j][j]
+    return x
 
 
 def is_psd_exact(M: RationalMatrix) -> bool:
@@ -189,18 +203,14 @@ def quadratic_form(M: RationalMatrix, x: Sequence) -> Fraction:
 def det_exact(M: RationalMatrix) -> Fraction:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
-    Rows are scaled to integers first; the scaling is divided back out at
-    the end, so the result is exact for arbitrary rational input.
+    The matrix is scaled to integers by one common denominator first, and
+    scale**n is divided back out at the end, so the result is exact for
+    arbitrary rational input.
     """
     n = M.order
     if n == 0:
         return Fraction(1)
-    a: list[list[int]] = []
-    scale = 1
-    for row in M.rows:
-        l = math.lcm(*(x.denominator for x in row))
-        scale *= l
-        a.append([int(x * l) for x in row])
+    a, scale = _integer_rows(M)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -219,7 +229,7 @@ def det_exact(M: RationalMatrix) -> Fraction:
                 row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return Fraction(sign * a[n - 1][n - 1], scale**n)
 
 
 # -- floating eigensolver ------------------------------------------------------

@@ -118,8 +118,16 @@ def scan_M_t(S, t: int) -> Optional[ForbiddenHit]:
 
 # -- exact certificates ---------------------------------------------------------
 
+# the two entries of every adjacency matrix, shared rather than rebuilt per entry
+_ENTRY = {"0": Fraction(0), "1": Fraction(1)}
+
+
 def adjacency_rational(G: Graph) -> RationalMatrix:
-    return RationalMatrix(G.adjacency_rows())
+    """Rational adjacency matrix, read row by row from the bitsets."""
+    width = f"0{G.n}b"
+    return RationalMatrix(
+        [[_ENTRY[c] for c in reversed(format(G.bits(v), width))] for v in range(G.n)]
+    )
 
 
 def graph_lambda_min_float(G: Graph) -> Optional[float]:

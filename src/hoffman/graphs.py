@@ -77,9 +77,6 @@ class Graph:
         ]
         return Graph(len(vertices), edges)
 
-    def adjacency_rows(self) -> list[list[int]]:
-        return [[1 if self.has_edge(i, j) else 0 for j in range(self.n)] for i in range(self.n)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 

@@ -228,6 +228,22 @@ def test_usage_error_exit_code(capsys):
     assert main(["drg", "scan", "--b", "2"]) == 1
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--at-least", ["lambda-min", "--graph", "g.json", "--at-least", "{}"]),
+    ("--lam", ["bose-laskar", "--graph", "g.json", "--x", "0", "--lam", "{}", "--c", "1"]),
+    ("--alpha-max", ["drg", "scan", "--b", "2", "--D", "14", "--alpha-max", "{}",
+                     "--checks", "6,6"]),
+    ("--alpha", ["drg", "params", "--D", "3", "--b", "2", "--alpha", "{}", "--beta", "1"]),
+    ("--beta", ["drg", "params", "--D", "3", "--b", "2", "--alpha", "1", "--beta", "{}"]),
+])
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_bad_rational_option_is_a_usage_error(capsys, option, argv, value):
+    assert main([a.format(value) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {option}: not a rational number")
+    assert "Traceback" not in err
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     missing = str(tmp_path / "absent.json")
     assert main(["lambda-min", "--graph", missing]) == 1

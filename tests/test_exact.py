@@ -8,20 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoffman import (
+    Graph,
     NotEquitable,
     Partition,
     RationalMatrix,
     adjacency_rational,
+    catalog,
     complete_graph,
     cycle_graph,
     det_exact,
     eigenvalues_float,
     is_psd_exact,
     lambda_min_float,
+    m_matrix,
     psd_witness,
     quadratic_form,
     quotient_eigenvalues_float,
     quotient_matrix,
+    special_matrix,
 )
 
 
@@ -41,6 +45,9 @@ def test_shift_and_json_roundtrip():
     S = M.shifted(Fraction(1, 3))
     assert S[0, 0] == Fraction(1, 3)
     assert RationalMatrix.from_json(S.to_json()) == S
+    # the shift builds only the diagonal; off-diagonal entries are shared
+    assert S[0, 1] is M[0, 1]
+    assert S == _sym([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]])
 
 
 # -- PSD decision -------------------------------------------------------------------
@@ -96,6 +103,162 @@ def test_psd_witness_is_sound(M):
         assert min(eigenvalues_float(M)) >= -1e-8
     else:
         assert quadratic_form(M, w) < 0
+    _assert_agrees_with_oracle(M)
+
+
+# -- the Fraction LDL^T oracle ----------------------------------------------------
+
+def _fraction_psd_witness(M):
+    """Reference: LDL^T over Fractions with the semidefinite pivot rule.
+
+    A negative pivot refutes PSD; a zero pivot whose column has a nonzero
+    residual refutes PSD via the indefinite 2x2 block it exposes; a zero pivot
+    with a zero column is skipped.  Only the lower triangle is stored.
+    """
+    n = M.order
+    W = [[M.rows[i][j] for j in range(i + 1)] for i in range(n)]
+    # column_mults[k] holds (i, l_ik) for rows eliminated against pivot k
+    column_mults = [[] for _ in range(n)]
+
+    def back_substitute(rhs, upto):
+        # solve L^T x = rhs with L unit lower triangular (recorded columns);
+        # rhs is supported on indices <= upto and x vanishes above it
+        x = [Fraction(0)] * n
+        for i in range(upto, -1, -1):
+            acc = rhs.get(i, Fraction(0))
+            for j, lji in column_mults[i]:
+                if x[j]:
+                    acc -= lji * x[j]
+            x[i] = acc
+        return x
+
+    for k in range(n):
+        d = W[k][k]
+        if d < 0:
+            return back_substitute({k: Fraction(1)}, k)
+        if d == 0:
+            residual = next((i for i in range(k + 1, n) if W[i][k] != 0), None)
+            if residual is None:
+                continue
+            m = W[residual][k]
+            c = W[residual][residual]
+            return back_substitute({k: -(c + 1) / (2 * m), residual: Fraction(1)}, residual)
+        col = [None] * k + [W[i][k] for i in range(k, n)]
+        for i in range(k + 1, n):
+            if col[i] == 0:
+                continue
+            f = col[i] / d
+            column_mults[k].append((i, f))
+            row_i = W[i]
+            for j in range(k + 1, i + 1):
+                if col[j]:
+                    row_i[j] -= f * col[j]
+    return None
+
+
+def _assert_agrees_with_oracle(M):
+    w = psd_witness(M)
+    ref = _fraction_psd_witness(M)
+    assert (w is None) == (ref is None)
+    for x in (w, ref):
+        if x is not None:
+            assert quadratic_form(M, x) < 0
+
+
+def test_integer_kernel_matches_oracle_on_criterion_7d_matrices():
+    # the 500 matrices of acceptance criterion 7d, same generator and seed
+    rng = random.Random(424242)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        _assert_agrees_with_oracle(RationalMatrix(rows))
+
+
+def _line_graph_of_complete(m):
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    return Graph(len(pairs), [
+        (i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))
+        if set(pairs[i]) & set(pairs[j])
+    ])
+
+
+@pytest.mark.parametrize("m", range(5, 11))
+def test_integer_kernel_matches_oracle_on_line_graphs(m):
+    # lambda_min(L(K_m)) = -2: refuted at shift 1, singular at 2, definite at 5/2 and 3
+    A = adjacency_rational(_line_graph_of_complete(m))
+    for t in (1, 2, 3, Fraction(5, 2)):
+        _assert_agrees_with_oracle(A.shifted(t))
+    assert not is_psd_exact(A.shifted(1))
+    assert is_psd_exact(A.shifted(2))
+
+
+def test_integer_kernel_matches_oracle_on_special_matrices():
+    entries = catalog("H") + catalog("G2") + (catalog("path2fat"),)
+    matrices = [special_matrix(e.hoffman).to_rational() for e in entries]
+    matrices += [RationalMatrix(m_matrix(2, -3, 2)), RationalMatrix(m_matrix(4, -2, 2))]
+    for S in matrices:
+        for t in (5, Fraction(4999, 1000)):
+            _assert_agrees_with_oracle(S.shifted(t))
+
+
+# -- the semidefinite pivot rule in the integer kernel ------------------------------
+
+def _gram(vectors):
+    return RationalMatrix([[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors])
+
+
+def test_zero_pivot_after_elimination_with_zero_column_is_skipped():
+    # a1 = (3/2) a0, so index 1 becomes a zero row only after pivot 0 = 4;
+    # the later pivots divide by that pivot, so the chain must survive the skip
+    M = _gram([(2, 0, 0), (3, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 3)])
+    assert psd_witness(M) is None
+    _assert_agrees_with_oracle(M)
+    assert not is_psd_exact(M.shifted(Fraction(-1, 100)))
+    # a definite block interleaved by index with zero rows and columns
+    D = [[2, 1, 1], [1, 3, 0], [1, 0, 4]]
+    spread = [0, 2, 3]
+    rows = [[0] * 5 for _ in range(5)]
+    for a, i in enumerate(spread):
+        for b, j in enumerate(spread):
+            rows[i][j] = D[a][b]
+    M = RationalMatrix(rows)
+    assert psd_witness(M) is None
+    _assert_agrees_with_oracle(M)
+
+
+def test_zero_pivot_after_elimination_with_residual_refutes():
+    M = _sym([[1, 1, 0], [1, 1, 1], [0, 1, 0]])
+    w = psd_witness(M)
+    assert w is not None
+    assert quadratic_form(M, w) < 0
+    _assert_agrees_with_oracle(M)
+
+
+def test_negative_pivot_after_skipped_zero_pivot():
+    M = _sym([[4, 6, 2], [6, 9, 3], [2, 3, 0]])
+    w = psd_witness(M)
+    assert w is not None
+    assert w[1] == 0
+    assert quadratic_form(M, w) < 0
+    _assert_agrees_with_oracle(M)
+
+
+def test_mixed_denominators_share_one_scale():
+    from hoffman.exact import _integer_rows
+
+    M = _sym([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]])
+    rows, scale = _integer_rows(M)
+    assert scale == 12
+    assert rows == [[6, 4], [4, 3]]
+    assert psd_witness(M) is None
+    # det = 1/10 - 1/9 < 0
+    N = _sym([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]])
+    w = psd_witness(N)
+    assert quadratic_form(N, w) < 0
+    _assert_agrees_with_oracle(N)
 
 
 def test_gram_matrices_are_psd():
