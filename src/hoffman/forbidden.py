@@ -1,10 +1,15 @@
 """Forbidden principal-submatrix detection and exact eigenvalue certificates.
 
 Two matrices are equivalent when one is a simultaneous row/column permutation
-of the other; for orders up to 3 this is decided by brute force over all
-permutations.  The infinite families are matched by closed-form entry
-predicates instead of enumeration, which terminates and covers every
-parameter value.
+of the other.  The infinite order-1 and order-2 families are matched by
+closed-form entry predicates instead of enumeration, which terminates and
+covers every parameter value.  Each order-3 template m_5..m_9 has diagonal
+(-t, -t, -t), and the permutations of three indices permute the three
+off-diagonal positions in every possible way.  So a 3 x 3 principal
+submatrix is equivalent to a template exactly when its diagonal is -t
+throughout and its sorted off-diagonal triple is the template's; the five
+sorted triples are distinct, so one dictionary lookup per index triple
+decides it.
 
 Certificates for claims of the form lambda_min(G) < -t are rational vectors
 x with x^T (A + tI) x < 0.  Every expansion claim (the nine pairs of
@@ -22,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Optional, Sequence
 
 from .errors import NotEquitable, VerificationError
@@ -46,19 +50,6 @@ from .hgraphs import (
     pendant_slim_pair,
     slim_with_fats,
 )
-
-# -- matrix equivalence -------------------------------------------------------
-
-def permutation_equivalent(b1: Sequence[Sequence[int]], b2: Sequence[Sequence[int]]) -> bool:
-    """True when some permutation P satisfies P^T b1 P = b2."""
-    n = len(b1)
-    if len(b2) != n:
-        return False
-    for perm in permutations(range(n)):
-        if all(b1[perm[i]][perm[j]] == b2[i][j] for i in range(n) for j in range(n)):
-            return True
-    return False
-
 
 # -- scanning for forbidden principal submatrices ------------------------------
 
@@ -105,14 +96,23 @@ def scan_M_t(S, t: int) -> Optional[ForbiddenHit]:
             if d1 == -t - 1 and d2 == -t - 1 and (off == 1 or off <= -1):
                 return ForbiddenHit((i, j), f"m_{{4,{off}}}", sub)
 
-    templates = [(k, m_matrix(k, t=t)) for k in (5, 6, 7, 8, 9)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                sub = tuple(tuple(entries[a][b] for b in (i, j, k)) for a in (i, j, k))
-                for kind, tmpl in templates:
-                    if permutation_equivalent(sub, tmpl):
-                        return ForbiddenHit((i, j, k), f"m_{kind}", sub)
+    # every m_5..m_9 has diagonal (-t, -t, -t) and its own sorted
+    # off-diagonal triple, so one lookup decides an index triple
+    kinds: dict[tuple[int, ...], str] = {}
+    for kind in (5, 6, 7, 8, 9):
+        m = m_matrix(kind, t=t)
+        kinds[tuple(sorted((m[0][1], m[0][2], m[1][2])))] = f"m_{kind}"
+    minus_t = [i for i in range(n) if entries[i][i] == -t]
+    for a, i in enumerate(minus_t):
+        row_i = entries[i]
+        for b in range(a + 1, len(minus_t)):
+            j = minus_t[b]
+            row_j = entries[j]
+            for k in minus_t[b + 1:]:
+                member = kinds.get(tuple(sorted((row_i[j], row_i[k], row_j[k]))))
+                if member is not None:
+                    sub = tuple(tuple(entries[r][c] for c in (i, j, k)) for r in (i, j, k))
+                    return ForbiddenHit((i, j, k), member, sub)
     return None
 
 
@@ -370,7 +370,6 @@ __all__ = [
     "graph_lambda_min_float",
     "graph_quadratic_form",
     "graph_quotient_matrix",
-    "permutation_equivalent",
     "prop215",
     "scan_M_t",
     "verify_proposition_cal",

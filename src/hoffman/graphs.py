@@ -3,7 +3,8 @@
 Graphs are immutable after construction, so values can be shared freely
 across threads; every operation in this module is a pure function.  The
 enumeration routines are exponential in the worst case and are guarded by an
-input-size limit; the intended instances are desk scale.
+input-size limit, a count limit on maximal cliques and a node budget on the
+independent-set search; the intended instances are desk scale.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import CliqueLimitExceeded
+from .errors import CliqueLimitExceeded, SearchBudgetExhausted
 
 MAX_VERTICES = 10_000
+# search nodes one maximum_independent_set call may visit
+MIS_NODE_BUDGET = 1_000_000
 
 
 class Graph:
@@ -194,8 +197,16 @@ def maximal_cliques(G: Graph, min_size: int = 1, limit: int = 100_000) -> Clique
 
 # -- independent sets -------------------------------------------------------
 
-def _mis_size(cand: int, adj: Sequence[int]) -> int:
-    """Order of a maximum independent set inside the bitset ``cand``."""
+def _mis_size(cand: int, adj: Sequence[int], nodes_left: list[int]) -> int:
+    """Order of a maximum independent set inside the bitset ``cand``.
+
+    Each node spends one unit of ``nodes_left[0]``, which the calling search
+    shares across all its calls.
+    """
+    nodes_left[0] -= 1
+    if nodes_left[0] < 0:
+        raise SearchBudgetExhausted(
+            f"no maximum independent set within {MIS_NODE_BUDGET} search nodes")
     if cand == 0:
         return 0
     # branch on a vertex of maximum degree within cand
@@ -208,8 +219,8 @@ def _mis_size(cand: int, adj: Sequence[int]) -> int:
             best_v = v
     if best_d == 0:
         return cand.bit_count()
-    without = _mis_size(cand & ~(1 << best_v), adj)
-    with_v = 1 + _mis_size(cand & ~adj[best_v] & ~(1 << best_v), adj)
+    without = _mis_size(cand & ~(1 << best_v), adj, nodes_left)
+    with_v = 1 + _mis_size(cand & ~adj[best_v] & ~(1 << best_v), adj, nodes_left)
     return max(without, with_v)
 
 
@@ -217,16 +228,19 @@ def maximum_independent_set(G: Graph, within: Optional[Iterable[int]] = None) ->
     """Lexicographically smallest maximum independent set.
 
     ``within`` restricts the search to a vertex subset (default: all).
+    Raises :class:`SearchBudgetExhausted` once the search has visited
+    :data:`MIS_NODE_BUDGET` nodes without a verdict.
     """
     cand = _bitset(within) if within is not None else (1 << G.n) - 1
     adj = G._adj
-    alpha = _mis_size(cand, adj)
+    nodes_left = [MIS_NODE_BUDGET]
+    alpha = _mis_size(cand, adj, nodes_left)
     chosen: list[int] = []
     for v in range(G.n):
         if not (cand >> v) & 1:
             continue
         rest = cand & ~adj[v] & ~(1 << v)
-        if len(chosen) + 1 + _mis_size(rest, adj) == alpha:
+        if len(chosen) + 1 + _mis_size(rest, adj, nodes_left) == alpha:
             chosen.append(v)
             cand = rest
     return tuple(chosen)

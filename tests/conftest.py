@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
 import random
+from itertools import permutations
+from typing import Sequence
 
 import pytest
 
@@ -19,6 +21,17 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def permutation_equivalent(b1: Sequence[Sequence[int]], b2: Sequence[Sequence[int]]) -> bool:
+    """True when some permutation P satisfies P^T b1 P = b2 (brute force)."""
+    n = len(b1)
+    if len(b2) != n:
+        return False
+    for perm in permutations(range(n)):
+        if all(b1[perm[i]][perm[j]] == b2[i][j] for i in range(n) for j in range(n)):
+            return True
+    return False
 
 
 def graph6_encode(G: Graph) -> str:

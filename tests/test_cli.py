@@ -80,6 +80,17 @@ def test_bose_laskar(capsys, c5_g6):
     assert report["results"]["clique1"] == [0, 1]
 
 
+def test_bose_laskar_search_budget_is_an_error(capsys, monkeypatch, c5_g6):
+    import hoffman.graphs as graphs
+
+    monkeypatch.setattr(graphs, "MIS_NODE_BUDGET", 1)
+    code = main(["bose-laskar", "--graph", c5_g6, "--x", "0", "--lam", "2", "--c", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: no maximum independent set within 1 search nodes\n"
+
+
 def test_check_intro2_desk_scale_fails_clique_condition(capsys, c5_g6):
     code, report = run_cli(capsys, "check-intro2", "--graph", c5_g6, "--c", "1")
     assert code == 2

@@ -1,15 +1,19 @@
 """Forbidden-submatrix scanning and the exact expansion certificates."""
 
 import math
+import random
 
 import pytest
 
 from hoffman import (
+    ForbiddenHit,
+    Graph,
     NotEquitable,
     Partition,
     RationalMatrix,
     VerificationError,
     adjacency_rational,
+    associated_hoffman,
     catalog,
     certify_lambda_min_below,
     clique_with_two_fats,
@@ -25,7 +29,6 @@ from hoffman import (
     lambda_min_float,
     m_matrix,
     pendant_slim_pair,
-    permutation_equivalent,
     prop215,
     psd_witness,
     quadratic_form,
@@ -36,6 +39,8 @@ from hoffman import (
     verify_proposition_cal,
 )
 from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness
+
+from .conftest import permutation_equivalent, random_graph
 
 
 # -- permutation equivalence ---------------------------------------------------
@@ -97,6 +102,126 @@ def test_scan_hits_every_h_catalog_member():
 def test_scan_clears_every_g2_member():
     for entry in catalog("G2"):
         assert scan_M_t(special_matrix(entry.hoffman), 2) is None, entry.id
+
+
+# -- the brute-force scan as oracle --------------------------------------------------
+
+def _brute_scan_M_t(S, t):
+    """The scan with its order-3 step tried permutation by permutation."""
+    entries = tuple(tuple(int(x) for x in row) for row in S)
+    n = len(entries)
+    for i in range(n):
+        d = entries[i][i]
+        if d <= -t - 2:
+            return ForbiddenHit((i,), f"m_{{1,{d + t}}}", ((d,),))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d1, d2 = entries[i][i], entries[j][j]
+            off = entries[i][j]
+            sub = ((d1, off), (off, d2))
+            if d1 == -t and d2 == -t and off <= -2:
+                return ForbiddenHit((i, j), f"m_{{2,{off}}}", sub)
+            if {d1, d2} == {-t - 1, -t} and (off == 1 or off <= -1):
+                return ForbiddenHit((i, j), f"m_{{3,{off}}}", sub)
+            if d1 == -t - 1 and d2 == -t - 1 and (off == 1 or off <= -1):
+                return ForbiddenHit((i, j), f"m_{{4,{off}}}", sub)
+    templates = [(k, m_matrix(k, t=t)) for k in (5, 6, 7, 8, 9)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                sub = tuple(tuple(entries[a][b] for b in (i, j, k)) for a in (i, j, k))
+                for kind, tmpl in templates:
+                    if permutation_equivalent(sub, tmpl):
+                        return ForbiddenHit((i, j, k), f"m_{kind}", sub)
+    return None
+
+
+def _random_symmetric(rng, n, t):
+    # diagonals mostly -t so that order 3 is reached; off-diagonals mostly
+    # in {-1, 0, 1}, the entries of the order-3 templates
+    diag = [-t - 2, -t - 1, -t + 1, 0] + [-t] * rng.randint(2, 40)
+    off = [-1, 0, 1] * rng.randint(1, 12) + [-2, 2]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice(diag)
+        for j in range(i):
+            rows[i][j] = rows[j][i] = rng.choice(off)
+    return rows
+
+
+def test_scan_matches_brute_oracle_on_random_matrices():
+    rng = random.Random(2024)
+    orders = {1: 0, 2: 0, 3: 0, None: 0}
+    for _ in range(3000):
+        t = rng.choice((1, 2, 3))
+        S = _random_symmetric(rng, rng.randint(1, 9), t)
+        expected = _brute_scan_M_t(S, t)
+        assert scan_M_t(S, t) == expected, (S, t)
+        orders[expected and len(expected.slim_subset)] += 1
+    # no hit, and a first hit of each order, all occur at least 100 times
+    assert min(orders.values()) >= 100, orders
+
+
+def test_scan_matches_brute_oracle_on_catalog():
+    for family in ("H", "G2"):
+        for entry in catalog(family):
+            S = special_matrix(entry.hoffman)
+            for t in (1, 2, 3):
+                assert scan_M_t(S, t) == _brute_scan_M_t(S.entries, t), (entry.id, t)
+
+
+def _line_graph(base: Graph) -> Graph:
+    edges = list(base.edges())
+    return Graph(len(edges), [
+        (a, b) for a in range(len(edges)) for b in range(a)
+        if set(edges[a]) & set(edges[b])
+    ])
+
+
+def test_scan_matches_brute_oracle_on_associated_line_graphs():
+    rng = random.Random(31)
+    for _ in range(8):
+        base = random_graph(rng, rng.randint(6, 10), 0.45)
+        S = special_matrix(associated_hoffman(_line_graph(base), 4).hoffman)
+        for t in (1, 2, 3):
+            assert scan_M_t(S, t) == _brute_scan_M_t(S.entries, t), t
+
+
+def test_scan_order_three_first_hit_among_other_diagonals():
+    # diagonal -t at 0, 2, 4, 5 with -t + 1 and 0 interleaved; m_7 on
+    # (0, 2, 4) comes before m_8 on (0, 4, 5) and m_6 on (2, 4, 5)
+    t = 2
+    S = [[0] * 6 for _ in range(6)]
+    for i, d in enumerate((-t, -t + 1, -t, 0, -t, -t)):
+        S[i][i] = d
+    for (i, j), v in {(0, 4): 1, (2, 4): -1, (2, 5): 1, (4, 5): 1, (1, 3): 1}.items():
+        S[i][j] = S[j][i] = v
+    hit = scan_M_t(S, t)
+    assert hit == _brute_scan_M_t(S, t)
+    assert hit.slim_subset == (0, 2, 4)
+    assert hit.family_member == "m_7"
+    assert hit.witness_matrix == ((-2, 0, 1), (0, -2, -1), (1, -1, -2))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_scan_order_three_needs_every_diagonal_minus_t(t):
+    for kind in (5, 6, 7, 8, 9):
+        for pos in range(3):
+            for d in (-t + 1, 0, 1):
+                S = [list(row) for row in m_matrix(kind, t=t)]
+                S[pos][pos] = d
+                assert scan_M_t(S, t) is None, (kind, pos, d)
+                assert _brute_scan_M_t(S, t) is None
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_order_three_templates_are_keyed_by_sorted_off_diagonal(t):
+    keys = set()
+    for kind in (5, 6, 7, 8, 9):
+        m = m_matrix(kind, t=t)
+        assert (m[0][0], m[1][1], m[2][2]) == (-t, -t, -t)
+        keys.add(tuple(sorted((m[0][1], m[0][2], m[1][2]))))
+    assert keys == {(-1, -1, -1), (-1, 1, 1), (-1, 0, 1), (0, 1, 1), (-1, -1, 0)}
 
 
 # -- exact certificates ----------------------------------------------------------------
@@ -274,10 +399,7 @@ def test_scan_accepts_special_matrix_and_raw_rows():
 
 
 def test_graph_form_matches_matrix_form():
-    import random
     from fractions import Fraction
-
-    from .conftest import random_graph
 
     rng = random.Random(12)
     for trial in range(40):
@@ -297,10 +419,6 @@ def test_graph_form_matches_matrix_form():
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
 def test_graph_float_matches_rational_route(n):
     # orders around the byte boundaries of the bitset unpacking
-    import random
-
-    from .conftest import random_graph
-
     rng = random.Random(n)
     for p in (0.2, 0.5, 0.9):
         G = random_graph(rng, n, p)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hoffman import (
     CliqueLimitExceeded,
     Graph,
+    SearchBudgetExhausted,
     complete_graph,
     cycle_graph,
     graph_from_json,
@@ -18,6 +19,7 @@ from hoffman import (
     load_graph,
     max_independent_set_in_neighborhood,
     maximal_cliques,
+    maximum_independent_set,
     mu_parameter,
     parse_graph6,
 )
@@ -164,6 +166,19 @@ def test_independent_set_maximum_by_bruteforce():
                 best = r
                 break
         assert len(got) == best
+
+
+def test_independent_set_search_node_budget(monkeypatch):
+    import hoffman.graphs as graphs
+
+    # the search visits 62 nodes on the Petersen graph, counted per call
+    G = petersen_graph()
+    monkeypatch.setattr(graphs, "MIS_NODE_BUDGET", 62)
+    assert maximum_independent_set(G) == (0, 2, 8, 9)
+    assert maximum_independent_set(G) == (0, 2, 8, 9)
+    monkeypatch.setattr(graphs, "MIS_NODE_BUDGET", 61)
+    with pytest.raises(SearchBudgetExhausted, match="within 61 search nodes"):
+        maximum_independent_set(G)
 
 
 # -- file formats ------------------------------------------------------------------------

@@ -26,10 +26,11 @@ from hoffman import (
     lambda_min_hoffman,
     m_matrix,
     pendant_slim_pair,
-    permutation_equivalent,
     slim_with_fats,
     special_matrix,
 )
+
+from .conftest import permutation_equivalent
 
 GOLDEN_RATIO_SHIFT = -2 - (1 + math.sqrt(5)) / 2  # smallest root of the 2x2 +1 pattern
 
