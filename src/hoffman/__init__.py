@@ -4,17 +4,14 @@ graphs with classical parameters."""
 from .errors import (
     BoundViolation,
     CliqueLimitExceeded,
-    CliqueTooSmall,
     ConvergenceFailure,
     HoffmanError,
     IndexOutOfFamily,
     IndexOutOfRange,
-    InvalidSubset,
     NegativeIntersectionNumber,
     NotEquitable,
     OrderingViolation,
     SearchBudgetExhausted,
-    SizeLimit,
     VerificationError,
 )
 from .graphs import (
@@ -23,7 +20,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     graph_from_json,
-    graph_to_json,
     load_graph,
     max_independent_set_in_neighborhood,
     maximal_cliques,
@@ -39,9 +35,7 @@ from .exact import (
     is_psd_exact,
     lambda_min_float,
     psd_witness,
-    quadratic_form,
     quotient_eigenvalues_float,
-    quotient_matrix,
 )
 from .hgraphs import (
     CatalogEntry,
@@ -49,12 +43,9 @@ from .hgraphs import (
     SpecialMatrix,
     catalog,
     clique_with_two_fats,
-    decompose,
     expand,
     expansion_blocks,
     hoffman_at_least,
-    hoffman_isomorphic,
-    induced_by_slim,
     is_t_fat,
     lambda_min_hoffman,
     m_matrix,
@@ -67,7 +58,6 @@ from .forbidden import (
     PROP_CAL_PAIRS,
     adjacency_rational,
     certify_lambda_min_below,
-    find_min_p_below,
     graph_lambda_min_float,
     graph_quadratic_form,
     graph_quotient_matrix,
@@ -81,16 +71,10 @@ from .structure import (
     Thresholds,
     associated_hoffman,
     bose_laskar,
-    corep_degree_bound,
-    find_line_structure,
-    hat_dichotomy,
-    lemma9_vertex,
     n1_threshold,
     n2_threshold,
     theorem_intro2_check,
     thresholds,
-    verify_clique_cover,
-    verify_representation,
 )
 from .drg import (
     BetaBounds,
@@ -105,7 +89,6 @@ from .drg import (
     intersection_array,
     local_graph_params,
     p66_leading_constant,
-    p_number,
     theorem_beta_bounds,
 )
 

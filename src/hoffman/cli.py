@@ -90,6 +90,28 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _check_pair(text: str) -> tuple[int, int]:
+    """argparse type for one ``--checks`` value, the pair ``i,h``."""
+    try:
+        i, h = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a pair 'i,h' of integers, got {text!r}") from None
+    return i, h
+
+
+def _s_max(text: str) -> int:
+    """argparse type for ``--s-max``; prop215 starts at s = 2, so a smaller
+    bound would check nothing."""
+    try:
+        s = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if s < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {s}")
+    return s
+
+
 def _report(command: str, inputs: dict, results, certificates, timings) -> dict:
     return {
         "command": command,
@@ -175,7 +197,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--b", type=int, required=True)
     ps.add_argument("--D", type=int, required=True)
     ps.add_argument("--alpha-max", type=_fraction, required=True)
-    ps.add_argument("--checks", action="append", required=True,
+    ps.add_argument("--checks", type=_check_pair, action="append", required=True,
                     help="pair 'i,h'; repeat for several checks")
     pp = dsub.add_parser("params", parents=[common], help="arrays, eigenvalues and bounds")
     pp.add_argument("--D", type=int, required=True)
@@ -186,10 +208,11 @@ def build_parser() -> _Parser:
     p = add_parser("verify-paper", help="re-run the published computational claims")
     p.add_argument("suite", choices=(
         "cal", "prop215", "prop5", "alphab", "beta", "thresholds", "all"))
-    p.add_argument("--s-max", type=int, default=6, help="largest s for prop215")
-    p.add_argument("--bs", default=None, help="comma list of b values for alphab")
-    p.add_argument("--full", action="store_true",
-                   help="alphab: scan every b in 2..100")
+    p.add_argument("--s-max", type=_s_max, default=6, help="largest s for prop215, at least 2")
+    b_values = p.add_mutually_exclusive_group()
+    b_values.add_argument("--bs", default=None, help="comma list of b values for alphab")
+    b_values.add_argument("--full", action="store_true",
+                          help="alphab: scan every b in 2..100")
     return parser
 
 
@@ -284,16 +307,12 @@ def _cmd_scan_forbidden(args, timings):
 
 
 def _cmd_drg_scan(args, timings):
-    checks = []
-    for item in args.checks:
-        i, h = (int(x) for x in item.split(","))
-        checks.append((i, h))
-    survivors = feasibility_scan(args.b, args.D, args.alpha_max, checks)
+    survivors = feasibility_scan(args.b, args.D, args.alpha_max, args.checks)
     results = {
         "b": args.b,
         "D": args.D,
         "alpha_max": str(args.alpha_max),
-        "checks": [list(c) for c in checks],
+        "checks": [list(c) for c in args.checks],
         "survivors": [str(a) for a in survivors],
     }
     return results, [], 0

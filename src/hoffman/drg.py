@@ -1,9 +1,11 @@
 """Exact arithmetic for distance-regular graphs with classical parameters.
 
-Intersection numbers, eigenvalues, the clique bound, triple-intersection
-integrality, and the feasibility scans are all evaluated over exact
-rationals; the scans take alpha on the grid k/(b+1) (forced by the
-integrality of c_2 and c_3) and never touch floating point.
+Intersection numbers, eigenvalues (one closed form; the tests check it
+against the other), the clique bound, the local-graph parameters and the
+feasibility scans are all evaluated over exact rationals.  The scans decide
+the integrality of the triple-intersection numbers p^{i+h}_{ih} in integer
+arithmetic, take alpha on the grid k/(b+1) (forced by the integrality of c_2
+and c_3) and never touch floating point.
 
 A scan does not test every grid point.  For a check (i, h) with i, h >= 2,
 k+b+1 divides the denominator of p^{i+h}_{ih}, and a survivor forces k+b+1
@@ -100,7 +102,7 @@ def intersection_array(p: ClassicalParams) -> IntersectionArray:
 
 
 def eigenvalues(p: ClassicalParams) -> list[Fraction]:
-    """The D+1 eigenvalues, exact; checked against both closed forms.
+    """The D+1 eigenvalues theta_i = [D-i]_b (beta - alpha [i]_b) - [i]_b, exact.
 
     For b >= 1 the list must be strictly decreasing, otherwise
     :class:`OrderingViolation` is raised (a diagnostic for infeasible
@@ -109,11 +111,7 @@ def eigenvalues(p: ClassicalParams) -> list[Fraction]:
     vals = []
     for i in range(p.D + 1):
         gi = gaussian(i, p.b)
-        first = gaussian(p.D - i, p.b) * (p.beta - p.alpha * gi) - gi
-        second = b_number(p, i) / Fraction(p.b) ** i - gi
-        if first != second:
-            raise VerificationError(f"eigenvalue closed forms disagree at i={i}")
-        vals.append(first)
+        vals.append(gaussian(p.D - i, p.b) * (p.beta - p.alpha * gi) - gi)
     if any(vals[i] <= vals[i + 1] for i in range(p.D)):
         raise OrderingViolation(f"eigenvalues not strictly decreasing: {vals}")
     return vals
@@ -141,29 +139,6 @@ def check_ie1(p: ClassicalParams) -> bool:
 
 
 # -- triple intersection numbers ---------------------------------------------------
-
-def p_number(p: ClassicalParams, i: int, h: int) -> tuple[Fraction, bool]:
-    """p^{i+h}_{ih} = c_{i+1}...c_{i+h} / (c_1...c_h), with integrality flag.
-
-    Computed two independent ways (one product of c's over another, and an
-    incremental ratio product) and checked equal.
-    """
-    if i < 1 or h < 1 or i + h > p.D:
-        raise IndexOutOfRange(f"need i, h >= 1 and i + h <= D = {p.D}; got ({i}, {h})")
-    num = Fraction(1)
-    den = Fraction(1)
-    for j in range(i + 1, i + h + 1):
-        num *= c_number(p, j)
-    for j in range(1, h + 1):
-        den *= c_number(p, j)
-    direct = num / den
-    incremental = Fraction(1)
-    for j in range(1, h + 1):
-        incremental *= c_number(p, i + j) / c_number(p, j)
-    if direct != incremental:
-        raise VerificationError("triple-intersection routes disagree")
-    return direct, direct.denominator == 1 and direct >= 0
-
 
 def p66_leading_constant(b: int) -> int:
     """The alpha-free factor of p^{12}_{66}: product of bracket ratios."""

@@ -32,20 +32,8 @@ class NotEquitable(HoffmanError):
         )
 
 
-class InvalidSubset(HoffmanError):
-    """A slim-vertex subset contains indices outside the slim range."""
-
-
-class SizeLimit(HoffmanError):
-    """An instance exceeds the documented size bound for an operation."""
-
-
 class IndexOutOfFamily(HoffmanError):
     """A matrix-family index (kind, a) lies outside the family's index set."""
-
-
-class CliqueTooSmall(HoffmanError):
-    """The clique handed to the dichotomy check is below the order threshold."""
 
 
 class BoundViolation(HoffmanError):

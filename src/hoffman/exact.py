@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotEquitable
+from .errors import ConvergenceFailure
 from .graphs import Graph
 
 FLOAT_ORDER_LIMIT = 2000
@@ -184,20 +184,6 @@ def is_psd_exact(M: RationalMatrix) -> bool:
     return psd_witness(M) is None
 
 
-def quadratic_form(M: RationalMatrix, x: Sequence) -> Fraction:
-    xs = [Fraction(v) for v in x]
-    n = M.order
-    if len(xs) != n:
-        raise ValueError("vector length mismatch")
-    total = Fraction(0)
-    for i in range(n):
-        if xs[i] == 0:
-            continue
-        row = M.rows[i]
-        total += xs[i] * sum(row[j] * xs[j] for j in range(n) if xs[j] != 0)
-    return total
-
-
 # -- determinants ------------------------------------------------------------
 
 def det_exact(M: RationalMatrix) -> Fraction:
@@ -263,29 +249,6 @@ def lambda_min_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[float]:
 
 
 # -- quotient matrices --------------------------------------------------------
-
-def quotient_matrix(M: RationalMatrix, P: Partition) -> RationalMatrix:
-    """Quotient of ``M`` over an equitable partition.
-
-    Equitability is verified, not assumed: for all blocks I, J the sum of
-    row entries into J must be the same for every row in I, otherwise
-    :class:`NotEquitable` reports the violating (row, block) pair.
-    """
-    if P.n != M.order:
-        raise ValueError("partition size does not match matrix order")
-    q: list[list[Fraction]] = []
-    for block in P.blocks:
-        qrow: list[Fraction] = []
-        for jdx, other in enumerate(P.blocks):
-            sums = [sum(M.rows[i][j] for j in other) for i in block]
-            first = sums[0]
-            for offset, s in enumerate(sums):
-                if s != first:
-                    raise NotEquitable(block[offset], jdx)
-            qrow.append(first)
-        q.append(qrow)
-    return RationalMatrix(q)
-
 
 def quotient_eigenvalues_float(Q: RationalMatrix, block_sizes: Sequence[int]) -> Optional[list]:
     """Eigenvalues of a quotient matrix via its symmetrized similar matrix.

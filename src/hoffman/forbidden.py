@@ -40,7 +40,6 @@ from .exact import (
 )
 from .graphs import Graph
 from .hgraphs import (
-    HoffmanGraph,
     SpecialMatrix,
     catalog,
     clique_with_two_fats,
@@ -138,9 +137,9 @@ def graph_lambda_min_float(G: Graph) -> Optional[float]:
 def graph_quotient_matrix(G: Graph, P: Partition) -> RationalMatrix:
     """Equitable-partition quotient of an adjacency matrix, via bitsets.
 
-    Same semantics as :func:`hoffman.exact.quotient_matrix` on the rational
-    adjacency matrix, but linear-algebra-free so it scales to the larger
-    expansions.  Equitability is verified, not assumed.
+    Entry (I, J) is the number of neighbors in block J of any vertex of
+    block I.  Equitability is verified, not assumed: a vertex whose count
+    differs from its block's first vertex raises :class:`NotEquitable`.
     """
     if P.n != G.n:
         raise ValueError("partition size does not match vertex count")
@@ -341,32 +340,11 @@ def prop215(s: int) -> dict:
     }
 
 
-# -- minimal expansion parameter -----------------------------------------------
-
-def find_min_p_below(h: HoffmanGraph, threshold: float, p_max: int) -> Optional[int]:
-    """Smallest p <= p_max with lambda_min(G(h,p)) < threshold - 1e-9 (floating).
-
-    The floating route is used because thresholds may be irrational; callers
-    needing exact certification at rational thresholds should use
-    :func:`certify_lambda_min_below` on the returned expansion.
-    """
-    if not 1 <= p_max <= 200:
-        raise ValueError("p_max must be in 1..200")
-    for p in range(1, p_max + 1):
-        lm = graph_lambda_min_float(expand(h, p))
-        if lm is None:
-            raise ValueError(f"G(h, {p}) is empty or above the floating solver's limit")
-        if lm < threshold - 1e-9:
-            return p
-    return None
-
-
 __all__ = [
     "ForbiddenHit",
     "PROP_CAL_PAIRS",
     "adjacency_rational",
     "certify_lambda_min_below",
-    "find_min_p_below",
     "graph_lambda_min_float",
     "graph_quadratic_form",
     "graph_quotient_matrix",

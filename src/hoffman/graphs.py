@@ -65,10 +65,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self._adj[u].bit_count() for u in range(self.n)) // 2
 
-    def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        return all(self.has_edge(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs)))
-
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced by ``vertices`` (relabelled 0..k-1 in given order)."""
         idx = {v: i for i, v in enumerate(vertices)}
@@ -281,10 +277,6 @@ def graph_from_json(obj) -> Graph:
     if not _is_int_pairs(edges):
         raise ValueError("graph JSON: 'edges' must be a list of [u, v] integer pairs")
     return Graph(n, edges)
-
-
-def graph_to_json(G: Graph) -> dict:
-    return {"n": G.n, "edges": [list(e) for e in G.edges()]}
 
 
 def parse_graph6(text: str | bytes) -> Graph:

@@ -6,7 +6,10 @@ vertex.  We store the slim graph, plus the slim neighborhood of each fat
 vertex; fat-fat edges are unrepresentable by construction.
 
 The eigenvalues of a Hoffman graph are those of its special matrix
-S = A_slim - D^T D, where D is the fat-slim incidence matrix.
+S = A_slim - D^T D, where D is the fat-slim incidence matrix.  Besides the
+special matrix, this module builds the clique expansion G(h, p) with its
+equitable block layout, the forbidden templates m_1 .. m_9, the parametric
+families behind the threshold expansions, and the named catalog.
 """
 
 from __future__ import annotations
@@ -17,11 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import IndexOutOfFamily, InvalidSubset, SizeLimit
+from .errors import IndexOutOfFamily
 from .exact import RationalMatrix, is_psd_exact, lambda_min_float
 from .graphs import Graph, _is_int, _is_int_pairs
-
-ISOMORPHISM_SIZE_LIMIT = 64
 
 
 class HoffmanGraph:
@@ -59,18 +60,8 @@ class HoffmanGraph:
     def fat_degree(self, v: int) -> int:
         return sum(1 for f in self.fat_neighbors if v in f)
 
-    def slim_adjacent(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.slim_edges
-
     def slim_graph(self) -> Graph:
         return Graph(self.n_slim, self.slim_edges)
-
-    def underlying_graph(self) -> Graph:
-        """Ordinary graph on slim vertices 0..n_slim-1 then fat vertices."""
-        edges = list(self.slim_edges)
-        for k, f in enumerate(self.fat_neighbors):
-            edges.extend((s, self.n_slim + k) for s in f)
-        return Graph(self.n_slim + self.n_fat, edges)
 
     def to_json(self) -> dict:
         return {
@@ -192,111 +183,6 @@ def expand(h: HoffmanGraph, p: int) -> Graph:
 def is_t_fat(h: HoffmanGraph, t: int) -> bool:
     """True when every slim vertex has at least t fat neighbors."""
     return all(h.fat_degree(v) >= t for v in range(h.n_slim))
-
-
-# -- induced subgraphs and decompositions --------------------------------------
-
-def induced_by_slim(h: HoffmanGraph, W: Iterable[int]) -> HoffmanGraph:
-    """Induced Hoffman subgraph generated by a slim subset W.
-
-    Keeps W plus every fat vertex with a neighbor in W.
-    """
-    ws = sorted(set(W))
-    if any(not 0 <= w < h.n_slim for w in ws):
-        raise InvalidSubset(f"subset {ws} not contained in the slim vertex range")
-    pos = {w: i for i, w in enumerate(ws)}
-    edges = [(pos[u], pos[v]) for u, v in h.slim_edges if u in pos and v in pos]
-    fats = []
-    for f in h.fat_neighbors:
-        inter = sorted(pos[s] for s in f if s in pos)
-        if inter:
-            fats.append(inter)
-    return HoffmanGraph(len(ws), edges, fats)
-
-
-def decompose(h: HoffmanGraph) -> list[HoffmanGraph]:
-    """Finest decomposition into induced Hoffman subgraphs.
-
-    Slim vertices are grouped by connected components of the off-diagonal
-    support of the special matrix; that support being block diagonal is
-    exactly the decomposability condition, so no partition search is needed.
-    """
-    s = special_matrix(h).entries
-    n = h.n_slim
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if s[i][j] != 0:
-                parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
-    ordered = sorted(comps.values(), key=min)
-    return [induced_by_slim(h, comp) for comp in ordered]
-
-
-# -- isomorphism ----------------------------------------------------------------
-
-def hoffman_isomorphic(h1: HoffmanGraph, h2: HoffmanGraph) -> bool:
-    """Label-preserving isomorphism test by backtracking on slim vertices.
-
-    Once a slim bijection is fixed, the fat sides match iff the multisets of
-    fat neighborhoods (as slim sets) coincide, since fat vertices are
-    mutually non-adjacent.
-    """
-    total = h1.n_slim + h1.n_fat + h2.n_slim + h2.n_fat
-    if total > ISOMORPHISM_SIZE_LIMIT:
-        raise SizeLimit(f"combined vertex count {total} exceeds {ISOMORPHISM_SIZE_LIMIT}")
-    if h1.n_slim != h2.n_slim or h1.n_fat != h2.n_fat:
-        return False
-    n = h1.n_slim
-    fats1 = sorted(sorted(f) for f in h1.fat_neighbors)
-    fats2 = sorted(sorted(f) for f in h2.fat_neighbors)
-
-    def signature(h: HoffmanGraph, v: int) -> tuple[int, int]:
-        return (sum(1 for u in range(h.n_slim) if u != v and h.slim_adjacent(u, v)), h.fat_degree(v))
-
-    sig1 = [signature(h1, v) for v in range(n)]
-    sig2 = [signature(h2, v) for v in range(n)]
-    if sorted(sig1) != sorted(sig2):
-        return False
-
-    mapping: list[Optional[int]] = [None] * n
-    used = [False] * n
-
-    def fats_match() -> bool:
-        mapped = sorted(sorted(mapping[s] for s in f) for f in fats1)
-        return mapped == fats2
-
-    def place(v: int) -> bool:
-        if v == n:
-            return fats_match()
-        for w in range(n):
-            if used[w] or sig1[v] != sig2[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if h1.slim_adjacent(u, v) != h2.slim_adjacent(mapping[u], w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if place(v + 1):
-                return True
-            mapping[v] = None
-            used[w] = False
-        return False
-
-    return place(0)
 
 
 # -- matrix families -------------------------------------------------------------

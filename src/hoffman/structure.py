@@ -1,11 +1,10 @@
-"""Associated Hoffman graphs, clique extraction, and structural verifiers.
+"""Associated Hoffman graphs, clique extraction, and the structure check.
 
 The associated Hoffman graph of a graph G at level q attaches one fat vertex
 per maximal clique of order at least q.  Around it this module collects the
-threshold formulas, the independent-set-driven clique extraction, the
-neighbor-count dichotomy for vertices outside a large clique, and the
-representation / clique-cover verifiers for slim graphs built from the
-two-fat building blocks.
+threshold formulas (n1, n2, c~, q, K), the independent-set-driven clique
+extraction, and the check of the structure theorem's hypotheses and
+conclusion-side invariants for a given graph.
 
 Everything here is a pure function of its inputs and safe to run in
 parallel; reports are plain dictionaries so the CLI can serialize them.
@@ -16,17 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
-from .errors import (
-    BoundViolation,
-    CliqueTooSmall,
-    SearchBudgetExhausted,
-)
+from .errors import BoundViolation
 from .exact import is_psd_exact
 from .forbidden import adjacency_rational, graph_lambda_min_float, scan_M_t
 from .graphs import (
-    CliqueSet,
     Graph,
     max_independent_set_in_neighborhood,
     maximal_cliques,
@@ -73,70 +67,33 @@ def n2_threshold(phi: int, sigma: int, p: int, c_tilde: int) -> int:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """All named constants for a (lambda, c) regime.
+    """The named constants for a (lambda, c) regime.
 
     ``q`` and ``K`` are the smallest-eigenvalue >= -3 regime constants and
-    are only defined when ceil(lambda) == 3; ``ell`` comes with its own
-    internal level ``q_ell``; ``R`` is evaluated at the supplied q when given,
-    else at ``q_ell``.
+    are only defined when ceil(lambda) == 3.
     """
 
     lam: float
     c: int
     c_tilde: int
     n1: int
-    ell: int
-    q_ell: int
-    R: int
     q: Optional[int]
     K: Optional[int]
-    n2: Optional[int]
 
 
-def thresholds(
-    lam,
-    c: int,
-    phi: Optional[int] = None,
-    sigma: Optional[int] = None,
-    p: Optional[int] = None,
-    q: Optional[int] = None,
-) -> Thresholds:
+def thresholds(lam, c: int) -> Thresholds:
     if lam < 1 or c < 1:
         raise ValueError("lambda >= 1 and c >= 1 required")
     ceil_l = math.ceil(lam)
-    floor_l2 = math.floor(Fraction(lam) ** 2) if not isinstance(lam, int) else lam * lam
     c_tilde = min(c, ceil_l * (ceil_l - 1))
-    n1 = n1_threshold(ceil_l)
-    q_ell = max(
-        c + 1 + (ceil_l - 1) ** 2,
-        n1,
-        (ceil_l**2 - ceil_l + 2) * (c_tilde * ceil_l + 1),
-    )
-    ell = floor_l2 * (q_ell - 1) + math.comb(floor_l2, 2) * (c - 1) - 1
-    q_for_r = q if q is not None else q_ell
-    R = floor_l2 * (q_for_r - 1) + (c - 1) * math.comb(floor_l2, 2)
     q = K = None
     if ceil_l == 3:
         ct3 = min(c, 6)
         q = max(c + 5, 50 * ct3 + 16)
         K = max(36 * c + 400 * ct3 + 83, 44 * c - 5)
-    n2 = None
-    if phi is not None or sigma is not None or p is not None:
-        if None in (phi, sigma, p):
-            raise ValueError("phi, sigma, p must be given together")
-        n2 = n2_threshold(phi, sigma, p, c_tilde)
     return Thresholds(
-        lam=float(lam), c=c, c_tilde=c_tilde, n1=n1, ell=ell, q_ell=q_ell,
-        R=R, q=q, K=K, n2=n2,
+        lam=float(lam), c=c, c_tilde=c_tilde, n1=n1_threshold(ceil_l), q=q, K=K,
     )
-
-
-def corep_degree_bound(eps, c: int) -> Fraction:
-    """Heuristic upper bound 500/eps + 55c for the degree-gap constant."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return Fraction(500) / eps + 55 * c
 
 
 # -- clique extraction (independent-set pigeonhole) -------------------------------
@@ -258,235 +215,6 @@ def _max_clique_order_through(G: Graph, x: int) -> int:
         return 1
     sub = G.induced(list(nbrs))
     return 1 + max(len(c) for c in maximal_cliques(sub))
-
-
-# -- dichotomy for vertices outside a large clique ----------------------------------
-
-def hat_dichotomy(G: Graph, C: Sequence[int], lam: int) -> dict:
-    """Classify vertices outside clique C by their neighbor count in C.
-
-    ``low`` means at most lam(lam-1) neighbors, ``high`` at least
-    |C| - (lam-1)^2; anything in between is recorded as a violation (which
-    certifies that the graph's smallest eigenvalue is below -lam) rather
-    than raised, so the operation doubles as a falsification probe.
-    """
-    C = sorted(C)
-    if not G.is_clique(C):
-        raise ValueError("C is not a clique")
-    omega = len(C)
-    if omega < n1_threshold(lam):
-        raise CliqueTooSmall(f"|C| = {omega} < n1({lam}) = {n1_threshold(lam)}")
-    cbits = 0
-    for v in C:
-        cbits |= 1 << v
-    low, high, violations = [], [], []
-    for v in range(G.n):
-        if (cbits >> v) & 1:
-            continue
-        k = (G.bits(v) & cbits).bit_count()
-        if k <= lam * (lam - 1):
-            low.append(v)
-        elif k >= omega - (lam - 1) ** 2:
-            high.append(v)
-        else:
-            violations.append((v, k))
-    return {"low": low, "high": high, "violations": violations}
-
-
-# -- representation verifier ----------------------------------------------------------
-
-def verify_representation(G: Graph, N: Sequence[Sequence[int]]) -> dict:
-    """Check a {0,+1,-1} column representation N of A(G) + 3I.
-
-    Clauses: (i) A + 3I = N^T N exactly; (ii) every column has squared norm 3
-    and column sum 1 or 3; (iii) every column with sum 1 has a partner column
-    with inner product 1 and identical support.  Failures are reported, not
-    raised.
-    """
-    cols = _columns(N, G.n)
-    report = {"clause_gram": True, "clause_columns": True, "clause_partners": True, "failures": []}
-    for v in range(G.n):
-        for u in range(v, G.n):
-            want = 3 if u == v else (1 if G.has_edge(u, v) else 0)
-            got = sum(a * b for a, b in zip(cols[v], cols[u]))
-            if got != want:
-                report["clause_gram"] = False
-                report["failures"].append(f"gram entry ({v},{u}) = {got}, expected {want}")
-    for v in range(G.n):
-        norm = sum(a * a for a in cols[v])
-        total = sum(cols[v])
-        if norm != 3:
-            report["clause_columns"] = False
-            report["failures"].append(f"column {v} has norm {norm}")
-        if total not in (1, 3):
-            report["clause_columns"] = False
-            report["failures"].append(f"column {v} has sum {total}")
-    for v in range(G.n):
-        if sum(cols[v]) != 1:
-            continue
-        support_v = [k for k, a in enumerate(cols[v]) if a]
-        ok = any(
-            u != v
-            and sum(a * b for a, b in zip(cols[v], cols[u])) == 1
-            and [k for k, a in enumerate(cols[u]) if a] == support_v
-            for u in range(G.n)
-        )
-        if not ok:
-            report["clause_partners"] = False
-            report["failures"].append(f"column {v} (sum 1) has no partner")
-    report["passed"] = (
-        report["clause_gram"] and report["clause_columns"] and report["clause_partners"]
-    )
-    return report
-
-
-def _columns(N: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    rows = [list(row) for row in N]
-    if any(len(row) != n for row in rows):
-        raise ValueError(f"representation must have exactly {n} columns")
-    for row in rows:
-        for x in row:
-            if x not in (-1, 0, 1):
-                raise ValueError(f"entry {x} outside {{0, +1, -1}}")
-    return [[row[v] for row in rows] for v in range(n)]
-
-
-# -- clique covers -------------------------------------------------------------------
-
-def verify_clique_cover(G: Graph, cover: Iterable[Sequence[int]], q: int) -> dict:
-    """Check the three clique-cover clauses for a candidate cover.
-
-    (i) every edge lies in some cover clique; (ii) every vertex lies in at
-    most three cover cliques, at least two of which are maximal cliques of G
-    with order >= q; (iii) two cover cliques sharing >= 2 vertices share
-    exactly 2, and those are the only cover cliques through either shared
-    vertex.
-    """
-    cliques = [tuple(sorted(set(c))) for c in cover]
-    report = {"clause_edges": True, "clause_vertex": True, "clause_pairs": True, "failures": []}
-    for c in cliques:
-        if not G.is_clique(c):
-            report["clause_edges"] = False
-            report["failures"].append(f"{c} is not a clique")
-    covered = set()
-    for c in cliques:
-        covered.update((min(u, v), max(u, v)) for i, u in enumerate(c) for v in c[i + 1:])
-    missing = [e for e in G.edges() if e not in covered]
-    if missing:
-        report["clause_edges"] = False
-        report["failures"].append(f"uncovered edges: {missing[:5]}")
-
-    containing = {v: [c for c in cliques if v in c] for v in range(G.n)}
-    for v in range(G.n):
-        mine = containing[v]
-        if len(mine) > 3:
-            report["clause_vertex"] = False
-            report["failures"].append(f"vertex {v} lies in {len(mine)} cover cliques")
-        big_maximal = sum(1 for c in mine if len(c) >= q and _is_maximal_clique(G, c))
-        if big_maximal < 2:
-            report["clause_vertex"] = False
-            report["failures"].append(
-                f"vertex {v} lies in {big_maximal} maximal cover cliques of order >= {q}"
-            )
-    for i, c1 in enumerate(cliques):
-        for c2 in cliques[i + 1:]:
-            inter = sorted(set(c1) & set(c2))
-            if len(inter) < 2:
-                continue
-            if len(inter) > 2:
-                report["clause_pairs"] = False
-                report["failures"].append(f"{c1} and {c2} share {len(inter)} vertices")
-                continue
-            for v in inter:
-                if len(containing[v]) != 2:
-                    report["clause_pairs"] = False
-                    report["failures"].append(
-                        f"shared vertex {v} lies in {len(containing[v])} cover cliques"
-                    )
-    report["passed"] = report["clause_edges"] and report["clause_vertex"] and report["clause_pairs"]
-    return report
-
-
-def _is_maximal_clique(G: Graph, c: Sequence[int]) -> bool:
-    common = (1 << G.n) - 1
-    for v in c:
-        common &= G.bits(v)
-    return common == 0
-
-
-def find_line_structure(G: Graph, q: int, node_budget: int = 10**6) -> Optional[CliqueSet]:
-    """Search for a clique cover passing :func:`verify_clique_cover`.
-
-    Candidates are the maximal cliques of G plus all single edges; the
-    backtracking prefers larger cliques, so the first cover found is small.
-    Success is certified by the verifier; ``None`` means the search space was
-    exhausted, and budget exhaustion (inconclusive) raises
-    :class:`SearchBudgetExhausted`.
-    """
-    maximal = list(maximal_cliques(G))
-    candidates = sorted(set(maximal) | {tuple(e) for e in G.edges()},
-                        key=lambda c: (-len(c), c))
-    all_edges = list(G.edges())
-    chosen: list[tuple[int, ...]] = []
-    per_vertex = [0] * G.n
-    nodes = 0
-    best: list[Optional[tuple]] = [None]
-
-    def edge_covered(e):
-        return any(e[0] in c and e[1] in c for c in chosen)
-
-    def compatible(c):
-        cset = set(c)
-        if any(per_vertex[v] >= 3 for v in c):
-            return False
-        for other in chosen:
-            if len(cset & set(other)) > 2:
-                return False
-        return True
-
-    def search() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetExhausted(f"no verdict within {node_budget} nodes")
-        uncovered = next((e for e in all_edges if not edge_covered(e)), None)
-        if uncovered is None:
-            if verify_clique_cover(G, chosen, q)["passed"]:
-                best[0] = tuple(chosen)
-                return True
-            return False
-        for c in candidates:
-            if uncovered[0] in c and uncovered[1] in c and c not in chosen and compatible(c):
-                chosen.append(c)
-                for v in c:
-                    per_vertex[v] += 1
-                if search():
-                    return True
-                chosen.pop()
-                for v in c:
-                    per_vertex[v] -= 1
-        return False
-
-    if G.edge_count() == 0:
-        return None
-    if search():
-        return CliqueSet(tuple(sorted(best[0])))
-    return None
-
-
-# -- small common-neighborhood vertex ---------------------------------------------------
-
-def lemma9_vertex(G: Graph) -> Optional[int]:
-    """Smallest vertex whose common neighborhood with every non-neighbor is <= 9."""
-    for u in range(G.n):
-        au = G.bits(u)
-        if all(
-            (au & G.bits(v)).bit_count() <= 9
-            for v in range(G.n)
-            if v != u and not (au >> v) & 1
-        ):
-            return u
-    return None
 
 
 # -- full structural condition check ------------------------------------------------------

@@ -1,12 +1,20 @@
-"""Shared builders for the test suite."""
+"""Shared builders and dense reference oracles for the test suite."""
 
 import random
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Sequence
 
 import pytest
 
-from hoffman import Graph, complete_graph, cycle_graph
+from hoffman import (
+    Graph,
+    NotEquitable,
+    Partition,
+    RationalMatrix,
+    complete_graph,
+    cycle_graph,
+)
 
 
 def petersen_graph() -> Graph:
@@ -21,6 +29,42 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def is_clique(G: Graph, vertices: Sequence[int]) -> bool:
+    return all(G.has_edge(u, v) for u, v in combinations(vertices, 2))
+
+
+def quadratic_form(M: RationalMatrix, x: Sequence) -> Fraction:
+    """x^T M x over the rationals, entry by entry (the dense reference)."""
+    xs = [Fraction(v) for v in x]
+    if len(xs) != M.order:
+        raise ValueError("vector length mismatch")
+    return sum((xs[i] * M.rows[i][j] * xs[j]
+                for i in range(M.order) if xs[i]
+                for j in range(M.order) if xs[j]), Fraction(0))
+
+
+def quotient_matrix(M: RationalMatrix, P: Partition) -> RationalMatrix:
+    """Quotient of M over an equitable partition (the dense reference).
+
+    Equitability is verified: for blocks I, J the sum of row entries into J
+    must be the same for every row of I, else :class:`NotEquitable` names
+    the violating (row, block) pair.
+    """
+    if P.n != M.order:
+        raise ValueError("partition size does not match matrix order")
+    q = []
+    for block in P.blocks:
+        qrow = []
+        for jdx, other in enumerate(P.blocks):
+            sums = [sum(M.rows[i][j] for j in other) for i in block]
+            for offset, s in enumerate(sums):
+                if s != sums[0]:
+                    raise NotEquitable(block[offset], jdx)
+            qrow.append(sums[0])
+        q.append(qrow)
+    return RationalMatrix(q)
 
 
 def permutation_equivalent(b1: Sequence[Sequence[int]], b2: Sequence[Sequence[int]]) -> bool:

@@ -304,8 +304,30 @@ def test_verify_all_aggregates(capsys):
 
 
 def test_drg_scan_rejects_malformed_checks(capsys):
-    assert main(["drg", "scan", "--b", "2", "--D", "12", "--alpha-max", "9",
-                 "--checks", "6"]) == 1
+    for value in ("6", "6,6,6", "a,b"):
+        assert main(["drg", "scan", "--b", "2", "--D", "12", "--alpha-max", "9",
+                     "--checks", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"usage error: argument --checks: expected a pair 'i,h' of integers, got {value!r}\n")
+        assert "Traceback" not in err and "unpack" not in err
+
+
+@pytest.mark.parametrize("s_max", ["1", "0", "-3"])
+def test_prop215_s_max_below_two_is_a_usage_error(capsys, s_max):
+    # s starts at 2, so a smaller bound would report success with nothing checked
+    for suite in ("prop215", "all"):
+        assert main(["verify-paper", suite, "--s-max", s_max]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: argument --s-max: must be at least 2, got {s_max}\n")
+
+
+def test_alphab_full_and_bs_are_exclusive(capsys):
+    assert main(["verify-paper", "alphab", "--full", "--bs", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: argument --bs: not allowed with argument --full\n")
 
 
 def test_format_after_subcommand(capsys):

@@ -20,7 +20,6 @@ from hoffman import (
     intersection_array,
     local_graph_params,
     p66_leading_constant,
-    p_number,
     theorem_beta_bounds,
 )
 from hoffman import drg
@@ -29,6 +28,22 @@ from hoffman import drg
 def doubled_family(D: int) -> ClassicalParams:
     """The (D, 2, 2, 2^(D+2) - 2) parameter family."""
     return ClassicalParams(D, 2, 2, 2 ** (D + 2) - 2)
+
+
+def p_number(p: ClassicalParams, i: int, h: int) -> tuple[Fraction, bool]:
+    """p^{i+h}_{ih} = c_{i+1}...c_{i+h} / (c_1...c_h) and its integrality (the reference).
+
+    Computed two ways, one product of c's over another and an incremental
+    ratio product, which must agree.
+    """
+    num = math.prod(drg.c_number(p, j) for j in range(i + 1, i + h + 1))
+    den = math.prod(drg.c_number(p, j) for j in range(1, h + 1))
+    direct = Fraction(num) / den
+    incremental = math.prod(
+        (drg.c_number(p, i + j) / drg.c_number(p, j) for j in range(1, h + 1)), start=Fraction(1)
+    )
+    assert direct == incremental, (p, i, h)
+    return direct, direct.denominator == 1 and direct >= 0
 
 
 # -- gaussian brackets -----------------------------------------------------------
@@ -100,18 +115,23 @@ def test_eigenvalue_ordering_violation():
 
 
 def test_both_forms_agree_bulk():
-    # the two closed forms are asserted equal inside eigenvalues(); run a
-    # large randomized sweep (ordering violations are fine, form mismatch not)
+    # eigenvalues() evaluates theta_i = [D-i]_b (beta - alpha [i]_b) - [i]_b;
+    # the other closed form is theta_i = b_i / b^i - [i]_b.  Over a large
+    # randomized sweep the library returns the second form's list exactly
+    # when that list is strictly decreasing, and raises otherwise
     rng = random.Random(99)
     for _ in range(10_000):
         D = rng.randint(1, 14)
         b = rng.randint(1, 10)
         alpha = Fraction(rng.randint(-3, 9), rng.randint(1, 4))
         beta = Fraction(rng.randint(-20, 400), rng.randint(1, 3))
-        try:
-            eigenvalues(ClassicalParams(D, b, alpha, beta))
-        except OrderingViolation:
-            pass
+        p = ClassicalParams(D, b, alpha, beta)
+        second = [drg.b_number(p, i) / Fraction(b) ** i - gaussian(i, b) for i in range(D + 1)]
+        if all(second[i] > second[i + 1] for i in range(D)):
+            assert eigenvalues(p) == second
+        else:
+            with pytest.raises(OrderingViolation):
+                eigenvalues(p)
 
 
 # -- clique bound ---------------------------------------------------------------------
@@ -164,20 +184,25 @@ def test_p_number_alpha_zero_always_integral():
                 for h in range(1, D - i + 1):
                     value, integral = p_number(p, i, h)
                     assert integral, (b, D, i, h, value)
+            # and alpha = 0 survives the scan's exact test for every check
+            checks = [(i, h) for i in range(1, D) for h in range(1, D - i + 1)]
+            assert feasibility_scan(b, D, 0, checks) == [0]
 
 
 def test_p_number_grassmann_style_alpha_two():
     value, integral = p_number(ClassicalParams(12, 2, 2, 10**6), 6, 6)
     assert integral
     assert value == 53210675694335413765225
+    assert feasibility_scan(2, 12, 2, [(6, 6)])[-1] == 2
 
 
 def test_p_number_index_validation():
-    p = doubled_family(4)
+    # the scans are the library's route to p-numbers; they need i, h >= 1
+    # and i + h <= D
     with pytest.raises(IndexOutOfRange):
-        p_number(p, 0, 1)
+        feasibility_scan(2, 4, 2, [(0, 1)])
     with pytest.raises(IndexOutOfRange):
-        p_number(p, 2, 3)
+        feasibility_scan(2, 4, 2, [(2, 3)])
 
 
 # -- feasibility scans -----------------------------------------------------------------------

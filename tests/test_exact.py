@@ -18,15 +18,16 @@ from hoffman import (
     cycle_graph,
     det_exact,
     eigenvalues_float,
+    graph_quotient_matrix,
     is_psd_exact,
     lambda_min_float,
     m_matrix,
     psd_witness,
-    quadratic_form,
     quotient_eigenvalues_float,
-    quotient_matrix,
     special_matrix,
 )
+
+from .conftest import petersen_graph, quadratic_form, quotient_matrix
 
 
 def _sym(rows):
@@ -364,26 +365,30 @@ def test_empty_matrix_has_no_smallest_eigenvalue():
 # -- quotient matrices ----------------------------------------------------------------------
 
 def test_quotient_identity_singletons():
-    M = RationalMatrix.identity(3)
-    P = Partition([[0], [1], [2]])
-    assert quotient_matrix(M, P) == M
+    # over singletons the quotient is the adjacency matrix itself
+    G = petersen_graph()
+    P = Partition([[v] for v in range(G.n)])
+    assert graph_quotient_matrix(G, P) == adjacency_rational(G)
 
 
 def test_quotient_not_equitable_reports_pair():
     # path 0-1-2, blocks {0}, {1,2}: vertex 1 and 2 differ toward block {0}
-    A = RationalMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    with pytest.raises(NotEquitable) as err:
-        quotient_matrix(A, Partition([[0], [1, 2]]))
-    assert err.value.block_index == 0
-    assert err.value.row in (1, 2)
+    G = Graph(3, [(0, 1), (1, 2)])
+    P = Partition([[0], [1, 2]])
+    for quotient in (lambda: graph_quotient_matrix(G, P),
+                     lambda: quotient_matrix(adjacency_rational(G), P)):
+        with pytest.raises(NotEquitable) as err:
+            quotient()
+        assert err.value.block_index == 0
+        assert err.value.row in (1, 2)
 
 
 def test_quotient_eigenvalues_interlace_into_host():
     # complete multipartite-ish: K5 with blocks {0}, rest
     A = adjacency_rational(complete_graph(5))
     P = Partition([[0], [1, 2, 3, 4]])
-    Q = quotient_matrix(A, P)
-    assert Q == RationalMatrix([[0, 4], [1, 3]])
+    Q = graph_quotient_matrix(complete_graph(5), P)
+    assert Q == RationalMatrix([[0, 4], [1, 3]]) == quotient_matrix(A, P)
     qvals = quotient_eigenvalues_float(Q, P.sizes())
     host = eigenvalues_float(A)
     for v in qvals:
@@ -420,8 +425,8 @@ def test_quotient_complete_bipartite_sides():
 
     a, b = 3, 5
     G = Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    A = adjacency_rational(G)
-    Q = quotient_matrix(A, Partition([list(range(a)), list(range(a, a + b))]))
-    assert Q == RationalMatrix([[0, b], [a, 0]])
+    P = Partition([list(range(a)), list(range(a, a + b))])
+    Q = graph_quotient_matrix(G, P)
+    assert Q == RationalMatrix([[0, b], [a, 0]]) == quotient_matrix(adjacency_rational(G), P)
     qvals = quotient_eigenvalues_float(Q, (a, b))
     assert abs(qvals[0] + (a * b) ** 0.5) < 1e-9

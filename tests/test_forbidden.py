@@ -21,7 +21,6 @@ from hoffman import (
     cycle_graph,
     expand,
     expansion_blocks,
-    find_min_p_below,
     graph_lambda_min_float,
     graph_quadratic_form,
     graph_quotient_matrix,
@@ -31,8 +30,6 @@ from hoffman import (
     pendant_slim_pair,
     prop215,
     psd_witness,
-    quadratic_form,
-    quotient_matrix,
     scan_M_t,
     slim_with_fats,
     special_matrix,
@@ -40,7 +37,7 @@ from hoffman import (
 )
 from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness
 
-from .conftest import permutation_equivalent, random_graph
+from .conftest import permutation_equivalent, quadratic_form, quotient_matrix, random_graph
 
 
 # -- permutation equivalence ---------------------------------------------------
@@ -354,42 +351,6 @@ def test_prop215_second_construction_matches_h5():
     # the s = 3 clique-with-two-fats expansion at p2 = 11 is the same graph
     # as the catalog pair (h_5, 11)
     assert expand(catalog("h_5").hoffman, 11) == expand(clique_with_two_fats(3), 11)
-
-
-# -- minimal expansion parameter -------------------------------------------------------------
-
-def test_find_min_p_below_never_for_single_fat():
-    assert find_min_p_below(slim_with_fats(1), -2, 50) is None
-
-
-def test_find_min_p_below_minimal_values():
-    assert find_min_p_below(catalog("h_{4,-2}").hoffman, -3, 20) == 5
-    assert find_min_p_below(catalog("h_6").hoffman, -3, 20) == 5
-    # at p = 10 the clique-with-two-fats expansion has -3 as an exact
-    # eigenvalue (A + 3I is PSD), so the strict inequality starts at 11
-    assert is_psd_exact(adjacency_rational(expand(catalog("h_5").hoffman, 10)).shifted(3))
-    assert find_min_p_below(catalog("h_5").hoffman, -3, 20) == 11
-
-
-def test_find_min_p_below_irrational_threshold():
-    # frozen from the eigensolver: first p with lambda_min < -2 - sqrt(2) + 1/10
-    threshold = -2 - math.sqrt(2) + 0.1
-    assert find_min_p_below(catalog("h_7").hoffman, threshold, 100) == 77
-
-
-def test_find_min_p_below_raises_beyond_float_limit(monkeypatch):
-    import hoffman.exact as exact
-
-    # G(h_5, p) has 2p + 3 vertices and first drops below -3 at p = 11, so a
-    # limit of 13 vertices runs out at p = 6, before the threshold is crossed
-    monkeypatch.setattr(exact, "FLOAT_ORDER_LIMIT", 13)
-    with pytest.raises(ValueError, match=r"G\(h, 6\)"):
-        find_min_p_below(catalog("h_5").hoffman, -3, 20)
-
-
-def test_find_min_p_below_validates_pmax():
-    with pytest.raises(ValueError):
-        find_min_p_below(catalog("h_7").hoffman, -3, 300)
 
 
 def test_scan_accepts_special_matrix_and_raw_rows():

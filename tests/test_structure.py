@@ -1,4 +1,4 @@
-"""Associated Hoffman graphs, thresholds, clique extraction, verifiers."""
+"""Associated Hoffman graphs, thresholds, clique extraction, the structure check."""
 
 import math
 import random
@@ -8,44 +8,21 @@ import pytest
 
 from hoffman import (
     BoundViolation,
-    CliqueTooSmall,
     Graph,
-    SearchBudgetExhausted,
     adjacency_rational,
     associated_hoffman,
     bose_laskar,
     complete_graph,
-    corep_degree_bound,
     cycle_graph,
-    find_line_structure,
-    hat_dichotomy,
     is_psd_exact,
-    lemma9_vertex,
     maximal_cliques,
     mu_parameter,
     n1_threshold,
     n2_threshold,
     theorem_intro2_check,
     thresholds,
-    verify_clique_cover,
-    verify_representation,
 )
-from .conftest import petersen_graph, random_graph
-
-
-def rook_graph(m: int, n: int) -> Graph:
-    """Line graph of K_{m,n}: vertices (i,j), adjacency on shared row or column."""
-    idx = lambda i, j: i * n + j
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            for jj in range(j + 1, n):
-                edges.append((idx(i, j), idx(i, jj)))
-    for j in range(n):
-        for i in range(m):
-            for ii in range(i + 1, m):
-                edges.append((idx(i, j), idx(ii, j)))
-    return Graph(m * n, edges)
+from .conftest import is_clique, petersen_graph, random_graph
 
 
 # -- associated Hoffman graphs -----------------------------------------------------
@@ -114,27 +91,6 @@ def test_c_tilde_general_lambda():
     assert th.q is None and th.K is None
 
 
-def test_thresholds_n2_requires_all_three():
-    with pytest.raises(ValueError):
-        thresholds(3, 1, phi=4)
-    th = thresholds(3, 1, phi=4, sigma=1, p=7)
-    assert th.n2 == n2_threshold(4, 1, 7, 1)
-
-
-def test_ell_and_r_formulas():
-    # lambda = 3, c = 1: c~ = 1, q_ell = max{5, 48, 8*4} = 48
-    th = thresholds(3, 1)
-    assert th.q_ell == 48
-    assert th.ell == 9 * 47 + 36 * 0 - 1
-    assert th.R == 9 * 47 + 0
-    th_q = thresholds(3, 1, q=100)
-    assert th_q.R == 9 * 99
-
-
-def test_corep_bound():
-    assert corep_degree_bound(Fraction(1, 2), 3) == 1165
-
-
 # -- clique extraction ---------------------------------------------------------------------
 
 def test_bose_laskar_complete_graph():
@@ -192,7 +148,7 @@ def test_bose_laskar_w_bound_and_partition():
         # partition covers N(x) exactly
         union = set(res.w_set)
         for part in res.parts:
-            assert G.is_clique(part)
+            assert is_clique(G, part)
             assert union.isdisjoint(part)
             union.update(part)
         assert union == set(G.neighbors(x))
@@ -202,151 +158,6 @@ def test_bose_laskar_isolated_vertex():
     G = Graph(3, [(1, 2)])
     res = bose_laskar(G, 0, 2, 1)
     assert res.clique1 == (0,)
-
-
-# -- dichotomy -----------------------------------------------------------------------------
-
-def test_hat_high_side():
-    n = 61
-    edges = [(i, j) for i in range(60) for j in range(i + 1, 60)]
-    edges += [(60, i) for i in range(59)]
-    G = Graph(n, edges)
-    out = hat_dichotomy(G, list(range(60)), 3)
-    assert out["high"] == [60] and not out["violations"]
-
-
-def test_hat_low_side():
-    edges = [(i, j) for i in range(60) for j in range(i + 1, 60)]
-    G = Graph(61, edges)
-    out = hat_dichotomy(G, list(range(60)), 3)
-    assert out["low"] == [60]
-
-
-def test_hat_violation_and_eigenvalue():
-    edges = [(i, j) for i in range(48) for j in range(i + 1, 48)]
-    edges += [(48, i) for i in range(20)]
-    G = Graph(49, edges)
-    out = hat_dichotomy(G, list(range(48)), 3)
-    assert out["violations"] == [(48, 20)]
-    # the violation certifies lambda_min < -3; frozen oracle value ~ -4.0228
-    assert not is_psd_exact(adjacency_rational(G).shifted(3))
-
-
-def test_hat_rejects_small_clique():
-    G = complete_graph(47)
-    with pytest.raises(CliqueTooSmall):
-        hat_dichotomy(G, list(range(47)), 3)
-
-
-def test_hat_rejects_non_clique():
-    with pytest.raises(ValueError):
-        hat_dichotomy(cycle_graph(5), [0, 1, 2], 1)
-
-
-# -- representation verifier -------------------------------------------------------------
-
-def test_representation_single_vertex():
-    G = Graph(1, [])
-    N = [[1], [1], [1]]
-    assert verify_representation(G, N)["passed"]
-
-
-def test_representation_box_recipe():
-    # two adjacent vertices realized by a box piece: columns share the fat
-    # rows and differ by +/- e_v in the slim rows
-    G = Graph(2, [(0, 1)])
-    N = [
-        [1, 1],   # fat row 1
-        [1, 1],   # fat row 2
-        [0, 0],   # slim row u
-        [-1, 1],  # slim row v
-    ]
-    rep = verify_representation(G, N)
-    assert rep["passed"], rep["failures"]
-
-
-def test_representation_rejects_large_entries():
-    with pytest.raises(ValueError):
-        verify_representation(Graph(1, []), [[2], [1], [0]])
-
-
-def test_representation_reports_failures():
-    G = Graph(2, [(0, 1)])
-    N = [[1, 0], [1, 1], [1, 1], [0, 1]]
-    rep = verify_representation(G, N)
-    assert not rep["passed"]
-    assert rep["failures"]
-
-
-# -- clique covers ----------------------------------------------------------------------
-
-def test_cover_rook_rows_and_columns_pass():
-    G = rook_graph(3, 3)
-    rows = [tuple(range(i * 3, i * 3 + 3)) for i in range(3)]
-    cols = [tuple(range(j, 9, 3)) for j in range(3)]
-    rep = verify_clique_cover(G, rows + cols, 3)
-    assert rep["passed"], rep["failures"]
-
-
-def test_cover_two_k5_sharing_edge():
-    # vertices 0..4 and 3..7 complete, sharing the edge {3,4}
-    edges = {(i, j) for i in range(5) for j in range(i + 1, 5)}
-    edges |= {(min(i, j), max(i, j)) for i in range(3, 8) for j in range(3, 8) if i != j}
-    G = Graph(8, sorted(edges))
-    cover = [tuple(range(5)), tuple(range(3, 8))]
-    rep = verify_clique_cover(G, cover, 4)
-    # the shared pair {3,4} satisfies the intersection clause...
-    assert rep["clause_pairs"]
-    assert rep["clause_edges"]
-    # ...but the unshared vertices lie in only one large maximal clique
-    assert not rep["clause_vertex"]
-    assert not rep["passed"]
-
-
-def test_cover_single_k5_fails_vertex_clause():
-    G = complete_graph(5)
-    rep = verify_clique_cover(G, [tuple(range(5))], 3)
-    assert not rep["passed"]
-    assert not rep["clause_vertex"]
-
-
-def test_find_line_structure_rook():
-    G = rook_graph(3, 3)
-    cover = find_line_structure(G, 3)
-    assert cover is not None
-    assert verify_clique_cover(G, cover.cliques, 3)["passed"]
-
-
-def test_find_line_structure_c5_none():
-    assert find_line_structure(cycle_graph(5), 3) is None
-
-
-def test_find_line_structure_budget():
-    with pytest.raises(SearchBudgetExhausted):
-        find_line_structure(rook_graph(3, 3), 3, node_budget=2)
-
-
-# -- small common-neighborhood vertex ------------------------------------------------------
-
-def test_lemma9_c5():
-    assert lemma9_vertex(cycle_graph(5)) == 0
-
-
-def _bipartite_minus_matching(side: int) -> Graph:
-    edges = [
-        (i, side + j)
-        for i in range(side)
-        for j in range(side)
-        if i != j
-    ]
-    return Graph(2 * side, edges)
-
-
-def test_lemma9_complete_bipartite_minus_matching():
-    # frozen by brute force: sides of 11 give common neighborhoods of 9,
-    # sides of 12 give 10 and no vertex qualifies
-    assert lemma9_vertex(_bipartite_minus_matching(11)) == 0
-    assert lemma9_vertex(_bipartite_minus_matching(12)) is None
 
 
 # -- full condition check --------------------------------------------------------------------
@@ -377,79 +188,6 @@ def test_intro2_vacuous_pass_on_empty_graph():
     report = theorem_intro2_check(Graph(0), 1)
     assert report["passed"]
     assert report["associated"]["fats"] == 0
-
-
-# -- representations assembled from the two-fat building blocks ----------------------
-
-def _assemble_pieces(rng, n_pieces, n_fats):
-    """Random union of fan3 / path2fat / box pieces over a shared fat pool.
-
-    Cross-piece slims share at most one fat (rejected otherwise) and are
-    adjacent exactly when they share one, so the special matrix is block
-    diagonal with the three building-block matrices.  Returns the slim graph
-    and the column representation built by the standard recipe.
-    """
-    fat_sets = []   # per slim
-    pieces = []     # (kind, slim indices)
-    for _ in range(n_pieces):
-        for _attempt in range(60):
-            kind = rng.choice(["fan3", "path2fat", "box"])
-            want = 3 if kind == "fan3" else 2
-            fats = tuple(sorted(rng.sample(range(n_fats), want)))
-            if all(len(set(fats) & set(old)) <= 1 for old in fat_sets):
-                break
-        else:
-            continue
-        if kind == "box":
-            pieces.append((kind, (len(fat_sets), len(fat_sets) + 1)))
-            fat_sets += [fats, fats]
-        else:
-            pieces.append((kind, (len(fat_sets),)))
-            fat_sets.append(fats)
-    n = len(fat_sets)
-    edges = []
-    for kind, slims in pieces:
-        if kind == "box":
-            edges.append(slims)
-    for u in range(n):
-        for v in range(u + 1, n):
-            same_piece = any(u in s and v in s for _, s in pieces)
-            if not same_piece and len(set(fat_sets[u]) & set(fat_sets[v])) == 1:
-                edges.append((u, v))
-    G = Graph(n, edges)
-    # column representation: fat rows then one slim row per vertex
-    cols = []
-    for kind, slims in pieces:
-        for pos, v in enumerate(slims):
-            col = [0] * (n_fats + n)
-            for f in fat_sets[v]:
-                col[f] = 1
-            if kind == "path2fat":
-                col[n_fats + v] = 1
-            elif kind == "box":
-                anchor = slims[1]
-                col[n_fats + anchor] = 1 if v == anchor else -1
-            cols.append((v, col))
-    cols.sort()
-    N = [[col[r] for _, col in cols] for r in range(n_fats + n)]
-    return G, N
-
-
-def test_representation_from_assembled_pieces():
-    rng = random.Random(1234)
-    built = 0
-    for _ in range(40):
-        G, N = _assemble_pieces(rng, rng.randint(2, 5), rng.randint(6, 10))
-        if G.n == 0:
-            continue
-        built += 1
-        rep = verify_representation(G, N)
-        assert rep["passed"], rep["failures"]
-        # the gram clause is exactly: N^T N - 3I reconstructs A(G)
-        assert rep["clause_gram"]
-        # such slim graphs always satisfy the eigenvalue floor
-        assert is_psd_exact(adjacency_rational(G).shifted(3))
-    assert built >= 30
 
 
 def test_bose_laskar_bound_violation_when_hypothesis_fails():
@@ -484,7 +222,7 @@ def test_bose_laskar_outputs_are_maximal_cliques():
         x = rng.randrange(G.n)
         res = bose_laskar(G, x, 3, c)
         assert x in res.clique1
-        assert G.is_clique(res.clique1)
+        assert is_clique(G, res.clique1)
         outside = set(range(G.n)) - set(res.clique1)
         assert not any(
             all(G.has_edge(v, w) for w in res.clique1) for v in outside
