@@ -9,11 +9,13 @@ import pytest
 
 from hoffman import (
     Graph,
+    HoffmanGraph,
     NotEquitable,
     Partition,
     RationalMatrix,
     complete_graph,
     cycle_graph,
+    special_matrix,
 )
 
 
@@ -75,6 +77,59 @@ def permutation_equivalent(b1: Sequence[Sequence[int]], b2: Sequence[Sequence[in
     for perm in permutations(range(n)):
         if all(b1[perm[i]][perm[j]] == b2[i][j] for i in range(n) for j in range(n)):
             return True
+    return False
+
+
+def induced_by_slim(h: HoffmanGraph, W) -> HoffmanGraph:
+    """Induced Hoffman subgraph on the slim subset W and every fat vertex touching it."""
+    ws = sorted(set(W))
+    if any(not 0 <= w < h.n_slim for w in ws):
+        raise ValueError(f"subset {ws} not contained in the slim vertex range")
+    pos = {w: i for i, w in enumerate(ws)}
+    edges = [(pos[u], pos[v]) for u, v in h.slim_edges if u in pos and v in pos]
+    fats = [inter for inter in (sorted(pos[s] for s in f if s in pos) for f in h.fat_neighbors)
+            if inter]
+    return HoffmanGraph(len(ws), edges, fats)
+
+
+def decompose(h: HoffmanGraph) -> list:
+    """Finest decomposition: the components of the special matrix's off-diagonal support.
+
+    Pieces are induced by slim subsets and ordered by their smallest slim vertex.
+    """
+    S = special_matrix(h).entries
+    comps, seen = [], set()
+    for root in range(h.n_slim):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, x in enumerate(S[i]):
+                if x and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(comp)
+    return [induced_by_slim(h, comp) for comp in comps]
+
+
+def hoffman_isomorphic(h1: HoffmanGraph, h2: HoffmanGraph) -> bool:
+    """Label-preserving isomorphism by brute force over slim bijections (small inputs).
+
+    With the slim bijection fixed, the fat sides match iff the multisets of
+    fat neighbourhoods coincide, since fat vertices are mutually non-adjacent.
+    """
+    if h1.n_slim != h2.n_slim or h1.n_fat != h2.n_fat:
+        return False
+    g1, g2 = h1.slim_graph(), h2.slim_graph()
+    fats2 = sorted(sorted(f) for f in h2.fat_neighbors)
+    for perm in permutations(range(h1.n_slim)):
+        if all(g1.has_edge(u, v) == g2.has_edge(perm[u], perm[v])
+               for u, v in combinations(range(h1.n_slim), 2)):
+            if sorted(sorted(perm[s] for s in f) for f in h1.fat_neighbors) == fats2:
+                return True
     return False
 
 

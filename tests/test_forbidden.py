@@ -353,6 +353,48 @@ def test_prop215_second_construction_matches_h5():
     assert expand(catalog("h_5").hoffman, 11) == expand(clique_with_two_fats(3), 11)
 
 
+# -- minimal expansion parameter -------------------------------------------------------------
+
+def find_min_p_below(h, threshold: float, p_max: int):
+    """Smallest p <= p_max with lambda_min(G(h, p)) < threshold - 1e-9, by the floating solver."""
+    for p in range(1, p_max + 1):
+        lm = graph_lambda_min_float(expand(h, p))
+        if lm is None:
+            raise ValueError(f"G(h, {p}) is empty or above the floating solver's limit")
+        if lm < threshold - 1e-9:
+            return p
+    return None
+
+
+def test_find_min_p_below_never_for_single_fat():
+    assert find_min_p_below(slim_with_fats(1), -2, 50) is None
+
+
+def test_find_min_p_below_minimal_values():
+    assert find_min_p_below(catalog("h_{4,-2}").hoffman, -3, 20) == 5
+    assert find_min_p_below(catalog("h_6").hoffman, -3, 20) == 5
+    # at p = 10 the clique-with-two-fats expansion has -3 as an exact
+    # eigenvalue (A + 3I is PSD), so the strict inequality starts at 11
+    assert is_psd_exact(adjacency_rational(expand(catalog("h_5").hoffman, 10)).shifted(3))
+    assert find_min_p_below(catalog("h_5").hoffman, -3, 20) == 11
+
+
+def test_find_min_p_below_irrational_threshold():
+    # frozen from the eigensolver: first p with lambda_min < -2 - sqrt(2) + 1/10
+    threshold = -2 - math.sqrt(2) + 0.1
+    assert find_min_p_below(catalog("h_7").hoffman, threshold, 100) == 77
+
+
+def test_find_min_p_below_raises_beyond_float_limit(monkeypatch):
+    import hoffman.exact as exact
+
+    # G(h_5, p) has 2p + 3 vertices and first drops below -3 at p = 11, so a
+    # limit of 13 vertices runs out at p = 6, before the threshold is crossed
+    monkeypatch.setattr(exact, "FLOAT_ORDER_LIMIT", 13)
+    with pytest.raises(ValueError, match=r"G\(h, 6\)"):
+        find_min_p_below(catalog("h_5").hoffman, -3, 20)
+
+
 def test_scan_accepts_special_matrix_and_raw_rows():
     S = special_matrix(catalog("h_5").hoffman)
     raw = [list(r) for r in S.entries]

@@ -25,7 +25,7 @@ from hoffman import (
     special_matrix,
 )
 
-from .conftest import permutation_equivalent
+from .conftest import decompose, hoffman_isomorphic, induced_by_slim, permutation_equivalent
 
 GOLDEN_RATIO_SHIFT = -2 - (1 + math.sqrt(5)) / 2  # smallest root of the 2x2 +1 pattern
 
@@ -222,7 +222,65 @@ def test_is_t_fat_examples():
     assert is_t_fat(catalog("box").hoffman, 2)
 
 
+# -- induced subgraphs --------------------------------------------------------------------
+
+def test_induced_single_slim_of_box_is_path2fat():
+    got = induced_by_slim(catalog("box").hoffman, [0])
+    assert hoffman_isomorphic(got, catalog("path2fat").hoffman)
+
+
+def test_induced_full_and_empty():
+    h = catalog("h_6").hoffman
+    assert induced_by_slim(h, range(h.n_slim)) == h
+    empty = induced_by_slim(h, [])
+    assert empty.n_slim == 0 and empty.n_fat == 0
+
+
+def test_induced_lambda_min_never_smaller():
+    rng = random.Random(17)
+    for entry in catalog("H"):
+        h = entry.hoffman
+        host = lambda_min_hoffman(h)
+        for _ in range(4):
+            k = rng.randint(1, h.n_slim)
+            W = rng.sample(range(h.n_slim), k)
+            sub = induced_by_slim(h, W)
+            assert lambda_min_hoffman(sub) >= host - 1e-7
+
+
+# -- decomposition -----------------------------------------------------------------------
+
+def test_decompose_examples():
+    assert len(decompose(slim_with_fats(4))) == 1
+    assert len(decompose(catalog("box").hoffman)) == 1
+    two = HoffmanGraph(2, [], [[0], [0], [0], [1], [1], [1]])
+    parts = decompose(two)
+    assert len(parts) == 2
+    assert all(hoffman_isomorphic(p, catalog("fan3").hoffman) for p in parts)
+
+
+def test_decompose_blocks_reassemble_special_matrix():
+    # two box pieces glued along nothing: block diagonal special matrix
+    h = HoffmanGraph(
+        4,
+        [(0, 1), (2, 3)],
+        [[0, 1], [0, 1], [2, 3], [2, 3]],
+    )
+    parts = decompose(h)
+    assert len(parts) == 2
+    S = special_matrix(h).entries
+    off = [[S[i][j] for j in range(2, 4)] for i in range(0, 2)]
+    assert all(v == 0 for row in off for v in row)
+    assert special_matrix(parts[0]).entries == ((-2, -1), (-1, -2))
+
+
 # -- isomorphism --------------------------------------------------------------------------
+
+def test_isomorphic_under_fat_permutation():
+    a = HoffmanGraph(1, [], [[0], [0], [0]])
+    b = HoffmanGraph(1, [], [[0], [0], [0]])
+    assert hoffman_isomorphic(a, b)
+
 
 def test_non_isomorphic_different_shapes():
     fan3, path2fat = catalog("fan3").hoffman, catalog("path2fat").hoffman
@@ -261,6 +319,40 @@ def test_parametric_constructors():
     assert special_matrix(clique_with_two_fats(3)).entries == (
         (-2, -1, -1), (-1, -2, -1), (-1, -1, -2))
     assert special_matrix(pendant_slim_pair(3)).entries == ((-3, 1), (1, 0))
+
+
+def _disjoint_union(parts):
+    slim_offset = 0
+    edges = []
+    fats = []
+    for h in parts:
+        edges += [(u + slim_offset, v + slim_offset) for u, v in h.slim_edges]
+        fats += [[s + slim_offset for s in f] for f in h.fat_neighbors]
+        slim_offset += h.n_slim
+    return HoffmanGraph(slim_offset, edges, fats)
+
+
+def test_decompose_reassembles_special_matrix():
+    rng = random.Random(5)
+    pool = [e.hoffman for e in catalog("H")] + [catalog("box").hoffman]
+    for _ in range(10):
+        parts = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+        h = _disjoint_union(parts)
+        comps = decompose(h)
+        S = special_matrix(h).entries
+        # components come back ordered by smallest slim index, which for a
+        # disjoint union is the original order; reassemble block-diagonally
+        offset = 0
+        rebuilt = [[0] * h.n_slim for _ in range(h.n_slim)]
+        for comp in comps:
+            block = special_matrix(comp).entries
+            k = len(block)
+            for i in range(k):
+                for j in range(k):
+                    rebuilt[offset + i][offset + j] = block[i][j]
+            offset += k
+        assert offset == h.n_slim
+        assert tuple(tuple(row) for row in rebuilt) == S
 
 
 def test_exact_thresholds_bracket_irrational_minimum():
@@ -303,3 +395,24 @@ def test_ostrowski_bound_on_random_hoffman_graphs():
         base = lambda_min_hoffman(h)
         for p in (1, 2, 4, 6):
             assert graph_lambda_min_float(expand(h, p)) >= base - 1e-7
+
+
+def test_isomorphism_invariant_under_relabeling():
+    rng = random.Random(43)
+    for _ in range(30):
+        ns = rng.randint(1, 5)
+        edges = [(i, j) for i in range(ns) for j in range(i + 1, ns) if rng.random() < 0.5]
+        fats = [rng.sample(range(ns), rng.randint(1, ns)) for _ in range(rng.randint(1, 4))]
+        h = HoffmanGraph(ns, edges, fats)
+        perm = list(range(ns))
+        rng.shuffle(perm)
+        relabeled = HoffmanGraph(
+            ns,
+            [(perm[u], perm[v]) for u, v in edges],
+            [[perm[s] for s in f] for f in rng.sample(fats, len(fats))],
+        )
+        assert hoffman_isomorphic(h, relabeled)
+        # dropping a fat vertex must break the isomorphism
+        if len(fats) >= 2:
+            smaller = HoffmanGraph(ns, edges, fats[:-1])
+            assert not hoffman_isomorphic(h, smaller)
