@@ -112,6 +112,21 @@ def _s_max(text: str) -> int:
     return s
 
 
+def _b_list(text: str) -> tuple[int, ...]:
+    """argparse type for ``--bs``, a comma list of b values, each at least 2."""
+    bs = []
+    for item in text.split(","):
+        try:
+            b = int(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of integers, got {text!r}") from None
+        if b < 2:
+            raise argparse.ArgumentTypeError(f"b must be at least 2, got {b}")
+        bs.append(b)
+    return tuple(bs)
+
+
 def _report(command: str, inputs: dict, results, certificates, timings) -> dict:
     return {
         "command": command,
@@ -210,7 +225,8 @@ def build_parser() -> _Parser:
         "cal", "prop215", "prop5", "alphab", "beta", "thresholds", "all"))
     p.add_argument("--s-max", type=_s_max, default=6, help="largest s for prop215, at least 2")
     b_values = p.add_mutually_exclusive_group()
-    b_values.add_argument("--bs", default=None, help="comma list of b values for alphab")
+    b_values.add_argument("--bs", type=_b_list, default=None,
+                          help="comma list of b values for alphab, each at least 2")
     b_values.add_argument("--full", action="store_true",
                           help="alphab: scan every b in 2..100")
     return parser
@@ -478,10 +494,7 @@ def _cmd_verify_paper(args, timings):
         "cal": lambda: _suite_cal(),
         "prop215": lambda: _suite_prop215(args.s_max),
         "prop5": lambda: _suite_prop5(),
-        "alphab": lambda: _suite_alphab(
-            tuple(int(b) for b in args.bs.split(",")) if args.bs else ALPHAB_DESK_BS,
-            args.full,
-        ),
+        "alphab": lambda: _suite_alphab(args.bs or ALPHAB_DESK_BS, args.full),
         "beta": lambda: _suite_beta(),
         "thresholds": lambda: _suite_thresholds(),
     }

@@ -1,14 +1,18 @@
 """Exact rational symmetric linear algebra plus a floating eigensolver.
 
-Positive semidefiniteness is decided over the rationals by fraction-free
-integer LDL^T with the semidefinite pivot rule (symmetric Bareiss
-elimination, no Fraction arithmetic in the elimination loop), so strict
-eigenvalue inequalities carry exact certificates: when a matrix is not PSD
-the routine produces a rational vector x with x^T M x < 0 that can be
-re-checked independently.
+Positive semidefiniteness is decided over the rationals.  A verdict "PSD
+holds" may first be proved by an integer dominance certificate
+s^2 A = C C^T + R with R diagonally dominant, which a floating Cholesky factor
+only proposes and exact int64 arithmetic checks.  Everything the certificate
+does not prove is decided by fraction-free integer LDL^T with the
+semidefinite pivot rule (symmetric Bareiss elimination, no Fraction
+arithmetic in the elimination loop), so strict eigenvalue inequalities carry
+exact certificates: when a matrix is not PSD the routine produces a rational
+vector x with x^T M x < 0 that can be re-checked independently.
 
-The floating side is for reporting only: :func:`eigenvalues_float`, backed by
-LAPACK's dense symmetric solver via numpy, gives None above FLOAT_ORDER_LIMIT.
+Otherwise the floating side is for reporting only: :func:`eigenvalues_float`,
+backed by LAPACK's dense symmetric solver via numpy, gives None above
+FLOAT_ORDER_LIMIT.  No verdict depends on a floating value.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .errors import ConvergenceFailure
 from .graphs import Graph
 
 FLOAT_ORDER_LIMIT = 2000
+# every int64 value of a dominance certificate check stays below this bound
+_INT64_LIMIT = 2**63
 
 
 class RationalMatrix:
@@ -40,10 +46,6 @@ class RationalMatrix:
             raise ValueError("matrix must be square")
         self._rows = mat
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def order(self) -> int:
         return len(self._rows)
@@ -51,10 +53,6 @@ class RationalMatrix:
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self._rows[i][j]
 
     def shifted(self, t) -> "RationalMatrix":
         """M + t*I; only the diagonal entries are new, the others are shared."""
@@ -67,10 +65,6 @@ class RationalMatrix:
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self._rows]
-
-    @classmethod
-    def from_json(cls, rows: Sequence[Sequence[str]]) -> "RationalMatrix":
-        return cls([[Fraction(s) for s in row] for row in rows])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self._rows == other._rows
@@ -114,26 +108,77 @@ class Partition:
 
 def _integer_rows(M: RationalMatrix) -> tuple[list[list[int]], int]:
     """Integer rows of ``scale * M``, with ``scale`` the least common denominator."""
-    scale = math.lcm(*(x.denominator for row in M.rows for x in row))
+    scale = math.lcm(*{x.denominator for row in M.rows for x in row})
+    if scale == 1:
+        return [[x.numerator for x in row] for row in M.rows], 1
     return [[x.numerator * (scale // x.denominator) for x in row] for row in M.rows], scale
+
+
+def _dominance_certificate(rows: list[list[int]]) -> bool:
+    """True only when the symmetric integer matrix A = ``rows`` is proved PSD.
+
+    The proof is s^2 A = C C^T + R with an integer C and an integer R whose
+    diagonal dominates every row (R_ii >= sum_{j != i} |R_ij|), so R is PSD by
+    Gershgorin and A is PSD.  C = rint(s L) comes from the floating Cholesky
+    factor L of A - (lam/2) I, with lam the floating smallest eigenvalue, so
+    the float only proposes C.  R is computed exactly in int64 after an
+    a-priori bound keeps every product, entry and row sum below 2^63.  False
+    means no certificate was found, never that A is not PSD.
+    """
+    n = len(rows)
+    if n == 0:
+        return False
+    try:
+        A = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return False
+    amax = max(int(A.max()), -int(A.min()))
+    try:
+        values = eigenvalues_float(A)
+        if values is None or not values[0] > 0:
+            return False
+        L = np.linalg.cholesky(A - (values[0] / 2) * np.eye(n))
+    except (ConvergenceFailure, np.linalg.LinAlgError):
+        return False
+    lmax = float(np.abs(L).max())
+    if not math.isfinite(lmax):
+        return False
+    # with s a power of two, |C_ij| <= s * cbound; each partial sum of (C C^T)_ij
+    # is at most n * (s cbound)^2, so |R_ij| <= s^2 (amax + n cbound^2) and a row
+    # sum of |R| is n times that: the largest s keeping it below 2^63 is taken
+    cbound = math.ceil(lmax) + 1
+    budget = (_INT64_LIMIT - 1) // (n * (amax + n * cbound * cbound))
+    if budget < 1:
+        return False
+    s = 1 << (math.isqrt(budget).bit_length() - 1)
+    C = np.rint(s * L).astype(np.int64)
+    R = (s * s) * A - C @ C.T
+    absolute = np.abs(R)
+    diagonal = np.diagonal(R)
+    return bool(np.all(diagonal >= absolute.sum(axis=1) - np.diagonal(absolute)))
 
 
 def psd_witness(M: RationalMatrix) -> Optional[list[Fraction]]:
     """None when M is PSD; otherwise a rational x with x^T M x < 0.
 
-    Fraction-free integer LDL^T (symmetric Bareiss elimination on the lower
-    triangle of ``scale * M``) with the semidefinite pivot rule.  After the
-    pivots of the eliminated index set S, entry (i, j) holds the bordered
-    minor det A[S+i, S+j], so the Schur complement is W / prev with ``prev``
-    = det A[S] > 0, and each Bareiss division is exact.  A negative pivot
-    refutes PSD; a zero pivot whose column has a nonzero residual refutes PSD
-    via the indefinite 2x2 block it exposes; a zero pivot with a zero column
-    is skipped with ``prev`` unchanged, which is Bareiss on the matrix with
-    that index deleted.
+    "PSD holds" may be proved by the exactly checked integer dominance
+    certificate of :func:`_dominance_certificate`, whose floating Cholesky
+    factor only proposes it; the certificate never refutes.  Bareiss decides
+    everything else: fraction-free integer LDL^T (symmetric Bareiss
+    elimination on the lower triangle of ``scale * M``) with the semidefinite
+    pivot rule.  After the pivots of the eliminated index set S, entry (i, j)
+    holds the bordered minor det A[S+i, S+j], so the Schur complement is
+    W / prev with ``prev`` = det A[S] > 0, and each Bareiss division is exact.
+    A negative pivot refutes PSD; a zero pivot whose column has a nonzero
+    residual refutes PSD via the indefinite 2x2 block it exposes; a zero pivot
+    with a zero column is skipped with ``prev`` unchanged, which is Bareiss on
+    the matrix with that index deleted.
     """
     rows, _ = _integer_rows(M)
     if list(map(tuple, rows)) != list(zip(*rows)):
         raise ValueError("PSD decision requires a symmetric matrix")
+    if _dominance_certificate(rows):
+        return None
     n = M.order
     W = [row[: i + 1] for i, row in enumerate(rows)]
     prev = 1

@@ -37,6 +37,10 @@ def is_clique(G: Graph, vertices: Sequence[int]) -> bool:
     return all(G.has_edge(u, v) for u, v in combinations(vertices, 2))
 
 
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
 def quadratic_form(M: RationalMatrix, x: Sequence) -> Fraction:
     """x^T M x over the rationals, entry by entry (the dense reference)."""
     xs = [Fraction(v) for v in x]

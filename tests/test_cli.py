@@ -330,6 +330,21 @@ def test_alphab_full_and_bs_are_exclusive(capsys):
     assert err.startswith("usage error: argument --bs: not allowed with argument --full\n")
 
 
+@pytest.mark.parametrize("bs, message", [
+    ("", "expected a comma list of integers, got ''"),
+    ("2,,3", "expected a comma list of integers, got '2,,3'"),
+    ("a", "expected a comma list of integers, got 'a'"),
+    ("2,1", "b must be at least 2, got 1"),
+])
+def test_alphab_malformed_bs_is_a_usage_error(capsys, bs, message):
+    # an empty list, an empty item, a non-integer and b < 2
+    assert main(["verify-paper", "alphab", f"--bs={bs}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage error: argument --bs: {message}\n")
+    assert "Traceback" not in err
+
+
 def test_format_after_subcommand(capsys):
     code = main(["verify-paper", "thresholds", "--format", "text"])
     out = capsys.readouterr().out

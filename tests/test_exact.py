@@ -27,7 +27,7 @@ from hoffman import (
     special_matrix,
 )
 
-from .conftest import petersen_graph, quadratic_form, quotient_matrix
+from .conftest import identity, petersen_graph, quadratic_form, quotient_matrix
 
 
 def _sym(rows):
@@ -44,17 +44,18 @@ def test_matrix_must_be_square():
 def test_shift_and_json_roundtrip():
     M = _sym([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     S = M.shifted(Fraction(1, 3))
-    assert S[0, 0] == Fraction(1, 3)
-    assert RationalMatrix.from_json(S.to_json()) == S
+    assert S.rows[0][0] == Fraction(1, 3)
+    assert S.to_json() == [["1/3", "1/2"], ["1/2", "1/3"]]
+    assert RationalMatrix(S.to_json()) == S
     # the shift builds only the diagonal; off-diagonal entries are shared
-    assert S[0, 1] is M[0, 1]
+    assert S.rows[0][1] is M.rows[0][1]
     assert S == _sym([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]])
 
 
 # -- PSD decision -------------------------------------------------------------------
 
 def test_identity_is_psd():
-    assert is_psd_exact(RationalMatrix.identity(3))
+    assert is_psd_exact(identity(3))
 
 
 def test_negative_scalar_is_not_psd():
@@ -196,6 +197,91 @@ def test_integer_kernel_matches_oracle_on_line_graphs(m):
     assert is_psd_exact(A.shifted(2))
 
 
+# -- the dominance certificate ------------------------------------------------------
+
+def _certified(M):
+    from hoffman.exact import _dominance_certificate, _integer_rows
+
+    return _dominance_certificate(_integer_rows(M)[0])
+
+
+@pytest.mark.parametrize("m", range(5, 15))
+def test_certificate_proves_definite_line_graph_shifts(m):
+    # called directly, so a certificate that always falls back to Bareiss fails here
+    A = adjacency_rational(_line_graph_of_complete(m))
+    for t in (3, Fraction(5, 2)):
+        assert _certified(A.shifted(t))
+        assert psd_witness(A.shifted(t)) is None
+
+
+@pytest.mark.parametrize("m", (5, 8))
+def test_certificate_declines_singular_and_indefinite_shifts(m):
+    A = adjacency_rational(_line_graph_of_complete(m))
+    assert not _certified(A.shifted(2))
+    assert not _certified(A.shifted(1))
+    assert psd_witness(A.shifted(2)) is None
+    assert quadratic_form(A.shifted(1), psd_witness(A.shifted(1))) < 0
+
+
+def test_certificate_declines_entries_beyond_int64():
+    for big in (2**62, 2**64):
+        M = _sym([[big, 0], [0, big]])
+        assert not _certified(M)
+        assert psd_witness(M) is None
+        N = _sym([[big, big + 1], [big + 1, big]])
+        assert not _certified(N)
+        assert quadratic_form(N, psd_witness(N)) < 0
+
+
+def test_certificate_declines_near_singular_matrices_that_are_not_psd():
+    from hoffman.exact import _integer_rows
+
+    # 1 - 2^-60 rounds to 1 in float, where the matrix looks singular
+    M = _sym([[1, 1], [1, 1 - Fraction(1, 2**60)]])
+    assert not _certified(M)
+    assert quadratic_form(M, psd_witness(M)) < 0
+    # the integer form [[X, X + 50], [X + 50, X + 75]], X = 2^59, rounds to
+    # [[X, X], [X, X + 128]]: float calls it definite, so a certificate is
+    # proposed and only the exact check rejects it (det = -25 X - 2500)
+    d = Fraction(25, 2**58)
+    M = _sym([[1, 1 + d], [1 + d, 1 + 3 * d / 2]])
+    rows, _ = _integer_rows(M)
+    assert eigenvalues_float(RationalMatrix(rows))[0] > 0
+    assert not _certified(M)
+    assert quadratic_form(M, psd_witness(M)) < 0
+    _assert_agrees_with_oracle(M)
+
+
+def test_certificate_check_rejects_every_proposal_for_a_matrix_that_is_not_psd(monkeypatch):
+    # the float side only proposes C: with a positive eigenvalue estimate and
+    # any proposed factor, the exact check must still reject
+    import numpy as np
+
+    import hoffman.exact as exact
+
+    rng = np.random.default_rng(7)
+    proposals = (
+        lambda n: np.zeros((n, n)),
+        lambda n: np.eye(n),
+        lambda n: np.tril(rng.standard_normal((n, n))),
+    )
+    matrices = [[[1, 2], [2, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 0]]]
+    gen = random.Random(11)
+    while len(matrices) < 40:
+        n = gen.randint(2, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = gen.randint(-4, 4)
+        if _fraction_psd_witness(RationalMatrix(rows)) is not None:
+            matrices.append(rows)
+    monkeypatch.setattr(exact, "eigenvalues_float", lambda a: [1.0])
+    for propose in proposals:
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: propose(len(a)))
+        for rows in matrices:
+            assert not exact._dominance_certificate(rows)
+
+
 def test_integer_kernel_matches_oracle_on_special_matrices():
     entries = catalog("H") + catalog("G2") + (catalog("path2fat"),)
     matrices = [special_matrix(e.hoffman).to_rational() for e in entries]
@@ -287,7 +373,7 @@ def test_exact_and_float_agree_on_random_matrices():
 # -- determinants ----------------------------------------------------------------------
 
 def test_det_examples():
-    assert det_exact(RationalMatrix.identity(4)) == 1
+    assert det_exact(identity(4)) == 1
     assert det_exact(_sym([[0, 1], [1, 0]])) == -1
     # shifted quotient from the pendant-pair construction at s = 2
     A3 = RationalMatrix([[0, 1, 8], [1, 0, 0], [1, 0, 3]])
@@ -326,7 +412,7 @@ def test_det_matches_fraction_elimination_oracle():
 # -- floating eigensolver ---------------------------------------------------------------
 
 def test_identity_lambda_min():
-    assert abs(lambda_min_float(RationalMatrix.identity(3)) - 1.0) < 1e-12
+    assert abs(lambda_min_float(identity(3)) - 1.0) < 1e-12
 
 
 def test_complete_graph_lambda_min_is_minus_one():
@@ -342,7 +428,7 @@ def test_float_solver_rejects_nonsymmetric(monkeypatch):
     monkeypatch.setattr(exact, "FLOAT_ORDER_LIMIT", 2)
     # above the limit there is no floating value, symmetric or not, and the
     # size check comes before any array is built
-    assert exact.lambda_min_float(RationalMatrix.identity(3)) is None
+    assert exact.lambda_min_float(identity(3)) is None
     assert exact.eigenvalues_float(RationalMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])) is None
 
 

@@ -1,10 +1,13 @@
-"""The library's public surface: every export has a user, no check is an assert.
+"""The library's public surface: every export and method has a user, no check
+is an assert, and there is one floating path.
 
 A name exported from ``hoffman`` must be needed by the library itself, that
 is referenced by a module of ``src/hoffman/`` other than ``__init__`` outside
 its own definition, or be kept on purpose for a reason given in
-:data:`KEEP`.  An ``assert`` cannot carry a check, since ``python -O`` strips
-it.
+:data:`KEEP`.  The same holds for the public methods of library classes, by
+name, with :data:`KEEP_METHODS`.  An ``assert`` cannot carry a check, since
+``python -O`` strips it.  ``np.linalg`` is reached only from ``exact.py``, so
+no second floating path decides or reports anything.
 """
 
 import ast
@@ -22,6 +25,12 @@ KEEP = {
     "hoffman_at_least": "README library example",
     "lambda_min_hoffman": "acceptance criteria 7a and 7e",
     "certify_lambda_min_below": "LDL^T oracle of the tests; perfbench boundary",
+}
+
+# public methods no other library code calls, each with the reason it stays
+KEEP_METHODS = {
+    "HoffmanGraph.slim_graph": "acceptance-test oracle",
+    "_Parser.error": "argparse override, called by argparse itself",
 }
 
 
@@ -76,3 +85,43 @@ def test_no_assert_in_library():
     found = [f"{name}:{node.lineno}" for name, tree in _modules().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unused_methods(modules) -> list[str]:
+    """Public methods whose name no library code loads outside the method itself.
+
+    Methods are matched by name alone, so a method sharing its name with a
+    used one of another class is not flagged.
+    """
+    uses = sum((_identifiers(tree) for tree in modules.values()), Counter())
+    return [f"{cls.name}.{node.name}"
+            for tree in modules.values()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and uses[node.name] - _identifiers(node)[node.name] <= 0]
+
+
+def test_every_public_method_is_used_or_kept():
+    assert sorted(set(_unused_methods(_modules())) - set(KEEP_METHODS)) == []
+
+
+def test_method_keep_list_names_only_unused_methods():
+    assert sorted(set(KEEP_METHODS) - set(_unused_methods(_modules()))) == []
+
+
+def _mentions_linalg(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "linalg"
+    if isinstance(node, ast.ImportFrom):
+        return ("linalg" in (node.module or "").split(".")
+                or any(alias.name == "linalg" for alias in node.names))
+    if isinstance(node, ast.Import):
+        return any("linalg" in alias.name.split(".") for alias in node.names)
+    return False
+
+
+def test_np_linalg_only_in_exact():
+    found = sorted({name for name, tree in _modules().items()
+                    for node in ast.walk(tree) if _mentions_linalg(node)})
+    assert found == ["exact.py"]
