@@ -1,14 +1,21 @@
 """Exact rational symmetric linear algebra plus a floating eigensolver.
 
+A :class:`RationalMatrix` is stored fraction-free: an integer array ``num``
+over one least common denominator ``den``.  ``num`` is int64 whenever every
+entry fits (|x| < 2^63), and dtype=object with Python ints otherwise.
+
 Positive semidefiniteness is decided over the rationals.  A verdict "PSD
 holds" may first be proved by an integer dominance certificate
 s^2 A = C C^T + R with R diagonally dominant, which a floating Cholesky factor
 only proposes and exact int64 arithmetic checks.  Everything the certificate
 does not prove is decided by fraction-free integer LDL^T with the
-semidefinite pivot rule (symmetric Bareiss elimination, no Fraction
-arithmetic in the elimination loop), so strict eigenvalue inequalities carry
-exact certificates: when a matrix is not PSD the routine produces a rational
-vector x with x^T M x < 0 that can be re-checked independently.
+semidefinite pivot rule (symmetric Bareiss elimination on ``num``): each
+pivot is one vectorised int64 update under an exact no-overflow bound, and
+the first pivot that fails the bound promotes the array once to Python ints,
+so no Fraction arithmetic and no rounding enters the elimination.  Strict
+eigenvalue inequalities carry exact certificates: when a matrix is not PSD
+the routine produces a rational vector x with x^T M x < 0 that can be
+re-checked independently.
 
 Otherwise the floating side is for reporting only: :func:`eigenvalues_float`,
 backed by LAPACK's dense symmetric solver via numpy, gives None above
@@ -28,52 +35,107 @@ from .errors import ConvergenceFailure
 from .graphs import Graph
 
 FLOAT_ORDER_LIMIT = 2000
-# every int64 value of a dominance certificate check stays below this bound
+# every int64 value the exact routines compute stays below this bound in absolute value
 _INT64_LIMIT = 2**63
 
 
-class RationalMatrix:
-    """Dense square matrix over arbitrary-precision rationals."""
+def _amax(a: np.ndarray) -> int:
+    """Largest absolute entry of an integer array, as a Python int (0 when empty)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
-    __slots__ = ("_rows",)
+
+def _integer_array(a: np.ndarray) -> np.ndarray:
+    """``a`` as int64 when every entry has |x| < 2^63, else as dtype=object.
+
+    -2^63 itself goes to dtype=object: ``np.abs`` and negation wrap there.
+    """
+    return a.astype(np.int64 if _amax(a) < _INT64_LIMIT else object, copy=False)
+
+
+class RationalMatrix:
+    """Dense square rational matrix, stored fraction-free as ``num / den``.
+
+    ``num`` is a read-only square integer array (int64, or dtype=object when
+    an entry does not fit in int64) and ``den`` the least common denominator
+    of the entries, so equal matrices have equal ``(num, den)``.  The Fraction
+    rows are built only when :attr:`rows` is read.
+    """
+
+    __slots__ = ("num", "den", "_rows")
 
     def __init__(self, rows: Sequence[Sequence]):
-        mat = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
-        )
-        n = len(mat)
-        if any(len(row) != n for row in mat):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        self._rows = mat
+        # ints and Fractions both carry .numerator and .denominator
+        entries = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                   for row in rows for x in row]
+        den = math.lcm(*(x.denominator for x in entries))
+        nums = [x.numerator * (den // x.denominator) for x in entries]
+        self._set(np.array(nums, dtype=object).reshape(n, n), den)
+
+    @classmethod
+    def fraction_free(cls, num: np.ndarray, den: int) -> "RationalMatrix":
+        """The matrix ``num / den`` for a square integer array ``num`` and ``den`` >= 1.
+
+        ``num`` is taken over, not copied: it is made read-only.
+        """
+        if den != 1:
+            g = math.gcd(den, int(np.gcd.reduce(num, axis=None)) if num.size else 0)
+            if g != 1:
+                num, den = num // g, den // g
+        M = object.__new__(cls)
+        M._set(num, den)
+        return M
+
+    def _set(self, num: np.ndarray, den: int) -> None:
+        self.num = _integer_array(num)
+        self.num.flags.writeable = False
+        self.den = den
+        self._rows = None
 
     @property
     def order(self) -> int:
-        return len(self._rows)
+        return len(self.num)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            den = self.den
+            self._rows = tuple(
+                tuple(Fraction(x, den) for x in row) for row in self.num.tolist()
+            )
         return self._rows
 
     def shifted(self, t) -> "RationalMatrix":
-        """M + t*I; only the diagonal entries are new, the others are shared."""
+        """M + t*I, as a new matrix; the source is unchanged."""
         t = Fraction(t)
-        shifted = object.__new__(RationalMatrix)
-        shifted._rows = tuple(
-            row[:i] + (row[i] + t,) + row[i + 1:] for i, row in enumerate(self._rows)
-        )
-        return shifted
+        den = math.lcm(self.den, t.denominator)
+        scale = den // self.den
+        shift = t.numerator * (den // t.denominator)
+        num = self.num
+        if num.dtype != object and _amax(num) * scale + abs(shift) >= _INT64_LIMIT:
+            num = num.astype(object)
+        num = num * scale
+        diagonal = np.arange(len(num))
+        num[diagonal, diagonal] += shift
+        return RationalMatrix.fraction_free(num, den)
 
     def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self._rows]
+        return [[str(x) for x in row] for row in self.rows]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self._rows == other._rows
+        return (
+            isinstance(other, RationalMatrix)
+            and self.den == other.den
+            and np.array_equal(self.num, other.num)
+        )
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self.den, tuple(self.num.ravel().tolist())))
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({[[str(x) for x in row] for row in self._rows]})"
+        return f"RationalMatrix({self.to_json()})"
 
 
 @dataclass(frozen=True)
@@ -106,16 +168,8 @@ class Partition:
 
 # -- exact PSD decision ------------------------------------------------------
 
-def _integer_rows(M: RationalMatrix) -> tuple[list[list[int]], int]:
-    """Integer rows of ``scale * M``, with ``scale`` the least common denominator."""
-    scale = math.lcm(*{x.denominator for row in M.rows for x in row})
-    if scale == 1:
-        return [[x.numerator for x in row] for row in M.rows], 1
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in M.rows], scale
-
-
-def _dominance_certificate(rows: list[list[int]]) -> bool:
-    """True only when the symmetric integer matrix A = ``rows`` is proved PSD.
+def _dominance_certificate(A: np.ndarray) -> bool:
+    """True only when the symmetric integer matrix A is proved PSD.
 
     The proof is s^2 A = C C^T + R with an integer C and an integer R whose
     diagonal dominates every row (R_ii >= sum_{j != i} |R_ij|), so R is PSD by
@@ -125,14 +179,10 @@ def _dominance_certificate(rows: list[list[int]]) -> bool:
     a-priori bound keeps every product, entry and row sum below 2^63.  False
     means no certificate was found, never that A is not PSD.
     """
-    n = len(rows)
-    if n == 0:
+    n = len(A)
+    if n == 0 or A.dtype != np.int64:
         return False
-    try:
-        A = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return False
-    amax = max(int(A.max()), -int(A.min()))
+    amax = _amax(A)
     try:
         values = eigenvalues_float(A)
         if values is None or not values[0] > 0:
@@ -161,48 +211,54 @@ def _dominance_certificate(rows: list[list[int]]) -> bool:
 def psd_witness(M: RationalMatrix) -> Optional[list[Fraction]]:
     """None when M is PSD; otherwise a rational x with x^T M x < 0.
 
-    "PSD holds" may be proved by the exactly checked integer dominance
-    certificate of :func:`_dominance_certificate`, whose floating Cholesky
-    factor only proposes it; the certificate never refutes.  Bareiss decides
-    everything else: fraction-free integer LDL^T (symmetric Bareiss
-    elimination on the lower triangle of ``scale * M``) with the semidefinite
-    pivot rule.  After the pivots of the eliminated index set S, entry (i, j)
-    holds the bordered minor det A[S+i, S+j], so the Schur complement is
-    W / prev with ``prev`` = det A[S] > 0, and each Bareiss division is exact.
-    A negative pivot refutes PSD; a zero pivot whose column has a nonzero
-    residual refutes PSD via the indefinite 2x2 block it exposes; a zero pivot
-    with a zero column is skipped with ``prev`` unchanged, which is Bareiss on
-    the matrix with that index deleted.
+    The decision is made on ``M.num`` alone, since ``M.den`` > 0.  "PSD
+    holds" may be proved by the exactly checked integer dominance certificate
+    of :func:`_dominance_certificate`, whose floating Cholesky factor only
+    proposes it; the certificate never refutes.  Bareiss decides everything
+    else: fraction-free integer LDL^T (symmetric Bareiss elimination) with
+    the semidefinite pivot rule.  After the pivots of the eliminated index set
+    S, entry (i, j) of the trailing block holds the bordered minor
+    det A[S+i, S+j], so the Schur complement is W / prev with ``prev`` =
+    det A[S] > 0, and each Bareiss division is exact.  Each pivot p updates
+    the trailing block T with column c as one array operation,
+    T <- (p T - c c^T) / prev, in int64 while |p| max|T| + max|c|^2 < 2^63
+    (which bounds every intermediate); the first pivot that fails the bound
+    converts W once to Python ints and the same loop goes on, so the integers
+    are the same either way.  A negative pivot refutes PSD; a zero pivot whose
+    column has a nonzero residual refutes PSD via the indefinite 2x2 block it
+    exposes; a zero pivot with a zero column is skipped with ``prev``
+    unchanged, which is Bareiss on the matrix with that index deleted.
     """
-    rows, _ = _integer_rows(M)
-    if list(map(tuple, rows)) != list(zip(*rows)):
+    A = M.num
+    if not np.array_equal(A, A.T):
         raise ValueError("PSD decision requires a symmetric matrix")
-    if _dominance_certificate(rows):
+    if _dominance_certificate(A):
         return None
     n = M.order
-    W = [row[: i + 1] for i, row in enumerate(rows)]
+    W = A.copy()
     prev = 1
     for k in range(n):
-        p = W[k][k]
+        p = int(W[k, k])
         if p < 0:
-            return _refuting_vector(W, k, {k: Fraction(1)})
+            return _refuting_vector(W.tolist(), k, {k: Fraction(1)})
+        col = W[k + 1:, k]
         if p == 0:
-            r = next((i for i in range(k + 1, n) if W[i][k]), None)
-            if r is None:
+            nonzero = np.flatnonzero(col)
+            if not nonzero.size:
                 continue
+            r = k + 1 + int(nonzero[0])
             # the Schur complement restricted to (k, r) is [[0, m], [m, c]]:
             # a*e_k + e_r with a = -(c+1)/(2m) has value -1 there
-            m = Fraction(W[r][k], prev)
-            c = Fraction(W[r][r], prev)
-            return _refuting_vector(W, k, {k: -(c + 1) / (2 * m), r: Fraction(1)})
-        col = [W[j][k] for j in range(k + 1, n)]
-        for i in range(k + 1, n):
-            row = W[i]
-            w = col[i - k - 1]
-            if w:
-                row[k + 1:] = [(p * a - w * b) // prev for a, b in zip(row[k + 1:], col)]
-            elif p != prev:
-                row[k + 1:] = [p * a // prev for a in row[k + 1:]]
+            m = Fraction(int(W[r, k]), prev)
+            c = Fraction(int(W[r, r]), prev)
+            return _refuting_vector(W.tolist(), k, {k: -(c + 1) / (2 * m), r: Fraction(1)})
+        T = W[k + 1:, k + 1:]
+        if W.dtype != object and p * _amax(T) + _amax(col) ** 2 >= _INT64_LIMIT:
+            W = W.astype(object)
+            col, T = W[k + 1:, k], W[k + 1:, k + 1:]
+        T *= p
+        T -= np.multiply.outer(col, col)
+        T //= prev
         prev = p
     return None
 
@@ -241,7 +297,7 @@ def det_exact(M: RationalMatrix) -> Fraction:
     n = M.order
     if n == 0:
         return Fraction(1)
-    a, scale = _integer_rows(M)
+    a, scale = M.num.tolist(), M.den
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -265,6 +321,15 @@ def det_exact(M: RationalMatrix) -> Fraction:
 
 # -- floating eigensolver ------------------------------------------------------
 
+def adjacency_bits(G: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix of G as a uint8 array, unpacked from the bitsets."""
+    n = G.n
+    width = (n + 7) // 8
+    packed = b"".join(G.bits(v).to_bytes(width, "little") for v in range(n))
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    return bits.reshape(n, 8 * width)[:, :n]
+
+
 def eigenvalues_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[list[float]]:
     """Eigenvalues of a symmetric matrix or of a graph's adjacency matrix, ascending,
     to ~1e-9; None above FLOAT_ORDER_LIMIT, with no array built."""
@@ -273,10 +338,7 @@ def eigenvalues_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[list[f
     if n > FLOAT_ORDER_LIMIT:
         return None
     if isinstance(M, Graph):
-        width = (n + 7) // 8
-        packed = b"".join(M.bits(v).to_bytes(width, "little") for v in range(n))
-        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-        a = bits.reshape(n, 8 * width)[:, :n].astype(float)
+        a = adjacency_bits(M).astype(float)
     else:
         a = np.array(M, dtype=float).reshape(n, n)
         if not np.array_equal(a, a.T):
@@ -304,8 +366,6 @@ def quotient_eigenvalues_float(Q: RationalMatrix, block_sizes: Sequence[int]) ->
     n = Q.order
     if len(block_sizes) != n:
         raise ValueError("block size list does not match quotient order")
-    root = [math.sqrt(s) for s in block_sizes]
-    sym = np.array(
-        [[float(Q.rows[i][j]) * root[i] / root[j] for j in range(n)] for i in range(n)]
-    )
+    root = np.sqrt(np.array(block_sizes, dtype=float))
+    sym = Q.num.astype(float) / Q.den * root[:, None] / root[None, :]
     return eigenvalues_float((sym + sym.T) / 2.0)

@@ -29,10 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import NotEquitable, VerificationError
 from .exact import (
     Partition,
     RationalMatrix,
+    adjacency_bits,
     det_exact,
     lambda_min_float,
     psd_witness,
@@ -117,16 +120,9 @@ def scan_M_t(S, t: int) -> Optional[ForbiddenHit]:
 
 # -- exact certificates ---------------------------------------------------------
 
-# the two entries of every adjacency matrix, shared rather than rebuilt per entry
-_ENTRY = {"0": Fraction(0), "1": Fraction(1)}
-
-
 def adjacency_rational(G: Graph) -> RationalMatrix:
-    """Rational adjacency matrix, read row by row from the bitsets."""
-    width = f"0{G.n}b"
-    return RationalMatrix(
-        [[_ENTRY[c] for c in reversed(format(G.bits(v), width))] for v in range(G.n)]
-    )
+    """Adjacency matrix as a RationalMatrix, unpacked from the bitsets."""
+    return RationalMatrix.fraction_free(adjacency_bits(G).astype(np.int64), 1)
 
 
 def graph_lambda_min_float(G: Graph) -> Optional[float]:
@@ -202,9 +198,8 @@ def _lift_quotient_witness(G: Graph, t, partition: Partition, quotient: Rational
     any witness for T lifts to the graph.
     """
     Q = quotient.shifted(Fraction(t))
-    sizes = partition.sizes()
-    r = Q.order
-    T = RationalMatrix([[sizes[i] * Q.rows[i][j] for j in range(r)] for i in range(r)])
+    sizes = np.array(partition.sizes(), dtype=object)
+    T = RationalMatrix.fraction_free(sizes[:, None] * Q.num, Q.den)
     y = psd_witness(T)
     if y is None:
         raise VerificationError("quotient form is PSD; no block-constant witness")

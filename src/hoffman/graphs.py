@@ -142,9 +142,6 @@ class CliqueSet:
     def __iter__(self):
         return iter(self.cliques)
 
-    def to_json(self) -> list[list[int]]:
-        return [list(c) for c in self.cliques]
-
 
 def maximal_cliques(G: Graph, min_size: int = 1, limit: int = 100_000) -> CliqueSet:
     """All inclusion-maximal cliques of order >= ``min_size``.
@@ -252,12 +249,13 @@ def max_independent_set_in_neighborhood(G: Graph, x: int) -> tuple[int, ...]:
 # -- file formats ------------------------------------------------------------
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    # JSON yields no int subclass but bool, which this test excludes as well
+    return type(x) is int
 
 
 def _is_int_pairs(edges) -> bool:
     return isinstance(edges, (list, tuple)) and all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(v) for v in e)
+        isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
         for e in edges
     )
 

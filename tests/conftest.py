@@ -41,6 +41,12 @@ def identity(n: int) -> RationalMatrix:
     return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def adjacency_fraction(G: Graph) -> RationalMatrix:
+    """Adjacency matrix built entry by entry from Fractions (the dense reference)."""
+    return RationalMatrix([[Fraction(int(G.has_edge(u, v))) for v in range(G.n)]
+                           for u in range(G.n)])
+
+
 def quadratic_form(M: RationalMatrix, x: Sequence) -> Fraction:
     """x^T M x over the rationals, entry by entry (the dense reference)."""
     xs = [Fraction(v) for v in x]

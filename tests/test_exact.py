@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,14 @@ from hoffman import (
     special_matrix,
 )
 
-from .conftest import identity, petersen_graph, quadratic_form, quotient_matrix
+from .conftest import (
+    adjacency_fraction,
+    identity,
+    petersen_graph,
+    quadratic_form,
+    quotient_matrix,
+    random_graph,
+)
 
 
 def _sym(rows):
@@ -47,9 +55,66 @@ def test_shift_and_json_roundtrip():
     assert S.rows[0][0] == Fraction(1, 3)
     assert S.to_json() == [["1/3", "1/2"], ["1/2", "1/3"]]
     assert RationalMatrix(S.to_json()) == S
-    # the shift builds only the diagonal; off-diagonal entries are shared
-    assert S.rows[0][1] is M.rows[0][1]
+    # the shift builds a new matrix; its source is unchanged
+    assert M.to_json() == [["0", "1/2"], ["1/2", "0"]]
     assert S == _sym([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]])
+
+
+def test_value_semantics_across_denominators():
+    # the same matrix reached through different common denominators
+    A = _sym([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    B = _sym([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]).shifted(
+        Fraction(2, 3))
+    C = RationalMatrix([["2/2", "3/6"], ["1/2", "4/4"]])
+    assert A.den == B.den == C.den == 2
+    assert A == B == C
+    assert hash(A) == hash(B) == hash(C)
+    assert A != A.shifted(1)
+    assert A.shifted(Fraction(-1, 2)).shifted(Fraction(1, 2)) == A
+    # a shift that clears every denominator lands on the integer matrix
+    E = _sym([[Fraction(1, 2), 1], [1, Fraction(1, 2)]]).shifted(Fraction(1, 2))
+    ones = _sym([[1, 1], [1, 1]])
+    assert E.den == 1 and E == ones and hash(E) == hash(ones)
+
+
+def test_shift_leaves_source_unchanged_and_json_strings():
+    M = _sym([[0, 1, Fraction(1, 4)], [1, 2, 0], [Fraction(1, 4), 0, -1]])
+    before = (M.num.copy(), M.den, M.to_json())
+    S = M.shifted(Fraction(1, 3))
+    assert S.to_json() == [["1/3", "1", "1/4"], ["1", "7/3", "0"], ["1/4", "0", "-2/3"]]
+    N = M.shifted(Fraction(-2, 4))
+    assert N.to_json() == [["-1/2", "1", "1/4"], ["1", "3/2", "0"], ["1/4", "0", "-3/2"]]
+    assert (M.num == before[0]).all() and M.den == before[1] and M.to_json() == before[2]
+    assert S.den == 12 and N.den == 4
+    with pytest.raises(ValueError):
+        M.num[0, 0] = 5  # the stored numerators are read-only
+
+
+def test_entries_beyond_int64_are_stored_as_python_ints():
+    top = 2**63 - 1
+    assert _sym([[top, 0], [0, -top]]).num.dtype == np.int64
+    for big in (2**63, -2**63, 2**64):
+        M = _sym([[big, 1], [1, 0]])
+        assert M.num.dtype == object
+        assert M.rows[0][0] == big
+    # a shift that pushes an int64 entry past the range promotes, and back
+    M = _sym([[top, 1], [1, 0]])
+    assert M.shifted(1).num.dtype == object
+    assert M.shifted(1).rows[0][0] == 2**63
+    assert M.shifted(1).shifted(-1) == M and M.shifted(1).shifted(-1).num.dtype == np.int64
+    # a denominator that rescales an int64 matrix past the range
+    H = _sym([[top // 2, 1], [1, 0]]).shifted(Fraction(1, 3))
+    assert H.num.dtype == object and H.rows[0][0] == top // 2 + Fraction(1, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_adjacency_matches_fraction_oracle_at_byte_boundaries(n):
+    rng = random.Random(n)
+    for G in (Graph(n), complete_graph(n) if n else Graph(0), random_graph(rng, n, 0.5)):
+        A = adjacency_rational(G)
+        assert A == adjacency_fraction(G)
+        assert A.den == 1 and A.num.dtype == np.int64 and A.num.shape == (n, n)
+        assert A.rows == adjacency_fraction(G).rows
 
 
 # -- PSD decision -------------------------------------------------------------------
@@ -197,12 +262,94 @@ def test_integer_kernel_matches_oracle_on_line_graphs(m):
     assert is_psd_exact(A.shifted(2))
 
 
+# -- the int64 elimination and its one-time promotion --------------------------------
+
+@pytest.fixture
+def no_certificate(monkeypatch):
+    import hoffman.exact as exact
+
+    monkeypatch.setattr(exact, "_dominance_certificate", lambda A: False)
+
+
+def _minor(rows, k):
+    return det_exact(RationalMatrix([row[:k] for row in rows[:k]]))
+
+
+def _crossing_matrices():
+    """Definite Gram matrices B^T B + I of order 12 whose leading 2x2 minor is
+    below 2^31 and whose determinant is above 2^63: the elimination starts in
+    int64 and must promote partway.  Each comes with a copy whose last
+    diagonal entry is lowered just enough to make the determinant negative, so
+    the last pivot refutes after the promotion."""
+    rng = random.Random(63)
+    out = []
+    while len(out) < 12:
+        n = 12
+        B = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+        rows = [[sum(B[k][i] * B[k][j] for k in range(n)) + (i == j) for j in range(n)]
+                for i in range(n)]
+        det = _minor(rows, n)
+        if not (_minor(rows, 2) < 2**31 and det > 2**63):
+            continue
+        lowered = [row[:] for row in rows]
+        lowered[-1][-1] -= det // _minor(rows, n - 1) + 1
+        out += [rows, lowered]
+    return out
+
+
+def test_int64_kernel_promotes_once_and_matches_oracle(no_certificate):
+    for rows in _crossing_matrices():
+        M = RationalMatrix(rows)
+        assert M.num.dtype == np.int64
+        w = psd_witness(M)
+        assert w == _fraction_psd_witness(M)
+        assert (w is None) == (det_exact(M) > 0)
+        if w is not None:
+            assert quadratic_form(M, w) < 0
+
+
+def test_kernel_at_the_int64_limits(no_certificate):
+    top, low = 2**63 - 1, -2**63
+    matrices = [
+        [[top, 1], [1, 1]],
+        [[top, top], [top, top]],
+        [[top, top], [top, top - 1]],
+        [[top, -top], [-top, top]],
+        [[-top, 0], [0, 1]],
+        [[1, top], [top, 1]],
+        [[low, 0], [0, 1]],
+        [[1, low], [low, 1]],
+        [[-low, low], [low, -low]],
+        [[top, 0, top], [0, top, top], [top, top, top]],
+        [[2, 1, 0], [1, top, low], [0, low, -low]],
+        # each term of the bound alone crosses 2^63: c^2, then p * T
+        [[1, 2**32], [2**32, 1]],
+        [[4, 3 * 2**31], [3 * 2**31, 2**62]],
+        [[2**32, 1], [1, 2**32]],
+        [[2**32, 2**31], [2**31, 2**30]],
+    ]
+    for rows in matrices:
+        M = RationalMatrix(rows)
+        assert M.num.dtype == (object if any(low in row or -low in row for row in rows)
+                               else np.int64)
+        _assert_agrees_with_oracle(M)
+        assert psd_witness(M) == _fraction_psd_witness(M)
+
+
+@pytest.mark.parametrize("m", range(5, 19))
+def test_int64_kernel_matches_oracle_on_line_graph_shifts(m, no_certificate):
+    A = adjacency_rational(_line_graph_of_complete(m))
+    for t in (1, 2):
+        _assert_agrees_with_oracle(A.shifted(t))
+    assert psd_witness(A.shifted(2)) is None
+
+
 # -- the dominance certificate ------------------------------------------------------
 
 def _certified(M):
-    from hoffman.exact import _dominance_certificate, _integer_rows
+    from hoffman.exact import _dominance_certificate
 
-    return _dominance_certificate(_integer_rows(M)[0])
+    return _dominance_certificate(M.num)
 
 
 @pytest.mark.parametrize("m", range(5, 15))
@@ -234,8 +381,6 @@ def test_certificate_declines_entries_beyond_int64():
 
 
 def test_certificate_declines_near_singular_matrices_that_are_not_psd():
-    from hoffman.exact import _integer_rows
-
     # 1 - 2^-60 rounds to 1 in float, where the matrix looks singular
     M = _sym([[1, 1], [1, 1 - Fraction(1, 2**60)]])
     assert not _certified(M)
@@ -245,8 +390,7 @@ def test_certificate_declines_near_singular_matrices_that_are_not_psd():
     # proposed and only the exact check rejects it (det = -25 X - 2500)
     d = Fraction(25, 2**58)
     M = _sym([[1, 1 + d], [1 + d, 1 + 3 * d / 2]])
-    rows, _ = _integer_rows(M)
-    assert eigenvalues_float(RationalMatrix(rows))[0] > 0
+    assert eigenvalues_float(M.num)[0] > 0
     assert not _certified(M)
     assert quadratic_form(M, psd_witness(M)) < 0
     _assert_agrees_with_oracle(M)
@@ -255,8 +399,6 @@ def test_certificate_declines_near_singular_matrices_that_are_not_psd():
 def test_certificate_check_rejects_every_proposal_for_a_matrix_that_is_not_psd(monkeypatch):
     # the float side only proposes C: with a positive eigenvalue estimate and
     # any proposed factor, the exact check must still reject
-    import numpy as np
-
     import hoffman.exact as exact
 
     rng = np.random.default_rng(7)
@@ -279,7 +421,7 @@ def test_certificate_check_rejects_every_proposal_for_a_matrix_that_is_not_psd(m
     for propose in proposals:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: propose(len(a)))
         for rows in matrices:
-            assert not exact._dominance_certificate(rows)
+            assert not exact._dominance_certificate(np.array(rows, dtype=np.int64))
 
 
 def test_integer_kernel_matches_oracle_on_special_matrices():
@@ -334,12 +476,9 @@ def test_negative_pivot_after_skipped_zero_pivot():
 
 
 def test_mixed_denominators_share_one_scale():
-    from hoffman.exact import _integer_rows
-
     M = _sym([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]])
-    rows, scale = _integer_rows(M)
-    assert scale == 12
-    assert rows == [[6, 4], [4, 3]]
+    assert M.den == 12
+    assert M.num.tolist() == [[6, 4], [4, 3]]
     assert psd_witness(M) is None
     # det = 1/10 - 1/9 < 0
     N = _sym([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]])
@@ -433,8 +572,6 @@ def test_float_solver_rejects_nonsymmetric(monkeypatch):
 
 
 def test_float_solver_rejects_nonsymmetric_array():
-    import numpy as np
-
     with pytest.raises(ValueError):
         eigenvalues_float(np.array([[0.0, 1.0], [0.0, 0.0]]))
 

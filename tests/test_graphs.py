@@ -129,7 +129,7 @@ def test_maximal_cliques_match_bruteforce():
 
 def test_clique_set_json_is_sorted_lists():
     out = maximal_cliques(cycle_graph(4), min_size=2)
-    assert out.to_json() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    assert [list(c) for c in out] == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
 
 # -- independent sets ------------------------------------------------------------------
@@ -214,6 +214,22 @@ def test_json_graph_roundtrip():
     assert graph_from_json(json.loads('{"n": 3, "edges": [[0, 2]]}')) == Graph(3, [(0, 2)])
     with pytest.raises(ValueError):
         graph_from_json([1, 2])
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "edges": [[0, true]]}',
+    '{"n": 2, "edges": [[true, 1]]}',
+    '{"n": 2, "edges": [[0, 1.0]]}',
+    '{"n": 2, "edges": [[0, "1"]]}',
+    '{"n": true, "edges": []}',
+    '{"n": 3, "edges": [[0, 1, 2]]}',
+    '{"n": 2, "edges": [[0]]}',
+    '{"n": 2, "edges": [0, 1]}',
+    '{"n": 2, "edges": {"0": 1}}',
+])
+def test_json_graph_rejects_non_integer_input(text):
+    with pytest.raises(ValueError, match="graph JSON"):
+        graph_from_json(json.loads(text))
 
 
 def test_load_graph_autodetects():
