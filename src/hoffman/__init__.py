@@ -15,7 +15,6 @@ from .errors import (
     VerificationError,
 )
 from .graphs import (
-    CliqueSet,
     Graph,
     complete_graph,
     cycle_graph,
@@ -40,7 +39,6 @@ from .exact import (
 from .hgraphs import (
     CatalogEntry,
     HoffmanGraph,
-    SpecialMatrix,
     catalog,
     clique_with_two_fats,
     expand,

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .errors import HoffmanError, VerificationError
-from .exact import is_psd_exact
+from .exact import RationalMatrix, is_psd_exact
 from .forbidden import (
     PROP_CAL_PAIRS,
     adjacency_rational,
@@ -29,7 +29,7 @@ from .forbidden import (
     verify_proposition_cal,
 )
 from .graphs import _is_int, load_graph_file
-from .hgraphs import SpecialMatrix, catalog, load_hoffman_file, special_matrix
+from .hgraphs import catalog, load_hoffman_file, special_matrix
 from .structure import (
     associated_hoffman,
     bose_laskar,
@@ -287,8 +287,8 @@ def _cmd_check_intro2(args, timings):
     return report, [], code
 
 
-def _load_matrix_file(path: str) -> SpecialMatrix:
-    """A square symmetric matrix of JSON integers, read as a special matrix."""
+def _load_matrix_file(path: str) -> RationalMatrix:
+    """A square symmetric matrix of JSON integers."""
     with open(path, "r", encoding="ascii") as fh:
         rows = json.load(fh)
     if not isinstance(rows, list) or not all(
@@ -298,7 +298,7 @@ def _load_matrix_file(path: str) -> SpecialMatrix:
         raise ValueError("matrix JSON must be a square list of integer rows")
     if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
         raise ValueError("matrix JSON must be symmetric")
-    return SpecialMatrix(tuple(tuple(row) for row in rows))
+    return RationalMatrix(rows)
 
 
 def _cmd_scan_forbidden(args, timings):
@@ -445,18 +445,12 @@ def _suite_alphab(bs, full: bool):
 
 
 def _suite_beta():
-    violations = [
-        {"b": b, "f": str(theorem_beta_bounds(b, 9, 0).f)}
-        for b in range(2, 100)
-        if not theorem_beta_bounds(b, 9, 0).f < 6
-    ]
+    f9 = {b: theorem_beta_bounds(b, 9, 0).f for b in range(2, 100)}
+    violations = [{"b": b, "f": str(f)} for b, f in f9.items() if not f < 6]
     f_small_claim = not violations
     tail = (100 + 1) * theorem_beta_bounds(100, 10, 0).f
     tail_claim = tail < 1
-    mono = (
-        theorem_beta_bounds(2, 9, 0).f > theorem_beta_bounds(2, 10, 0).f
-        and theorem_beta_bounds(2, 9, 0).f > theorem_beta_bounds(3, 9, 0).f
-    )
+    mono = f9[2] > theorem_beta_bounds(2, 10, 0).f and f9[2] > f9[3]
     ok = f_small_claim and tail_claim and mono
     results = {
         "ok": ok,
@@ -491,29 +485,27 @@ def _suite_thresholds():
 
 def _cmd_verify_paper(args, timings):
     suites = {
-        "cal": lambda: _suite_cal(),
+        "cal": _suite_cal,
         "prop215": lambda: _suite_prop215(args.s_max),
-        "prop5": lambda: _suite_prop5(),
+        "prop5": _suite_prop5,
         "alphab": lambda: _suite_alphab(args.bs or ALPHAB_DESK_BS, args.full),
-        "beta": lambda: _suite_beta(),
-        "thresholds": lambda: _suite_thresholds(),
+        "beta": _suite_beta,
+        "thresholds": _suite_thresholds,
     }
-    if args.suite != "all":
-        t0 = time.perf_counter()
-        results, certs, ok = suites[args.suite]()
-        timings[args.suite] = (time.perf_counter() - t0) * 1000.0
-        return results, certs, 0 if ok else 2
     combined = {}
     certs = []
     ok = True
-    for name, runner in suites.items():
+    for name in suites if args.suite == "all" else (args.suite,):
         t0 = time.perf_counter()
-        results, suite_certs, suite_ok = runner()
+        results, suite_certs, suite_ok = suites[name]()
         timings[name] = (time.perf_counter() - t0) * 1000.0
         combined[name] = results
         certs.extend(suite_certs)
         ok = ok and suite_ok
-    combined["ok"] = ok
+    if args.suite == "all":
+        combined["ok"] = ok
+    else:
+        combined = combined[args.suite]
     return combined, certs, 0 if ok else 2
 
 

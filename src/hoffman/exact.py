@@ -1,8 +1,10 @@
 """Exact rational symmetric linear algebra plus a floating eigensolver.
 
-A :class:`RationalMatrix` is stored fraction-free: an integer array ``num``
-over one least common denominator ``den``.  ``num`` is int64 whenever every
-entry fits (|x| < 2^63), and dtype=object with Python ints otherwise.
+A :class:`RationalMatrix` is the library's one exact matrix format: special
+matrices of Hoffman graphs, adjacency and quotient matrices all use it.  It
+is stored fraction-free: an integer array ``num`` over one least common
+denominator ``den``.  ``num`` is int64 whenever every entry fits
+(|x| < 2^63), and dtype=object with Python ints otherwise.
 
 Positive semidefiniteness is decided over the rationals.  A verdict "PSD
 holds" may first be proved by an integer dominance certificate
@@ -57,11 +59,12 @@ class RationalMatrix:
 
     ``num`` is a read-only square integer array (int64, or dtype=object when
     an entry does not fit in int64) and ``den`` the least common denominator
-    of the entries, so equal matrices have equal ``(num, den)``.  The Fraction
-    rows are built only when :attr:`rows` is read.
+    of the entries, so equal matrices have equal ``(num, den)``.
+    ``RationalMatrix(rows)`` builds one from Python rows of ints, Fractions
+    or other rationals, and :meth:`fraction_free` from an integer array.
     """
 
-    __slots__ = ("num", "den", "_rows")
+    __slots__ = ("num", "den")
 
     def __init__(self, rows: Sequence[Sequence]):
         n = len(rows)
@@ -92,20 +95,10 @@ class RationalMatrix:
         self.num = _integer_array(num)
         self.num.flags.writeable = False
         self.den = den
-        self._rows = None
 
     @property
     def order(self) -> int:
         return len(self.num)
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
-            den = self.den
-            self._rows = tuple(
-                tuple(Fraction(x, den) for x in row) for row in self.num.tolist()
-            )
-        return self._rows
 
     def shifted(self, t) -> "RationalMatrix":
         """M + t*I, as a new matrix; the source is unchanged."""
@@ -122,7 +115,8 @@ class RationalMatrix:
         return RationalMatrix.fraction_free(num, den)
 
     def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.rows]
+        den = self.den
+        return [[str(Fraction(x, den)) for x in row] for row in self.num.tolist()]
 
     def __eq__(self, other) -> bool:
         return (
@@ -332,8 +326,9 @@ def adjacency_bits(G: Graph) -> np.ndarray:
 
 def eigenvalues_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[list[float]]:
     """Eigenvalues of a symmetric matrix or of a graph's adjacency matrix, ascending,
-    to ~1e-9; None above FLOAT_ORDER_LIMIT, with no array built."""
-    M = M.rows if isinstance(M, RationalMatrix) else M
+    to ~1e-9; None above FLOAT_ORDER_LIMIT, with no adjacency array built for a graph."""
+    if isinstance(M, RationalMatrix):
+        M = M.num / M.den
     n = M.n if isinstance(M, Graph) else len(M)
     if n > FLOAT_ORDER_LIMIT:
         return None

@@ -43,7 +43,6 @@ from .exact import (
 )
 from .graphs import Graph
 from .hgraphs import (
-    SpecialMatrix,
     catalog,
     clique_with_two_fats,
     expand,
@@ -64,21 +63,18 @@ class ForbiddenHit:
     witness_matrix: tuple[tuple[int, ...], ...]
 
 
-def _as_entries(S) -> tuple[tuple[int, ...], ...]:
-    if isinstance(S, SpecialMatrix):
-        return S.entries
-    return tuple(tuple(int(x) for x in row) for row in S)
-
-
-def scan_M_t(S, t: int) -> Optional[ForbiddenHit]:
-    """First forbidden principal submatrix of order <= 3, or None.
+def scan_M_t(S: RationalMatrix, t: int) -> Optional[ForbiddenHit]:
+    """First forbidden principal submatrix of order <= 3 of an integer matrix, or None.
 
     Scan order is deterministic: orders 1, 2, 3, index sets lexicographic,
-    and within one index set the templates in subscript order.
+    and within one index set the templates in subscript order.  A matrix
+    with a non-integer entry (``S.den`` != 1) raises ValueError.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    entries = _as_entries(S)
+    if S.den != 1:
+        raise ValueError("forbidden scan requires an integer matrix")
+    entries = S.num.tolist()
     n = len(entries)
 
     for i in range(n):

@@ -10,7 +10,6 @@ independent-set search; the intended instances are desk scale.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CliqueLimitExceeded, SearchBudgetExhausted
@@ -130,21 +129,10 @@ def mu_parameter(G: Graph) -> int:
 
 # -- maximal clique enumeration --------------------------------------------
 
-@dataclass(frozen=True)
-class CliqueSet:
-    """A list of cliques of a host graph, each stored as a sorted tuple."""
-
-    cliques: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.cliques)
-
-    def __iter__(self):
-        return iter(self.cliques)
-
-
-def maximal_cliques(G: Graph, min_size: int = 1, limit: int = 100_000) -> CliqueSet:
-    """All inclusion-maximal cliques of order >= ``min_size``.
+def maximal_cliques(
+    G: Graph, min_size: int = 1, limit: int = 100_000
+) -> tuple[tuple[int, ...], ...]:
+    """All inclusion-maximal cliques of order >= ``min_size``, each a sorted tuple.
 
     Bron-Kerbosch with pivoting over bitset candidate sets.  The output is
     sorted lexicographically by vertex list, so downstream indexings are
@@ -185,7 +173,7 @@ def maximal_cliques(G: Graph, min_size: int = 1, limit: int = 100_000) -> Clique
 
     if G.n:
         extend([], (1 << G.n) - 1, 0)
-    return CliqueSet(tuple(sorted(found)))
+    return tuple(sorted(found))
 
 
 # -- independent sets -------------------------------------------------------

@@ -6,19 +6,22 @@ vertex.  We store the slim graph, plus the slim neighborhood of each fat
 vertex; fat-fat edges are unrepresentable by construction.
 
 The eigenvalues of a Hoffman graph are those of its special matrix
-S = A_slim - D^T D, where D is the fat-slim incidence matrix.  Besides the
-special matrix, this module builds the clique expansion G(h, p) with its
-equitable block layout, the forbidden templates m_1 .. m_9, the parametric
-families behind the threshold expansions, and the named catalog.
+S = A_slim - D^T D, where D is the fat-slim incidence matrix; S is returned
+as an integer :class:`~hoffman.exact.RationalMatrix` (``den`` = 1), the
+library's one exact matrix format.  Besides the special matrix, this module
+builds the clique expansion G(h, p) with its equitable block layout, the
+forbidden templates m_1 .. m_9, the parametric families behind the threshold
+expansions, and the named catalog.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import IndexOutOfFamily
 from .exact import RationalMatrix, is_psd_exact, lambda_min_float
@@ -118,40 +121,27 @@ def load_hoffman_file(path: str) -> HoffmanGraph:
 
 # -- special matrices ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpecialMatrix:
-    """Integer matrix A_slim - D^T D over the slim vertices, in index order."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix(self.entries)
-
-
-def special_matrix(h: HoffmanGraph) -> SpecialMatrix:
+def special_matrix(h: HoffmanGraph) -> RationalMatrix:
+    """The integer matrix S = A_slim - D^T D over the slim vertices, in index order."""
     n = h.n_slim
-    s = [[0] * n for _ in range(n)]
-    for u, v in h.slim_edges:
-        s[u][v] = s[v][u] = 1
-    for f in h.fat_neighbors:
-        for u in f:
-            for v in f:
-                s[u][v] -= 1
-    return SpecialMatrix(tuple(tuple(row) for row in s))
+    A = np.zeros((n, n), dtype=np.int64)
+    if h.slim_edges:
+        u, v = np.array(list(h.slim_edges)).T
+        A[u, v] = A[v, u] = 1
+    D = np.zeros((h.n_fat, n), dtype=np.int64)
+    for k, f in enumerate(h.fat_neighbors):
+        D[k, list(f)] = 1
+    return RationalMatrix.fraction_free(A - D.T @ D, 1)
 
 
 def lambda_min_hoffman(h: HoffmanGraph) -> Optional[float]:
     """Smallest eigenvalue of the special matrix (floating, reporting only; None if no slim)."""
-    return lambda_min_float(special_matrix(h).to_rational())
+    return lambda_min_float(special_matrix(h))
 
 
 def hoffman_at_least(h: HoffmanGraph, t) -> bool:
     """Exact decision of lambda_min(h) >= -t via PSD(S + tI) over rationals."""
-    return is_psd_exact(special_matrix(h).to_rational().shifted(Fraction(t)))
+    return is_psd_exact(special_matrix(h).shifted(t))
 
 
 # -- clique expansion --------------------------------------------------------

@@ -50,7 +50,7 @@ def associated_hoffman(G: Graph, q: int, limit: int = 100_000) -> AssociatedGrap
         raise ValueError("q must be at least 2")
     cliques = maximal_cliques(G, min_size=q, limit=limit)
     h = HoffmanGraph(G.n, G.edges(), [list(c) for c in cliques])
-    return AssociatedGraph(h, tuple(cliques))
+    return AssociatedGraph(h, cliques)
 
 
 # -- threshold formulas ----------------------------------------------------------

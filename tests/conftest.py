@@ -41,6 +41,15 @@ def identity(n: int) -> RationalMatrix:
     return RationalMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def fraction_rows(M: RationalMatrix) -> list[list[Fraction]]:
+    """The entries of M as fresh Fraction rows, for the dense references.
+
+    Each call converts the whole matrix, so bind the result once per matrix.
+    """
+    den = M.den
+    return [[Fraction(x, den) for x in row] for row in M.num.tolist()]
+
+
 def adjacency_fraction(G: Graph) -> RationalMatrix:
     """Adjacency matrix built entry by entry from Fractions (the dense reference)."""
     return RationalMatrix([[Fraction(int(G.has_edge(u, v))) for v in range(G.n)]
@@ -52,7 +61,8 @@ def quadratic_form(M: RationalMatrix, x: Sequence) -> Fraction:
     xs = [Fraction(v) for v in x]
     if len(xs) != M.order:
         raise ValueError("vector length mismatch")
-    return sum((xs[i] * M.rows[i][j] * xs[j]
+    rows = fraction_rows(M)
+    return sum((xs[i] * rows[i][j] * xs[j]
                 for i in range(M.order) if xs[i]
                 for j in range(M.order) if xs[j]), Fraction(0))
 
@@ -66,11 +76,12 @@ def quotient_matrix(M: RationalMatrix, P: Partition) -> RationalMatrix:
     """
     if P.n != M.order:
         raise ValueError("partition size does not match matrix order")
+    rows = fraction_rows(M)
     q = []
     for block in P.blocks:
         qrow = []
         for jdx, other in enumerate(P.blocks):
-            sums = [sum(M.rows[i][j] for j in other) for i in block]
+            sums = [sum(rows[i][j] for j in other) for i in block]
             for offset, s in enumerate(sums):
                 if s != sums[0]:
                     raise NotEquitable(block[offset], jdx)
@@ -107,7 +118,7 @@ def decompose(h: HoffmanGraph) -> list:
 
     Pieces are induced by slim subsets and ordered by their smallest slim vertex.
     """
-    S = special_matrix(h).entries
+    S = special_matrix(h).num.tolist()
     comps, seen = [], set()
     for root in range(h.n_slim):
         if root in seen:

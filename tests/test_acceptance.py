@@ -192,7 +192,7 @@ def test_criterion_7e_associated_invariants():
             q = rng.choice([2, 3, 4])
             assoc = associated_hoffman(G, q)
             assert assoc.hoffman.slim_graph() == G
-            maximal = set(maximal_cliques(G, min_size=q).cliques)
+            maximal = set(maximal_cliques(G, min_size=q))
             assert len(assoc.hoffman.fat_neighbors) == len(maximal)
             for f in assoc.hoffman.fat_neighbors:
                 assert tuple(sorted(f)) in maximal

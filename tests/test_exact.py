@@ -30,6 +30,7 @@ from hoffman import (
 
 from .conftest import (
     adjacency_fraction,
+    fraction_rows,
     identity,
     petersen_graph,
     quadratic_form,
@@ -52,7 +53,7 @@ def test_matrix_must_be_square():
 def test_shift_and_json_roundtrip():
     M = _sym([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     S = M.shifted(Fraction(1, 3))
-    assert S.rows[0][0] == Fraction(1, 3)
+    assert fraction_rows(S)[0][0] == Fraction(1, 3)
     assert S.to_json() == [["1/3", "1/2"], ["1/2", "1/3"]]
     assert RationalMatrix(S.to_json()) == S
     # the shift builds a new matrix; its source is unchanged
@@ -96,15 +97,15 @@ def test_entries_beyond_int64_are_stored_as_python_ints():
     for big in (2**63, -2**63, 2**64):
         M = _sym([[big, 1], [1, 0]])
         assert M.num.dtype == object
-        assert M.rows[0][0] == big
+        assert fraction_rows(M)[0][0] == big
     # a shift that pushes an int64 entry past the range promotes, and back
     M = _sym([[top, 1], [1, 0]])
     assert M.shifted(1).num.dtype == object
-    assert M.shifted(1).rows[0][0] == 2**63
+    assert fraction_rows(M.shifted(1))[0][0] == 2**63
     assert M.shifted(1).shifted(-1) == M and M.shifted(1).shifted(-1).num.dtype == np.int64
     # a denominator that rescales an int64 matrix past the range
     H = _sym([[top // 2, 1], [1, 0]]).shifted(Fraction(1, 3))
-    assert H.num.dtype == object and H.rows[0][0] == top // 2 + Fraction(1, 3)
+    assert H.num.dtype == object and fraction_rows(H)[0][0] == top // 2 + Fraction(1, 3)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
@@ -114,7 +115,7 @@ def test_adjacency_matches_fraction_oracle_at_byte_boundaries(n):
         A = adjacency_rational(G)
         assert A == adjacency_fraction(G)
         assert A.den == 1 and A.num.dtype == np.int64 and A.num.shape == (n, n)
-        assert A.rows == adjacency_fraction(G).rows
+        assert fraction_rows(A) == fraction_rows(adjacency_fraction(G))
 
 
 # -- PSD decision -------------------------------------------------------------------
@@ -183,7 +184,8 @@ def _fraction_psd_witness(M):
     with a zero column is skipped.  Only the lower triangle is stored.
     """
     n = M.order
-    W = [[M.rows[i][j] for j in range(i + 1)] for i in range(n)]
+    rows = fraction_rows(M)
+    W = [[rows[i][j] for j in range(i + 1)] for i in range(n)]
     # column_mults[k] holds (i, l_ik) for rows eliminated against pivot k
     column_mults = [[] for _ in range(n)]
 
@@ -426,7 +428,7 @@ def test_certificate_check_rejects_every_proposal_for_a_matrix_that_is_not_psd(m
 
 def test_integer_kernel_matches_oracle_on_special_matrices():
     entries = catalog("H") + catalog("G2") + (catalog("path2fat"),)
-    matrices = [special_matrix(e.hoffman).to_rational() for e in entries]
+    matrices = [special_matrix(e.hoffman) for e in entries]
     matrices += [RationalMatrix(m_matrix(2, -3, 2)), RationalMatrix(m_matrix(4, -2, 2))]
     for S in matrices:
         for t in (5, Fraction(4999, 1000)):
@@ -521,7 +523,7 @@ def test_det_examples():
 
 def _det_fraction_elimination(M):
     n = M.order
-    a = [list(row) for row in M.rows]
+    a = fraction_rows(M)
     det = Fraction(1)
     for k in range(n):
         pivot = next((i for i in range(k, n) if a[i][k] != 0), None)

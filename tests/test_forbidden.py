@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,7 +38,13 @@ from hoffman import (
 )
 from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness
 
-from .conftest import permutation_equivalent, quadratic_form, quotient_matrix, random_graph
+from .conftest import (
+    fraction_rows,
+    permutation_equivalent,
+    quadratic_form,
+    quotient_matrix,
+    random_graph,
+)
 
 
 # -- permutation equivalence ---------------------------------------------------
@@ -52,42 +59,42 @@ def test_permutation_equivalence_basic():
 # -- scanning ----------------------------------------------------------------------
 
 def test_scan_order_one_hit():
-    hit = scan_M_t(((-4,),), 2)
+    hit = scan_M_t(RationalMatrix(((-4,),)), 2)
     assert hit is not None
     assert hit.family_member == "m_{1,-2}"
     assert hit.slim_subset == (0,)
 
 
 def test_scan_no_hit_on_minus_three():
-    assert scan_M_t(((-3,),), 2) is None
+    assert scan_M_t(RationalMatrix(((-3,),)), 2) is None
 
 
 def test_scan_order_three_hit():
     S = ((-2, 0, 1), (0, -2, -1), (1, -1, -2))
-    hit = scan_M_t(S, 2)
+    hit = scan_M_t(RationalMatrix(S), 2)
     assert hit is not None
     assert hit.family_member == "m_7"
     assert hit.witness_matrix == S
 
 
 def test_scan_order_two_families():
-    assert scan_M_t(((-2, -2), (-2, -2)), 2).family_member == "m_{2,-2}"
-    assert scan_M_t(((-3, 1), (1, -2)), 2).family_member == "m_{3,1}"
-    assert scan_M_t(((-3, -4), (-4, -3)), 2).family_member == "m_{4,-4}"
-    assert scan_M_t(((-2, -1), (-1, -2)), 2) is None
-    assert scan_M_t(((-2, 1), (1, -2)), 2) is None
+    assert scan_M_t(RationalMatrix(((-2, -2), (-2, -2))), 2).family_member == "m_{2,-2}"
+    assert scan_M_t(RationalMatrix(((-3, 1), (1, -2))), 2).family_member == "m_{3,1}"
+    assert scan_M_t(RationalMatrix(((-3, -4), (-4, -3))), 2).family_member == "m_{4,-4}"
+    assert scan_M_t(RationalMatrix(((-2, -1), (-1, -2))), 2) is None
+    assert scan_M_t(RationalMatrix(((-2, 1), (1, -2))), 2) is None
 
 
 def test_scan_deterministic_first_hit():
     # two possible hits; the lexicographically first index set wins
-    S = ((-4, 0, 0), (0, -4, 0), (0, 0, -2))
+    S = RationalMatrix(((-4, 0, 0), (0, -4, 0), (0, 0, -2)))
     hit = scan_M_t(S, 2)
     assert hit.slim_subset == (0,)
 
 
 def test_scan_requires_positive_t():
     with pytest.raises(ValueError):
-        scan_M_t(((-4,),), 0)
+        scan_M_t(RationalMatrix(((-4,),)), 0)
 
 
 def test_scan_hits_every_h_catalog_member():
@@ -153,7 +160,7 @@ def test_scan_matches_brute_oracle_on_random_matrices():
         t = rng.choice((1, 2, 3))
         S = _random_symmetric(rng, rng.randint(1, 9), t)
         expected = _brute_scan_M_t(S, t)
-        assert scan_M_t(S, t) == expected, (S, t)
+        assert scan_M_t(RationalMatrix(S), t) == expected, (S, t)
         orders[expected and len(expected.slim_subset)] += 1
     # no hit, and a first hit of each order, all occur at least 100 times
     assert min(orders.values()) >= 100, orders
@@ -164,7 +171,7 @@ def test_scan_matches_brute_oracle_on_catalog():
         for entry in catalog(family):
             S = special_matrix(entry.hoffman)
             for t in (1, 2, 3):
-                assert scan_M_t(S, t) == _brute_scan_M_t(S.entries, t), (entry.id, t)
+                assert scan_M_t(S, t) == _brute_scan_M_t(S.num.tolist(), t), (entry.id, t)
 
 
 def _line_graph(base: Graph) -> Graph:
@@ -181,7 +188,7 @@ def test_scan_matches_brute_oracle_on_associated_line_graphs():
         base = random_graph(rng, rng.randint(6, 10), 0.45)
         S = special_matrix(associated_hoffman(_line_graph(base), 4).hoffman)
         for t in (1, 2, 3):
-            assert scan_M_t(S, t) == _brute_scan_M_t(S.entries, t), t
+            assert scan_M_t(S, t) == _brute_scan_M_t(S.num.tolist(), t), t
 
 
 def test_scan_order_three_first_hit_among_other_diagonals():
@@ -193,7 +200,7 @@ def test_scan_order_three_first_hit_among_other_diagonals():
         S[i][i] = d
     for (i, j), v in {(0, 4): 1, (2, 4): -1, (2, 5): 1, (4, 5): 1, (1, 3): 1}.items():
         S[i][j] = S[j][i] = v
-    hit = scan_M_t(S, t)
+    hit = scan_M_t(RationalMatrix(S), t)
     assert hit == _brute_scan_M_t(S, t)
     assert hit.slim_subset == (0, 2, 4)
     assert hit.family_member == "m_7"
@@ -207,7 +214,7 @@ def test_scan_order_three_needs_every_diagonal_minus_t(t):
             for d in (-t + 1, 0, 1):
                 S = [list(row) for row in m_matrix(kind, t=t)]
                 S[pos][pos] = d
-                assert scan_M_t(S, t) is None, (kind, pos, d)
+                assert scan_M_t(RationalMatrix(S), t) is None, (kind, pos, d)
                 assert _brute_scan_M_t(S, t) is None
 
 
@@ -288,10 +295,11 @@ def test_expansion_blocks_are_equitable():
             assert list(P.sizes()) == [1] * h.n_slim + [p] * h.n_fat
             Q = graph_quotient_matrix(G, P)
             assert Q == quotient_matrix(adjacency_rational(G), P), (name, p)
+            rows = fraction_rows(Q)
             for k, f in enumerate(h.fat_neighbors):
                 clique = h.n_slim + k
-                assert Q.rows[clique][clique] == p - 1
-                assert [Q.rows[v][clique] for v in range(h.n_slim)] == [
+                assert rows[clique][clique] == p - 1
+                assert [rows[v][clique] for v in range(h.n_slim)] == [
                     p if v in f else 0 for v in range(h.n_slim)
                 ]
 
@@ -395,15 +403,16 @@ def test_find_min_p_below_raises_beyond_float_limit(monkeypatch):
         find_min_p_below(catalog("h_5").hoffman, -3, 20)
 
 
-def test_scan_accepts_special_matrix_and_raw_rows():
-    S = special_matrix(catalog("h_5").hoffman)
-    raw = [list(r) for r in S.entries]
-    assert scan_M_t(S, 2) == scan_M_t(raw, 2)
+def test_scan_rejects_non_integer_matrix():
+    # truncating -9/2 to -4 would report an m_{1,-2} hit whose witness
+    # matrix ((-4,),) is not a submatrix of the input
+    with pytest.raises(ValueError, match="integer"):
+        scan_M_t(RationalMatrix([[Fraction(-9, 2)]]), 2)
+    with pytest.raises(ValueError, match="integer"):
+        scan_M_t(RationalMatrix([[-2, Fraction(1, 2)], [Fraction(1, 2), -2]]), 2)
 
 
 def test_graph_form_matches_matrix_form():
-    from fractions import Fraction
-
     rng = random.Random(12)
     for trial in range(40):
         G = random_graph(rng, rng.randint(0, 9), rng.random())

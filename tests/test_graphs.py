@@ -87,18 +87,18 @@ def test_mu_matches_bruteforce_on_random_graphs():
 
 def test_k4_single_maximal_clique():
     out = maximal_cliques(complete_graph(4), min_size=2)
-    assert out.cliques == ((0, 1, 2, 3),)
+    assert out == ((0, 1, 2, 3),)
 
 
 def test_c5_maximal_cliques_are_edges():
     out = maximal_cliques(cycle_graph(5), min_size=2)
-    assert out.cliques == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+    assert out == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
 
 
 def test_two_triangles_sharing_a_vertex():
     G = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     out = maximal_cliques(G, min_size=3)
-    assert out.cliques == ((0, 1, 2), (0, 3, 4))
+    assert out == ((0, 1, 2), (0, 3, 4))
 
 
 def test_clique_limit_raises():
@@ -123,7 +123,7 @@ def test_maximal_cliques_match_bruteforce():
     rng = random.Random(11)
     for _ in range(25):
         G = random_graph(rng, rng.randint(1, 9), rng.random())
-        got = set(maximal_cliques(G).cliques)
+        got = set(maximal_cliques(G))
         assert got == _all_maximal_cliques_bruteforce(G)
 
 

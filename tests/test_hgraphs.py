@@ -10,6 +10,7 @@ from hoffman import (
     Graph,
     HoffmanGraph,
     IndexOutOfFamily,
+    RationalMatrix,
     adjacency_rational,
     catalog,
     clique_with_two_fats,
@@ -58,12 +59,12 @@ def test_json_roundtrip():
 
 def test_special_matrix_one_slim_many_fats():
     for t in (1, 2, 5):
-        assert special_matrix(slim_with_fats(t)).entries == ((-t,),)
+        assert special_matrix(slim_with_fats(t)) == RationalMatrix([[-t]])
 
 
 def test_special_matrix_box_and_fan():
-    assert special_matrix(catalog("box").hoffman).entries == ((-2, -1), (-1, -2))
-    assert special_matrix(catalog("fan3").hoffman).entries == ((-3,),)
+    assert special_matrix(catalog("box").hoffman) == RationalMatrix(((-2, -1), (-1, -2)))
+    assert special_matrix(catalog("fan3").hoffman) == RationalMatrix(((-3,),))
 
 
 H_INTENDED_MATRICES = {
@@ -81,7 +82,7 @@ H_INTENDED_MATRICES = {
 
 def test_catalog_transcription_matches_intended_matrices():
     for entry in catalog("H"):
-        S = special_matrix(entry.hoffman).entries
+        S = special_matrix(entry.hoffman).num.tolist()
         assert permutation_equivalent(S, H_INTENDED_MATRICES[entry.id]), entry.id
 
 
@@ -104,9 +105,9 @@ def test_catalog_g2_special_matrices():
         "g2_twin": ((-2, -1), (-1, -2)),
     }
     for name, matrix in expected.items():
-        assert special_matrix(catalog(name).hoffman).entries == matrix
+        assert special_matrix(catalog(name).hoffman) == RationalMatrix(matrix)
     # the quad and triple members realize the +/-1 two-block pattern
-    quad = special_matrix(catalog("g2_quad").hoffman).entries
+    quad = special_matrix(catalog("g2_quad").hoffman).num.tolist()
     tmpl = tuple(
         tuple((1 if (i < 2) == (j < 2) else -1) - (3 if i == j else 0) for j in range(4))
         for i in range(4)
@@ -131,7 +132,7 @@ def test_g2_members_are_two_fat_indecomposable():
     # its special matrix splits into blocks
     for entry in catalog("G2"):
         assert is_t_fat(entry.hoffman, 2)
-        assert _support_connected(special_matrix(entry.hoffman).entries), entry.id
+        assert _support_connected(special_matrix(entry.hoffman).num.tolist()), entry.id
     # two fan3 pieces side by side: block diagonal, so decomposable
     assert not _support_connected(((-3, 0), (0, -3)))
 
@@ -268,10 +269,10 @@ def test_decompose_blocks_reassemble_special_matrix():
     )
     parts = decompose(h)
     assert len(parts) == 2
-    S = special_matrix(h).entries
+    S = special_matrix(h).num.tolist()
     off = [[S[i][j] for j in range(2, 4)] for i in range(0, 2)]
     assert all(v == 0 for row in off for v in row)
-    assert special_matrix(parts[0]).entries == ((-2, -1), (-1, -2))
+    assert special_matrix(parts[0]) == RationalMatrix(((-2, -1), (-1, -2)))
 
 
 # -- isomorphism --------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_non_isomorphic_different_shapes():
 def test_same_special_matrix_non_isomorphic_pair():
     box = catalog("box").hoffman
     twin = catalog("g2_twin").hoffman
-    assert special_matrix(box).entries == special_matrix(twin).entries
+    assert special_matrix(box) == special_matrix(twin)
     assert _isomorphism_invariant(box) != _isomorphism_invariant(twin)
 
 
@@ -316,9 +317,9 @@ def test_m_matrix_index_validation():
 
 
 def test_parametric_constructors():
-    assert special_matrix(clique_with_two_fats(3)).entries == (
-        (-2, -1, -1), (-1, -2, -1), (-1, -1, -2))
-    assert special_matrix(pendant_slim_pair(3)).entries == ((-3, 1), (1, 0))
+    assert special_matrix(clique_with_two_fats(3)) == RationalMatrix((
+        (-2, -1, -1), (-1, -2, -1), (-1, -1, -2)))
+    assert special_matrix(pendant_slim_pair(3)) == RationalMatrix(((-3, 1), (1, 0)))
 
 
 def _disjoint_union(parts):
@@ -339,20 +340,20 @@ def test_decompose_reassembles_special_matrix():
         parts = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
         h = _disjoint_union(parts)
         comps = decompose(h)
-        S = special_matrix(h).entries
+        S = special_matrix(h).num.tolist()
         # components come back ordered by smallest slim index, which for a
         # disjoint union is the original order; reassemble block-diagonally
         offset = 0
         rebuilt = [[0] * h.n_slim for _ in range(h.n_slim)]
         for comp in comps:
-            block = special_matrix(comp).entries
+            block = special_matrix(comp).num.tolist()
             k = len(block)
             for i in range(k):
                 for j in range(k):
                     rebuilt[offset + i][offset + j] = block[i][j]
             offset += k
         assert offset == h.n_slim
-        assert tuple(tuple(row) for row in rebuilt) == S
+        assert rebuilt == S
 
 
 def test_exact_thresholds_bracket_irrational_minimum():

@@ -56,7 +56,7 @@ def test_assoc_invariants_on_random_graphs():
         q = rng.choice([2, 3, 4])
         assoc = associated_hoffman(G, q)
         assert assoc.hoffman.slim_graph() == G
-        maximal = set(maximal_cliques(G, min_size=q).cliques)
+        maximal = set(maximal_cliques(G, min_size=q))
         for f in assoc.hoffman.fat_neighbors:
             clique = tuple(sorted(f))
             assert clique in maximal

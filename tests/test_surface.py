@@ -1,5 +1,6 @@
 """The library's public surface: every export and method has a user, no check
-is an assert, and there is one floating path.
+is an assert, there is one floating path, and every function the benchmark
+traces exists.
 
 A name exported from ``hoffman`` must be needed by the library itself, that
 is referenced by a module of ``src/hoffman/`` other than ``__init__`` outside
@@ -7,16 +8,20 @@ its own definition, or be kept on purpose for a reason given in
 :data:`KEEP`.  The same holds for the public methods of library classes, by
 name, with :data:`KEEP_METHODS`.  An ``assert`` cannot carry a check, since
 ``python -O`` strips it.  ``np.linalg`` is reached only from ``exact.py``, so
-no second floating path decides or reports anything.
+no second floating path decides or reports anything.  Each
+``Boundary(module, function)`` of ``perfbench/spans.py`` names an attribute
+of that module, since the traced benchmark run patches it by name.
 """
 
 import ast
+import importlib
 import pathlib
 from collections import Counter
 
 import hoffman
 
 SRC = pathlib.Path(hoffman.__file__).parent
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # exports no other library code needs, each with the reason it stays
 KEEP = {
@@ -125,3 +130,23 @@ def test_np_linalg_only_in_exact():
     found = sorted({name for name, tree in _modules().items()
                     for node in ast.walk(tree) if _mentions_linalg(node)})
     assert found == ["exact.py"]
+
+
+def _trace_boundaries() -> list[tuple[str, str]]:
+    """Every ``Boundary(module, function, ...)`` call in the benchmark's span table."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    return [(node.args[0].value, node.args[1].value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Boundary"
+            and all(isinstance(a, ast.Constant) for a in node.args[:2])]
+
+
+def test_benchmark_trace_boundaries_resolve():
+    # the traced benchmark run looks each boundary up with getattr, so
+    # deleting or renaming one of these functions breaks it
+    boundaries = _trace_boundaries()
+    assert len(boundaries) > 20
+    missing = [f"{module}.{function}" for module, function in boundaries
+               if not hasattr(importlib.import_module(module), function)]
+    assert missing == []
