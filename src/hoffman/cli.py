@@ -187,7 +187,6 @@ def build_parser() -> _Parser:
     p = add_parser("assoc", help="associated Hoffman graph at level q")
     p.add_argument("--graph", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--limit", type=int, default=100_000)
 
     p = add_parser("bose-laskar", help="large-clique extraction through a vertex")
     p.add_argument("--graph", required=True)
@@ -250,7 +249,7 @@ def _cmd_lambda_min(args, timings):
 
 def _cmd_assoc(args, timings):
     G = load_graph_file(args.graph)
-    assoc = associated_hoffman(G, args.q, limit=args.limit)
+    assoc = associated_hoffman(G, args.q)
     results = {
         "n": G.n,
         "q": args.q,
@@ -423,11 +422,13 @@ def _suite_prop5():
 def _suite_alphab(bs, full: bool):
     if full:
         bs = tuple(range(2, 101))
+    D = 14
     results = []
     ok = True
     for b in bs:
-        alpha_max = b * b * (b + 1)
-        survivors = feasibility_scan(b, 14, alpha_max, FIVE_CHECKS)
+        # up to the paper's bound alpha <= b^2(b+1) + f(D, b)
+        alpha_max = theorem_beta_bounds(b, D, 0).alpha_bound
+        survivors = feasibility_scan(b, D, alpha_max, FIVE_CHECKS)
         root = math.isqrt(b)
         square = root * root == b
         allowed = [a for a in survivors if a <= b or (square and a == b + root)]

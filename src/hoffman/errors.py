@@ -11,7 +11,7 @@ class HoffmanError(Exception):
 
 
 class CliqueLimitExceeded(HoffmanError):
-    """More maximal cliques exist than the caller-supplied limit."""
+    """More maximal cliques exist than :data:`hoffman.graphs.MAX_CLIQUES`."""
 
 
 class ConvergenceFailure(HoffmanError):

@@ -3,8 +3,9 @@
 Graphs are immutable after construction, so values can be shared freely
 across threads; every operation in this module is a pure function.  The
 enumeration routines are exponential in the worst case and are guarded by an
-input-size limit, a count limit on maximal cliques and a node budget on the
-independent-set search; the intended instances are desk scale.
+input-size limit (:data:`MAX_VERTICES`), a count limit on maximal cliques
+(:data:`MAX_CLIQUES`) and a node budget on the independent-set search
+(:data:`MIS_NODE_BUDGET`); the intended instances are desk scale.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import CliqueLimitExceeded, SearchBudgetExhausted
 
 MAX_VERTICES = 10_000
+# maximal cliques one maximal_cliques call may find
+MAX_CLIQUES = 100_000
 # search nodes one maximum_independent_set call may visit
 MIS_NODE_BUDGET = 1_000_000
 
@@ -129,20 +132,16 @@ def mu_parameter(G: Graph) -> int:
 
 # -- maximal clique enumeration --------------------------------------------
 
-def maximal_cliques(
-    G: Graph, min_size: int = 1, limit: int = 100_000
-) -> tuple[tuple[int, ...], ...]:
+def maximal_cliques(G: Graph, min_size: int = 1) -> tuple[tuple[int, ...], ...]:
     """All inclusion-maximal cliques of order >= ``min_size``, each a sorted tuple.
 
     Bron-Kerbosch with pivoting over bitset candidate sets.  The output is
     sorted lexicographically by vertex list, so downstream indexings are
     reproducible.  Raises :class:`CliqueLimitExceeded` once more than
-    ``limit`` maximal cliques have been found.
+    :data:`MAX_CLIQUES` maximal cliques have been found.
     """
     if min_size < 1:
         raise ValueError("min_size must be positive")
-    if limit < 1:
-        raise ValueError("limit must be positive")
     found: list[tuple[int, ...]] = []
     count = 0
     adj = G._adj
@@ -151,8 +150,8 @@ def maximal_cliques(
         nonlocal count
         if p == 0 and x == 0:
             count += 1
-            if count > limit:
-                raise CliqueLimitExceeded(f"more than {limit} maximal cliques")
+            if count > MAX_CLIQUES:
+                raise CliqueLimitExceeded(f"more than {MAX_CLIQUES} maximal cliques")
             if len(r) >= min_size:
                 found.append(tuple(sorted(r)))
             return

@@ -2,8 +2,10 @@
 
 A Hoffman graph is a graph whose vertices are labelled fat or slim, with no
 two fat vertices adjacent and every fat vertex adjacent to at least one slim
-vertex.  We store the slim graph, plus the slim neighborhood of each fat
-vertex; fat-fat edges are unrepresentable by construction.
+vertex.  We store the slim graph as a :class:`~hoffman.graphs.Graph`
+(``h.slim``), which validates the slim edges and caps the slim count at
+``MAX_VERTICES``, plus the slim neighborhood of each fat vertex; fat-fat
+edges are unrepresentable by construction.
 
 The eigenvalues of a Hoffman graph are those of its special matrix
 S = A_slim - D^T D, where D is the fat-slim incidence matrix; S is returned
@@ -24,14 +26,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import IndexOutOfFamily
-from .exact import RationalMatrix, is_psd_exact, lambda_min_float
+from .exact import RationalMatrix, adjacency_bits, is_psd_exact, lambda_min_float
 from .graphs import Graph, _is_int, _is_int_pairs
 
 
 class HoffmanGraph:
-    """Immutable Hoffman graph given by slim edges and fat neighborhoods."""
+    """Immutable Hoffman graph given by its slim graph and fat neighborhoods."""
 
-    __slots__ = ("n_slim", "slim_edges", "fat_neighbors")
+    __slots__ = ("slim", "fat_neighbors")
 
     def __init__(
         self,
@@ -39,22 +41,18 @@ class HoffmanGraph:
         slim_edges: Iterable[Sequence[int]] = (),
         fat_neighbors: Iterable[Iterable[int]] = (),
     ):
-        if n_slim < 0:
-            raise ValueError("slim count must be non-negative")
-        edges = set()
-        for u, v in slim_edges:
-            if not (0 <= u < n_slim and 0 <= v < n_slim) or u == v:
-                raise ValueError(f"bad slim edge ({u},{v})")
-            edges.add((min(u, v), max(u, v)))
+        self.slim = Graph(n_slim, slim_edges)
         fats = tuple(frozenset(f) for f in fat_neighbors)
         for f in fats:
             if not f:
                 raise ValueError("every fat vertex needs at least one slim neighbor")
             if any(not 0 <= s < n_slim for s in f):
                 raise ValueError("fat neighborhood out of slim range")
-        self.n_slim = n_slim
-        self.slim_edges = frozenset(edges)
         self.fat_neighbors = fats
+
+    @property
+    def n_slim(self) -> int:
+        return self.slim.n
 
     @property
     def n_fat(self) -> int:
@@ -63,14 +61,11 @@ class HoffmanGraph:
     def fat_degree(self, v: int) -> int:
         return sum(1 for f in self.fat_neighbors if v in f)
 
-    def slim_graph(self) -> Graph:
-        return Graph(self.n_slim, self.slim_edges)
-
     def to_json(self) -> dict:
         return {
             "slim": self.n_slim,
             "fat": self.n_fat,
-            "slim_edges": sorted(list(e) for e in self.slim_edges),
+            "slim_edges": [list(e) for e in self.slim.edges()],
             "fat_adj": [sorted(f) for f in self.fat_neighbors],
         }
 
@@ -102,13 +97,12 @@ class HoffmanGraph:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HoffmanGraph)
-            and self.n_slim == other.n_slim
-            and self.slim_edges == other.slim_edges
+            and self.slim == other.slim
             and sorted(self.fat_neighbors, key=sorted) == sorted(other.fat_neighbors, key=sorted)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_slim, self.slim_edges, frozenset(self.fat_neighbors)))
+        return hash((self.slim, frozenset(self.fat_neighbors)))
 
     def __repr__(self) -> str:
         return f"HoffmanGraph(slim={self.n_slim}, fat={self.n_fat})"
@@ -123,15 +117,10 @@ def load_hoffman_file(path: str) -> HoffmanGraph:
 
 def special_matrix(h: HoffmanGraph) -> RationalMatrix:
     """The integer matrix S = A_slim - D^T D over the slim vertices, in index order."""
-    n = h.n_slim
-    A = np.zeros((n, n), dtype=np.int64)
-    if h.slim_edges:
-        u, v = np.array(list(h.slim_edges)).T
-        A[u, v] = A[v, u] = 1
-    D = np.zeros((h.n_fat, n), dtype=np.int64)
+    D = np.zeros((h.n_fat, h.n_slim), dtype=np.int64)
     for k, f in enumerate(h.fat_neighbors):
         D[k, list(f)] = 1
-    return RationalMatrix.fraction_free(A - D.T @ D, 1)
+    return RationalMatrix.fraction_free(adjacency_bits(h.slim) - D.T @ D, 1)
 
 
 def lambda_min_hoffman(h: HoffmanGraph) -> Optional[float]:
@@ -163,7 +152,7 @@ def expansion_blocks(h: HoffmanGraph, p: int) -> list[range]:
 def expand(h: HoffmanGraph, p: int) -> Graph:
     """Replace each fat vertex by a slim p-clique joined to its neighbors."""
     cliques = expansion_blocks(h, p)[h.n_slim:]
-    edges = list(h.slim_edges)
+    edges = list(h.slim.edges())
     for f, block in zip(h.fat_neighbors, cliques):
         edges.extend(combinations(block, 2))
         edges.extend((s, i) for s in f for i in block)

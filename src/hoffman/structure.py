@@ -22,6 +22,7 @@ from .exact import is_psd_exact
 from .forbidden import adjacency_rational, graph_lambda_min_float, scan_M_t
 from .graphs import (
     Graph,
+    _bitset,
     max_independent_set_in_neighborhood,
     maximal_cliques,
     mu_parameter,
@@ -39,7 +40,7 @@ class AssociatedGraph:
     clique_of_fat: tuple[tuple[int, ...], ...]
 
 
-def associated_hoffman(G: Graph, q: int, limit: int = 100_000) -> AssociatedGraph:
+def associated_hoffman(G: Graph, q: int) -> AssociatedGraph:
     """Associated Hoffman graph at level q.
 
     Fat vertices correspond to the maximal cliques of order >= q, in the
@@ -48,7 +49,7 @@ def associated_hoffman(G: Graph, q: int, limit: int = 100_000) -> AssociatedGrap
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    cliques = maximal_cliques(G, min_size=q, limit=limit)
+    cliques = maximal_cliques(G, min_size=q)
     h = HoffmanGraph(G.n, G.edges(), [list(c) for c in cliques])
     return AssociatedGraph(h, cliques)
 
@@ -132,6 +133,8 @@ def bose_laskar(G: Graph, x: int, lam, c: int, r: Optional[int] = None) -> Cliqu
     """
     if not 0 <= x < G.n:
         raise ValueError(f"vertex {x} out of range")
+    if lam < 0:
+        raise ValueError("lambda must be non-negative")
     if c < 1:
         raise ValueError("c must be a positive integer")
     mu = mu_parameter(G)
@@ -140,17 +143,13 @@ def bose_laskar(G: Graph, x: int, lam, c: int, r: Optional[int] = None) -> Cliqu
     floor_l2 = math.floor(Fraction(lam) ** 2)
 
     ind = max_independent_set_in_neighborhood(G, x)
-    ind_bits = 0
-    for v in ind:
-        ind_bits |= 1 << v
+    ind_bits = _bitset(ind)
     s = len(ind)
 
     w_set = tuple(
         y for y in G.neighbors(x) if (G.bits(y) & ind_bits).bit_count() >= 2
     )
-    w_bits = 0
-    for y in w_set:
-        w_bits |= 1 << y
+    w_bits = _bitset(w_set)
 
     parts = []
     for v in ind:
@@ -219,7 +218,7 @@ def _max_clique_order_through(G: Graph, x: int) -> int:
 
 # -- full structural condition check ------------------------------------------------------
 
-def theorem_intro2_check(G: Graph, c: int, limit: int = 100_000) -> dict:
+def theorem_intro2_check(G: Graph, c: int) -> dict:
     """Evaluate the three structure-theorem hypotheses and, when they hold,
     the conclusion-side invariants of the associated Hoffman graph.
 
@@ -237,7 +236,7 @@ def theorem_intro2_check(G: Graph, c: int, limit: int = 100_000) -> dict:
     report["condition_mu"] = {"passed": mu <= c, "mu": mu}
 
     violations = []
-    for clique in maximal_cliques(G, limit=limit):
+    for clique in maximal_cliques(G):
         min_deg = min(G.degree(x) for x in clique)
         if len(clique) > min_deg - th.K:
             violations.append({"clique": list(clique), "min_degree": min_deg})
@@ -251,7 +250,7 @@ def theorem_intro2_check(G: Graph, c: int, limit: int = 100_000) -> dict:
 
     if all(report[k]["passed"] for k in
            ("condition_mu", "condition_clique_order", "condition_lambda_min")):
-        assoc = associated_hoffman(G, th.q, limit=limit)
+        assoc = associated_hoffman(G, th.q)
         two_fat = is_t_fat(assoc.hoffman, 2)
         hit = scan_M_t(special_matrix(assoc.hoffman), 2)
         report["associated"] = {

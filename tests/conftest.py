@@ -107,7 +107,7 @@ def induced_by_slim(h: HoffmanGraph, W) -> HoffmanGraph:
     if any(not 0 <= w < h.n_slim for w in ws):
         raise ValueError(f"subset {ws} not contained in the slim vertex range")
     pos = {w: i for i, w in enumerate(ws)}
-    edges = [(pos[u], pos[v]) for u, v in h.slim_edges if u in pos and v in pos]
+    edges = [(pos[u], pos[v]) for u, v in h.slim.edges() if u in pos and v in pos]
     fats = [inter for inter in (sorted(pos[s] for s in f if s in pos) for f in h.fat_neighbors)
             if inter]
     return HoffmanGraph(len(ws), edges, fats)
@@ -144,7 +144,7 @@ def hoffman_isomorphic(h1: HoffmanGraph, h2: HoffmanGraph) -> bool:
     """
     if h1.n_slim != h2.n_slim or h1.n_fat != h2.n_fat:
         return False
-    g1, g2 = h1.slim_graph(), h2.slim_graph()
+    g1, g2 = h1.slim, h2.slim
     fats2 = sorted(sorted(f) for f in h2.fat_neighbors)
     for perm in permutations(range(h1.n_slim)):
         if all(g1.has_edge(u, v) == g2.has_edge(perm[u], perm[v])

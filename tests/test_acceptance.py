@@ -191,7 +191,7 @@ def test_criterion_7e_associated_invariants():
             G = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.8))
             q = rng.choice([2, 3, 4])
             assoc = associated_hoffman(G, q)
-            assert assoc.hoffman.slim_graph() == G
+            assert assoc.hoffman.slim == G
             maximal = set(maximal_cliques(G, min_size=q))
             assert len(assoc.hoffman.fat_neighbors) == len(maximal)
             for f in assoc.hoffman.fat_neighbors:

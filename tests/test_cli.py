@@ -91,6 +91,31 @@ def test_bose_laskar_search_budget_is_an_error(capsys, monkeypatch, c5_g6):
     assert captured.err == "error: no maximum independent set within 1 search nodes\n"
 
 
+def test_bose_laskar_negative_lambda_is_an_input_error(capsys, c5_g6):
+    code = main(["bose-laskar", "--graph", c5_g6, "--x", "0", "--lam", "-2", "--c", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: lambda must be non-negative\n"
+
+
+def test_assoc_clique_limit_is_an_error(capsys, monkeypatch, c5_g6):
+    import hoffman.graphs as graphs
+
+    monkeypatch.setattr(graphs, "MAX_CLIQUES", 3)
+    code = main(["assoc", "--graph", c5_g6, "--q", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: more than 3 maximal cliques\n"
+
+
+def test_assoc_has_no_limit_option(capsys, c5_g6):
+    # the clique limit is the library constant graphs.MAX_CLIQUES
+    assert main(["assoc", "--graph", c5_g6, "--q", "2", "--limit", "5"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --limit")
+
+
 def test_check_intro2_desk_scale_fails_clique_condition(capsys, c5_g6):
     code, report = run_cli(capsys, "check-intro2", "--graph", c5_g6, "--c", "1")
     assert code == 2
@@ -399,6 +424,9 @@ _HOFFMAN = {"slim": 2, "fat": 1, "slim_edges": [[0, 1]], "fat_adj": [[0, 1]]}
     ("--matrix", [[1.5, 0], [0, -2]]),
     ("--matrix", [[1, 2], [3]]),
     ("--matrix", [[0, 1], [0, 0]]),
+    ("--hoffman", {**_HOFFMAN, "slim_edges": [[0, 0]]}),
+    ("--hoffman", {**_HOFFMAN, "slim_edges": [[0, 5]]}),
+    ("--hoffman", {**_HOFFMAN, "slim": -1}),
 ])
 def test_malformed_scan_input_is_an_input_error(capsys, tmp_path, flag, content):
     path = tmp_path / "bad.json"

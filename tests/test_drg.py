@@ -385,6 +385,14 @@ def test_beta_bound_formula_by_hand():
     assert bounds.alpha_bound == 12 + bounds.f
 
 
+def test_alpha_bound_grid_is_b_squared_b_plus_one_squared():
+    # alphab scans alpha = k/(b+1) up to alpha_bound = b^2(b+1) + f(14, b);
+    # 0 < f(b+1) < 1, so the grid ends at the old cubic limit b^2(b+1)
+    for b in range(2, 101):
+        bound = theorem_beta_bounds(b, 14, 0).alpha_bound
+        assert math.floor(bound * (b + 1)) == b * b * (b + 1) ** 2, b
+
+
 def test_beta_bounds_domain():
     with pytest.raises(ValueError):
         theorem_beta_bounds(2, 8, 0)

@@ -101,9 +101,15 @@ def test_two_triangles_sharing_a_vertex():
     assert out == ((0, 1, 2), (0, 3, 4))
 
 
-def test_clique_limit_raises():
-    with pytest.raises(CliqueLimitExceeded):
-        maximal_cliques(cycle_graph(5), limit=3)
+def test_clique_limit_raises(monkeypatch):
+    import hoffman.graphs as graphs
+
+    # C5 has five maximal cliques, its edges
+    monkeypatch.setattr(graphs, "MAX_CLIQUES", 5)
+    assert len(maximal_cliques(cycle_graph(5))) == 5
+    monkeypatch.setattr(graphs, "MAX_CLIQUES", 3)
+    with pytest.raises(CliqueLimitExceeded, match="more than 3 maximal cliques"):
+        maximal_cliques(cycle_graph(5))
 
 
 def _all_maximal_cliques_bruteforce(G: Graph):

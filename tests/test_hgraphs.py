@@ -55,6 +55,17 @@ def test_json_roundtrip():
         HoffmanGraph.from_json({"slim": 1, "fat": 2, "slim_edges": [], "fat_adj": [[0]]})
 
 
+def test_slim_edges_are_stored_as_a_graph():
+    # repeated and reversed edges collapse; to_json lists the edges sorted
+    h = HoffmanGraph(3, [(2, 1), (1, 2), (0, 1)], [[0]])
+    same = HoffmanGraph(3, [(0, 1), (1, 2)], [[0]])
+    assert h == same
+    assert hash(h) == hash(same)
+    assert h.slim == Graph(3, [(0, 1), (1, 2)])
+    assert h.to_json()["slim_edges"] == [[0, 1], [1, 2]]
+    assert h != HoffmanGraph(3, [(0, 1)], [[0]])
+
+
 # -- special matrices --------------------------------------------------------------
 
 def test_special_matrix_one_slim_many_fats():
@@ -88,7 +99,7 @@ def test_catalog_transcription_matches_intended_matrices():
 
 def _isomorphism_invariant(h):
     """Equal for isomorphic Hoffman graphs, so distinct values prove non-isomorphism."""
-    return h.n_slim, h.n_fat, len(h.slim_edges), sorted(len(f) for f in h.fat_neighbors)
+    return h.n_slim, h.n_fat, h.slim.edge_count(), sorted(len(f) for f in h.fat_neighbors)
 
 
 def test_catalog_h_members_pairwise_nonisomorphic():
@@ -140,7 +151,7 @@ def test_g2_members_are_two_fat_indecomposable():
 def test_h_members_slims_sharing_fat_are_adjacent():
     for entry in catalog("H"):
         h = entry.hoffman
-        slim = h.slim_graph()
+        slim = h.slim
         for f in h.fat_neighbors:
             for u in f:
                 for v in f:
@@ -327,7 +338,7 @@ def _disjoint_union(parts):
     edges = []
     fats = []
     for h in parts:
-        edges += [(u + slim_offset, v + slim_offset) for u, v in h.slim_edges]
+        edges += [(u + slim_offset, v + slim_offset) for u, v in h.slim.edges()]
         fats += [[s + slim_offset for s in f] for f in h.fat_neighbors]
         slim_offset += h.n_slim
     return HoffmanGraph(slim_offset, edges, fats)

@@ -55,7 +55,7 @@ def test_assoc_invariants_on_random_graphs():
         G = random_graph(rng, rng.randint(3, 11), rng.uniform(0.2, 0.8))
         q = rng.choice([2, 3, 4])
         assoc = associated_hoffman(G, q)
-        assert assoc.hoffman.slim_graph() == G
+        assert assoc.hoffman.slim == G
         maximal = set(maximal_cliques(G, min_size=q))
         for f in assoc.hoffman.fat_neighbors:
             clique = tuple(sorted(f))
@@ -129,6 +129,12 @@ def test_bose_laskar_rejects_mu_above_c():
     H = Graph(6, [e for e in G.edges() if e != (0, 1)])
     with pytest.raises(ValueError):
         bose_laskar(H, 2, 2, 1)
+
+
+def test_bose_laskar_rejects_negative_lambda():
+    # floor(lambda^2) would drop the sign, so -2 would act as 2
+    with pytest.raises(ValueError, match="lambda must be non-negative"):
+        bose_laskar(cycle_graph(5), 0, -2, 1)
 
 
 def test_bose_laskar_w_bound_and_partition():

@@ -34,7 +34,6 @@ KEEP = {
 
 # public methods no other library code calls, each with the reason it stays
 KEEP_METHODS = {
-    "HoffmanGraph.slim_graph": "acceptance-test oracle",
     "_Parser.error": "argparse override, called by argparse itself",
 }
 
