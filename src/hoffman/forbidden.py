@@ -18,8 +18,12 @@ x with x^T (A + tI) x < 0.  Every expansion claim (the nine pairs of
 verified and its quotient computed by :func:`graph_quotient_matrix`, the
 r x r block form diag(sizes)(Q + tI) is refuted by exact LDL^T, and the
 witness is lifted to a block-constant vector and re-checked on the graph
-itself with an integer edge sum.  LDL^T on the full adjacency matrix remains
-for graphs without a partition and serves as the tests' reference.
+itself in integers.  The re-check groups the vertices by their value: each
+vertex's sum over its neighbors is one popcount of its neighborhood bitset
+against each value class, and a lifted witness has at most one value per
+block, so no edge is visited one at a time.  LDL^T on the full adjacency
+matrix remains for graphs without a partition and serves as the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -151,21 +155,34 @@ def graph_quotient_matrix(G: Graph, P: Partition) -> RationalMatrix:
 
 
 def graph_quadratic_form(G: Graph, t, x: Sequence) -> Fraction:
-    """x^T (A(G) + t I) x evaluated edge-wise, exactly.
+    """x^T (A(G) + t I) x evaluated over classes of equal values, exactly.
 
     Denominators are cleared once: with y = L x integral and t = a/b the value
-    is (2b sum_{uv in E} y_u y_v + a sum_u y_u^2) / (b L^2), all in integers.
+    is (b W + a sum_u y_u^2) / (b L^2), all in integers, where
+    W = 2 sum_{uv in E} y_u y_v.  With M_c the bitset of the vertices where
+    y = c != 0, W = sum_u y_u sum_c c |N(u) & M_c|, so the cost is one
+    popcount per support vertex and distinct value; a block-constant vector
+    has at most one value per block.
     """
-    xs = [Fraction(v) for v in x]
+    # Fractions are immutable, so the lifted witnesses' entries are reused as they are
+    xs = [v if type(v) is Fraction else Fraction(v) for v in x]
     if len(xs) != G.n:
         raise ValueError("vector length mismatch")
     t = Fraction(t)
     scale = math.lcm(*(v.denominator for v in xs))
     ys = [v.numerator * (scale // v.denominator) for v in xs]
-    edge_sum = sum(ys[u] * ys[v] for u, v in G.edges())
+    classes: dict[int, int] = {}
+    for v, y in enumerate(ys):
+        if y:
+            classes[y] = classes.get(y, 0) | (1 << v)
+    values = list(classes.items())
+    twice_edge_sum = sum(
+        y * sum(c * (G.bits(u) & mask).bit_count() for c, mask in values)
+        for u, y in enumerate(ys) if y
+    )
     square_sum = sum(y * y for y in ys)
     return Fraction(
-        2 * t.denominator * edge_sum + t.numerator * square_sum,
+        t.denominator * twice_edge_sum + t.numerator * square_sum,
         t.denominator * scale * scale,
     )
 

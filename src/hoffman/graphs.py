@@ -43,6 +43,30 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
 
+    @classmethod
+    def _from_bits(cls, adj: Sequence[int]) -> "Graph":
+        """Graph on ``len(adj)`` vertices whose vertex v has neighborhood bitset ``adj[v]``.
+
+        The caller builds ``adj`` symmetric: bit v of ``adj[u]`` is set exactly
+        when bit u of ``adj[v]`` is.  That is not re-checked, so edges from
+        outside the program go through ``Graph(n, edges)`` instead.  Raises
+        ValueError on more than :data:`MAX_VERTICES` entries, on a bit at or
+        above n (a negative entry included) and on a self-loop bit.
+        """
+        adj = tuple(adj)
+        n = len(adj)
+        if n > MAX_VERTICES:
+            raise ValueError(f"graphs with more than {MAX_VERTICES} vertices are not supported")
+        for v, bits in enumerate(adj):
+            if bits >> n:
+                raise ValueError(f"neighborhood of vertex {v} out of range for n={n}")
+            if (bits >> v) & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+        G = cls.__new__(cls)
+        G.n = n
+        G._adj = adj
+        return G
+
     # -- basic accessors ---------------------------------------------------
 
     def bits(self, v: int) -> int:

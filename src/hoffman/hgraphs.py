@@ -11,23 +11,24 @@ The eigenvalues of a Hoffman graph are those of its special matrix
 S = A_slim - D^T D, where D is the fat-slim incidence matrix; S is returned
 as an integer :class:`~hoffman.exact.RationalMatrix` (``den`` = 1), the
 library's one exact matrix format.  Besides the special matrix, this module
-builds the clique expansion G(h, p) with its equitable block layout, the
-forbidden templates m_1 .. m_9, the parametric families behind the threshold
-expansions, and the named catalog.
+builds the clique expansion G(h, p) with its equitable block layout
+(:func:`expansion_blocks`); :func:`expand` writes the neighborhood bitsets of
+those blocks directly, one clique mask per fat vertex, with no edge list.  It
+also holds the forbidden templates m_1 .. m_9, the parametric families behind
+the threshold expansions, and the named catalog.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import IndexOutOfFamily
 from .exact import RationalMatrix, adjacency_bits, is_psd_exact, lambda_min_float
-from .graphs import Graph, _is_int, _is_int_pairs
+from .graphs import MAX_VERTICES, Graph, _bitset, _is_int, _is_int_pairs
 
 
 class HoffmanGraph:
@@ -150,13 +151,29 @@ def expansion_blocks(h: HoffmanGraph, p: int) -> list[range]:
 
 
 def expand(h: HoffmanGraph, p: int) -> Graph:
-    """Replace each fat vertex by a slim p-clique joined to its neighbors."""
+    """Replace each fat vertex by a slim p-clique joined to its neighbors.
+
+    The neighborhood bitsets are built directly over :func:`expansion_blocks`:
+    fat k's clique is one mask, which each of its slim neighbors ORs in and
+    each clique vertex takes without its own bit, plus N(k).  An expansion
+    with more than ``MAX_VERTICES`` vertices raises ValueError before
+    anything is built.
+    """
+    n = h.n_slim + p * h.n_fat
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"G(h, {p}) would have {n} vertices; at most {MAX_VERTICES} are supported")
     cliques = expansion_blocks(h, p)[h.n_slim:]
-    edges = list(h.slim.edges())
+    adj = [h.slim.bits(v) for v in range(h.n_slim)] + [0] * (n - h.n_slim)
+    full = (1 << p) - 1
     for f, block in zip(h.fat_neighbors, cliques):
-        edges.extend(combinations(block, 2))
-        edges.extend((s, i) for s in f for i in block)
-    return Graph(h.n_slim + p * h.n_fat, edges)
+        clique = full << block.start
+        for s in f:
+            adj[s] |= clique
+        slims = _bitset(f)
+        for i in block:
+            adj[i] = (clique ^ (1 << i)) | slims
+    return Graph._from_bits(adj)
 
 
 def is_t_fat(h: HoffmanGraph, t: int) -> bool:

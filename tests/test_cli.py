@@ -185,14 +185,29 @@ def test_verify_prop215_small(capsys):
 
 
 def test_verify_prop215_beyond_float_limit(capsys):
-    # s = 7 builds a 2025-vertex expansion: the exact certificate holds and
-    # the floating evidence is reported as null above the solver's limit
-    code, report = run_cli(capsys, "verify-paper", "prop215", "--s-max", "7")
+    # s = 7 builds a 2025-vertex expansion and s = 10 one of 8922 vertices with
+    # 3.98 M edges: the exact certificates hold and the floating evidence is
+    # reported as null above the solver's limit
+    code, report = run_cli(capsys, "verify-paper", "prop215", "--s-max", "10")
     assert code == 0
-    checks = report["results"]["s_values"][-1]["checks"]
-    assert [c["vertices"] for c in checks] == [345, 165, 2025]
-    assert [c["graph_lambda_min"] is None for c in checks] == [False, False, True]
-    assert all(c["exact_verdict"] and c["det_shifted"] == "-1" for c in checks)
+    assert report["results"]["ok"] is True
+    s_values = report["results"]["s_values"]
+    assert [r["s"] for r in s_values] == list(range(2, 11))
+    assert all(c["exact_verdict"] and c["det_shifted"] == "-1"
+               for r in s_values for c in r["checks"])
+    for r, vertices in ((s_values[5], [345, 165, 2025]), (s_values[8], [1002, 354, 8922])):
+        checks = r["checks"]
+        assert [c["vertices"] for c in checks] == vertices
+        assert [c["graph_lambda_min"] is None for c in checks] == [False, False, True]
+
+
+def test_verify_prop215_past_the_vertex_limit_is_one_error_line(capsys):
+    # at s = 11 the pendant-pair expansion would have 13213 vertices
+    assert main(["verify-paper", "prop215", "--s-max", "11"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "13213 vertices" in err
 
 
 def test_verify_prop5_reports_extra_survivor(capsys):

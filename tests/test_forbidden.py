@@ -412,18 +412,66 @@ def test_scan_rejects_non_integer_matrix():
         scan_M_t(RationalMatrix([[-2, Fraction(1, 2)], [Fraction(1, 2), -2]]), 2)
 
 
+def _edge_quadratic_form(G, t, x):
+    """x^T (A + tI) x as the plain integer sum over the edges (the oracle)."""
+    xs = [Fraction(v) for v in x]
+    t = Fraction(t)
+    scale = math.lcm(*(v.denominator for v in xs))
+    ys = [v.numerator * (scale // v.denominator) for v in xs]
+    edge_sum = sum(ys[u] * ys[v] for u, v in G.edges())
+    square_sum = sum(y * y for y in ys)
+    return Fraction(2 * t.denominator * edge_sum + t.numerator * square_sum,
+                    t.denominator * scale * scale)
+
+
+# negative shifts and shifts with a denominator other than 1 among them
+FORM_SHIFTS = (Fraction(3), Fraction(0), Fraction(-2), Fraction(-5, 3), Fraction(7, 4))
+
+
+def _form_vector(rng, n, values):
+    """A vector of length n whose entries are all distinct, repeat a few values, or vanish."""
+    if values == "zero":
+        return [Fraction(0)] * n
+    if values == "distinct":
+        x = [Fraction(v, 6) for v in rng.sample(range(-4 * n - 4, 4 * n + 4), n)]
+        assert len(set(x)) == n
+        return x
+    pool = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            for _ in range(3)] + [Fraction(0)]
+    return [rng.choice(pool) for _ in range(n)]
+
+
 def test_graph_form_matches_matrix_form():
+    # orders up to 130, so the neighborhood bitsets span several machine words
     rng = random.Random(12)
-    for trial in range(40):
-        G = random_graph(rng, rng.randint(0, 9), rng.random())
+    for trial in range(24):
+        G = random_graph(rng, rng.randint(0, 130), rng.random())
         t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if trial % 8 == 0:
-            x = [Fraction(0)] * G.n
-        else:
-            x = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(G.n)]
+        x = _form_vector(rng, G.n, ("zero", "distinct", "repeated")[trial % 3])
         value = graph_quadratic_form(G, t, x)
         assert isinstance(value, Fraction)
         assert value == quadratic_form(adjacency_rational(G).shifted(t), x)
+
+
+@pytest.mark.parametrize("values", ["distinct", "repeated", "zero"])
+def test_graph_form_matches_edge_sum(values):
+    rng = random.Random(f"form {values}")
+    orders = [0, 1, 2, 63, 64, 65, 127, 128, 129, 130] + [rng.randint(0, 130) for _ in range(10)]
+    for n in orders:
+        G = random_graph(rng, n, rng.random())
+        x = _form_vector(rng, n, values)
+        for t in FORM_SHIFTS:
+            assert graph_quadratic_form(G, t, x) == _edge_quadratic_form(G, t, x), (n, t)
+
+
+def test_graph_form_matches_edge_sum_on_lifted_witnesses():
+    # block-constant vectors on expansions of up to 2025 vertices
+    for s in (5, 6, 7):
+        for G, P in _threshold_expansions(s):
+            x = _lift_quotient_witness(G, s, P, graph_quotient_matrix(G, P))
+            value = graph_quadratic_form(G, s, x)
+            assert value < 0
+            assert value == _edge_quadratic_form(G, s, x), (s, G.n)
 
 
 # -- floating evidence -----------------------------------------------------------------------

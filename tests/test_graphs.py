@@ -22,6 +22,8 @@ from hoffman import (
     mu_parameter,
     parse_graph6,
 )
+from hoffman.graphs import MAX_VERTICES
+
 from .conftest import graph6_encode, is_clique, petersen_graph, random_graph
 
 
@@ -39,6 +41,32 @@ def test_rejects_self_loops_and_bad_edges():
 def test_rejects_oversized_graphs():
     with pytest.raises(ValueError):
         Graph(10_001)
+
+
+def test_from_bits_stores_the_given_neighborhoods():
+    rng = random.Random(5)
+    for n in (0, 1, 7, 64, 65, 130):
+        G = random_graph(rng, n, 0.4)
+        H = Graph._from_bits(list(G._adj))
+        assert H == G and hash(H) == hash(G)
+        assert list(H.edges()) == list(G.edges())
+
+
+def test_from_bits_rejects_too_many_vertices():
+    with pytest.raises(ValueError, match="more than 10000 vertices"):
+        Graph._from_bits([0] * (MAX_VERTICES + 1))
+
+
+@pytest.mark.parametrize("adj", [(0b10, 0b101), (0b10, 0b1, 0b1000), (0b10, -1)])
+def test_from_bits_rejects_a_bit_out_of_range(adj):
+    # bit n or above, a far bit, and a negative entry whose bits never end
+    with pytest.raises(ValueError, match="out of range for n="):
+        Graph._from_bits(adj)
+
+
+def test_from_bits_rejects_a_self_loop_bit():
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph._from_bits((0b10, 0b11))
 
 
 def test_basic_accessors():

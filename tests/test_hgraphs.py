@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from hoffman import (
     clique_with_two_fats,
     complete_graph,
     expand,
+    expansion_blocks,
     hoffman_at_least,
     is_t_fat,
     lambda_min_float,
@@ -25,6 +27,8 @@ from hoffman import (
     slim_with_fats,
     special_matrix,
 )
+
+from hoffman.graphs import MAX_VERTICES
 
 from .conftest import decompose, hoffman_isomorphic, induced_by_slim, permutation_equivalent
 
@@ -216,6 +220,72 @@ def test_expand_structure_counts():
 def test_expand_requires_positive_p():
     with pytest.raises(ValueError):
         expand(catalog("box").hoffman, 0)
+
+
+def _expand_by_edges(h, p):
+    """G(h, p) from its edge list: slim edges, clique edges, clique-to-N(k) edges (the oracle)."""
+    cliques = expansion_blocks(h, p)[h.n_slim:]
+    edges = list(h.slim.edges())
+    for f, block in zip(h.fat_neighbors, cliques):
+        edges.extend(combinations(block, 2))
+        edges.extend((s, i) for s in f for i in block)
+    return Graph(h.n_slim + p * h.n_fat, edges)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_expand_matches_edge_list_oracle_on_catalog(p):
+    for entry in catalog("H") + catalog("G2") + (catalog("path2fat"),):
+        assert expand(entry.hoffman, p)._adj == _expand_by_edges(entry.hoffman, p)._adj, entry.id
+
+
+def test_expand_matches_edge_list_oracle_on_threshold_expansions():
+    for s in range(2, 8):
+        for h, p in ((slim_with_fats(s + 1), s * (s - 1) + 1),
+                     (clique_with_two_fats(s), (s - 1) * (2 * s - 1) + 1),
+                     (pendant_slim_pair(s), (s + 1) * (s - 1) ** 2 + 1)):
+            assert expand(h, p)._adj == _expand_by_edges(h, p)._adj, (s, h)
+
+
+def test_expand_matches_edge_list_oracle_on_random_hoffman_graphs():
+    # every fourth graph has no fat vertex, one fat on every slim vertex, or
+    # an isolated slim vertex, besides the plain random ones
+    rng = random.Random(97)
+    for trial in range(200):
+        ns = rng.randint(1, 9)
+        edges = [(i, j) for i in range(ns) for j in range(i + 1, ns) if rng.random() < 0.4]
+        fats = [rng.sample(range(ns), rng.randint(1, ns)) for _ in range(rng.randint(1, 5))]
+        kind = trial % 4
+        if kind == 0:
+            fats = []
+        elif kind == 1:
+            fats.append(list(range(ns)))
+        elif kind == 2 and ns > 1:
+            lone = rng.randrange(ns)
+            edges = [e for e in edges if lone not in e]
+            fats = [[v for v in f if v != lone] for f in fats]
+            fats = [f for f in fats if f]
+        h = HoffmanGraph(ns, edges, fats)
+        p = rng.randint(1, 6)
+        G = expand(h, p)
+        assert G.n == ns + p * len(fats)
+        assert G._adj == _expand_by_edges(h, p)._adj, (trial, ns, edges, fats, p)
+
+
+def test_expand_over_the_vertex_limit_raises_before_building(monkeypatch):
+    import hoffman.hgraphs as hgraphs
+
+    # MAX_VERTICES + 1 vertices; the layout is never computed, so nothing is built
+    def unreachable(h, p):
+        raise AssertionError("expansion built past the vertex limit")
+
+    with monkeypatch.context() as m:
+        m.setattr(hgraphs, "expansion_blocks", unreachable)
+        with pytest.raises(ValueError, match="10001 vertices"):
+            expand(slim_with_fats(1), MAX_VERTICES)
+    # the largest expansion allowed is K_{MAX_VERTICES}
+    G = expand(slim_with_fats(1), MAX_VERTICES - 1)
+    assert G.n == MAX_VERTICES
+    assert G.edge_count() == MAX_VERTICES * (MAX_VERTICES - 1) // 2
 
 
 def test_ostrowski_lower_bound_smoke():
