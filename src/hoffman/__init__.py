@@ -20,7 +20,6 @@ from .graphs import (
     cycle_graph,
     graph_from_json,
     load_graph,
-    max_independent_set_in_neighborhood,
     maximal_cliques,
     maximum_independent_set,
     mu_parameter,
@@ -32,7 +31,6 @@ from .exact import (
     det_exact,
     eigenvalues_float,
     is_psd_exact,
-    lambda_min_float,
     psd_witness,
     quotient_eigenvalues_float,
 )
@@ -43,9 +41,7 @@ from .hgraphs import (
     clique_with_two_fats,
     expand,
     expansion_blocks,
-    hoffman_at_least,
     is_t_fat,
-    lambda_min_hoffman,
     m_matrix,
     pendant_slim_pair,
     slim_with_fats,
@@ -64,7 +60,6 @@ from .forbidden import (
     verify_proposition_cal,
 )
 from .structure import (
-    AssociatedGraph,
     CliqueExtraction,
     Thresholds,
     associated_hoffman,

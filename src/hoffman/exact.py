@@ -344,12 +344,6 @@ def eigenvalues_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[list[f
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def lambda_min_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[float]:
-    """Smallest eigenvalue to ~1e-9; None at order 0 or above the floating limit."""
-    values = eigenvalues_float(M)
-    return values[0] if values else None
-
-
 # -- quotient matrices --------------------------------------------------------
 
 def quotient_eigenvalues_float(Q: RationalMatrix, block_sizes: Sequence[int]) -> Optional[list]:

@@ -41,7 +41,7 @@ from .exact import (
     RationalMatrix,
     adjacency_bits,
     det_exact,
-    lambda_min_float,
+    eigenvalues_float,
     psd_witness,
     quotient_eigenvalues_float,
 )
@@ -127,7 +127,8 @@ def adjacency_rational(G: Graph) -> RationalMatrix:
 
 def graph_lambda_min_float(G: Graph) -> Optional[float]:
     """Smallest adjacency eigenvalue as floating evidence; None at order 0 or above the limit."""
-    return lambda_min_float(G)
+    values = eigenvalues_float(G)
+    return values[0] if values else None
 
 
 def graph_quotient_matrix(G: Graph, P: Partition) -> RationalMatrix:
@@ -282,16 +283,13 @@ def _quotient_check(G: Graph, s: int, blocks, construction: str) -> dict:
     # is not PSD and the lift cannot miss
     witness = _lift_quotient_witness(G, s, partition, Q)
     qmin = quotient_eigenvalues_float(Q, partition.sizes())[0]
-    gmin = graph_lambda_min_float(G)
-    if gmin is not None and qmin < gmin - 1e-7:
-        raise VerificationError(f"{construction}: quotient eigenvalue below graph minimum")
     return {
         "construction": construction,
         "vertices": G.n,
         "quotient": Q.to_json(),
         "det_shifted": str(det),
         "quotient_lambda_min": qmin,
-        "graph_lambda_min": gmin,
+        "graph_lambda_min": graph_lambda_min_float(G),
         "exact_verdict": True,
         "witness_support": sum(1 for v in witness if v != 0),
     }

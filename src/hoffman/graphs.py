@@ -250,13 +250,6 @@ def maximum_independent_set(G: Graph, within: Optional[Iterable[int]] = None) ->
     return tuple(chosen)
 
 
-def max_independent_set_in_neighborhood(G: Graph, x: int) -> tuple[int, ...]:
-    """Maximum independent set within N(x); ties broken lexicographically."""
-    if not 0 <= x < G.n:
-        raise ValueError(f"vertex {x} out of range")
-    return maximum_independent_set(G, _iter_bits(G.bits(x)))
-
-
 # -- file formats ------------------------------------------------------------
 
 def _is_int(x) -> bool:

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import IndexOutOfFamily
-from .exact import RationalMatrix, adjacency_bits, is_psd_exact, lambda_min_float
+from .exact import RationalMatrix, adjacency_bits
 from .graphs import MAX_VERTICES, Graph, _bitset, _is_int, _is_int_pairs
 
 
@@ -122,16 +122,6 @@ def special_matrix(h: HoffmanGraph) -> RationalMatrix:
     for k, f in enumerate(h.fat_neighbors):
         D[k, list(f)] = 1
     return RationalMatrix.fraction_free(adjacency_bits(h.slim) - D.T @ D, 1)
-
-
-def lambda_min_hoffman(h: HoffmanGraph) -> Optional[float]:
-    """Smallest eigenvalue of the special matrix (floating, reporting only; None if no slim)."""
-    return lambda_min_float(special_matrix(h))
-
-
-def hoffman_at_least(h: HoffmanGraph, t) -> bool:
-    """Exact decision of lambda_min(h) >= -t via PSD(S + tI) over rationals."""
-    return is_psd_exact(special_matrix(h).shifted(t))
 
 
 # -- clique expansion --------------------------------------------------------

@@ -20,27 +20,13 @@ from typing import Optional
 from .errors import BoundViolation
 from .exact import is_psd_exact
 from .forbidden import adjacency_rational, graph_lambda_min_float, scan_M_t
-from .graphs import (
-    Graph,
-    _bitset,
-    max_independent_set_in_neighborhood,
-    maximal_cliques,
-    mu_parameter,
-)
+from .graphs import Graph, _bitset, maximal_cliques, maximum_independent_set, mu_parameter
 from .hgraphs import HoffmanGraph, is_t_fat, special_matrix
 
 
 # -- associated Hoffman graphs -------------------------------------------------
 
-@dataclass(frozen=True)
-class AssociatedGraph:
-    """A graph together with one fat vertex per large maximal clique."""
-
-    hoffman: HoffmanGraph
-    clique_of_fat: tuple[tuple[int, ...], ...]
-
-
-def associated_hoffman(G: Graph, q: int) -> AssociatedGraph:
+def associated_hoffman(G: Graph, q: int) -> HoffmanGraph:
     """Associated Hoffman graph at level q.
 
     Fat vertices correspond to the maximal cliques of order >= q, in the
@@ -49,9 +35,7 @@ def associated_hoffman(G: Graph, q: int) -> AssociatedGraph:
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    cliques = maximal_cliques(G, min_size=q)
-    h = HoffmanGraph(G.n, G.edges(), [list(c) for c in cliques])
-    return AssociatedGraph(h, cliques)
+    return HoffmanGraph(G.n, G.edges(), maximal_cliques(G, min_size=q))
 
 
 # -- threshold formulas ----------------------------------------------------------
@@ -74,7 +58,6 @@ class Thresholds:
     are only defined when ceil(lambda) == 3.
     """
 
-    lam: float
     c: int
     c_tilde: int
     n1: int
@@ -92,9 +75,7 @@ def thresholds(lam, c: int) -> Thresholds:
         ct3 = min(c, 6)
         q = max(c + 5, 50 * ct3 + 16)
         K = max(36 * c + 400 * ct3 + 83, 44 * c - 5)
-    return Thresholds(
-        lam=float(lam), c=c, c_tilde=c_tilde, n1=n1_threshold(ceil_l), q=q, K=K,
-    )
+    return Thresholds(c=c, c_tilde=c_tilde, n1=n1_threshold(ceil_l), q=q, K=K)
 
 
 # -- clique extraction (independent-set pigeonhole) -------------------------------
@@ -142,7 +123,7 @@ def bose_laskar(G: Graph, x: int, lam, c: int, r: Optional[int] = None) -> Cliqu
         raise ValueError(f"graph has non-adjacent pairs with {mu} > c = {c} common neighbors")
     floor_l2 = math.floor(Fraction(lam) ** 2)
 
-    ind = max_independent_set_in_neighborhood(G, x)
+    ind = maximum_independent_set(G, G.neighbors(x))
     ind_bits = _bitset(ind)
     s = len(ind)
 
@@ -250,11 +231,11 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
 
     if all(report[k]["passed"] for k in
            ("condition_mu", "condition_clique_order", "condition_lambda_min")):
-        assoc = associated_hoffman(G, th.q)
-        two_fat = is_t_fat(assoc.hoffman, 2)
-        hit = scan_M_t(special_matrix(assoc.hoffman), 2)
+        h = associated_hoffman(G, th.q)
+        two_fat = is_t_fat(h, 2)
+        hit = scan_M_t(special_matrix(h), 2)
         report["associated"] = {
-            "fats": assoc.hoffman.n_fat,
+            "fats": h.n_fat,
             "two_fat": two_fat,
             "forbidden_hit": None if hit is None else {
                 "slim_subset": list(hit.slim_subset),

@@ -19,11 +19,10 @@ from hoffman import (
     associated_hoffman,
     bose_laskar,
     catalog,
+    eigenvalues_float,
     expand,
     feasibility_scan,
     is_psd_exact,
-    lambda_min_float,
-    lambda_min_hoffman,
     maximal_cliques,
     mu_parameter,
     n1_threshold,
@@ -127,10 +126,10 @@ def test_criterion_6_threshold_formulas():
 def test_criterion_7a_expansion_monotonicity():
     with criterion(7, "(a) expansion eigenvalues: lower bound and monotone in p"):
         for h in full_catalog():
-            base = lambda_min_hoffman(h)
+            base = eigenvalues_float(special_matrix(h))[0]
             previous = None
             for p in range(1, 21):
-                lm = lambda_min_float(adjacency_rational(expand(h, p)))
+                lm = eigenvalues_float(adjacency_rational(expand(h, p)))[0]
                 assert lm >= base - 1e-7
                 if previous is not None:
                     assert lm <= previous + 1e-9
@@ -181,7 +180,7 @@ def test_criterion_7d_exact_float_agreement():
                 for j in range(i + 1):
                     rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             M = RationalMatrix(rows)
-            assert is_psd_exact(M) == (lambda_min_float(M) >= -1e-7)
+            assert is_psd_exact(M) == (eigenvalues_float(M)[0] >= -1e-7)
 
 
 def test_criterion_7e_associated_invariants():
@@ -190,11 +189,11 @@ def test_criterion_7e_associated_invariants():
         for _ in range(200):
             G = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 0.8))
             q = rng.choice([2, 3, 4])
-            assoc = associated_hoffman(G, q)
-            assert assoc.hoffman.slim == G
+            h = associated_hoffman(G, q)
+            assert h.slim == G
             maximal = set(maximal_cliques(G, min_size=q))
-            assert len(assoc.hoffman.fat_neighbors) == len(maximal)
-            for f in assoc.hoffman.fat_neighbors:
+            assert len(h.fat_neighbors) == len(maximal)
+            for f in h.fat_neighbors:
                 assert tuple(sorted(f)) in maximal
                 for u in f:
                     for v in f:

@@ -72,6 +72,42 @@ def test_assoc(capsys, k5_json):
     assert report["results"]["cliques"] == [[0, 1, 2, 3, 4]]
 
 
+@pytest.fixture
+def lk6_json(tmp_path):
+    # L(K6): vertex k is the k-th pair of {0..5} in lexicographic order
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    path = tmp_path / "lk6.json"
+    path.write_text(json.dumps({
+        "n": len(pairs),
+        "edges": [[i, j] for i in range(len(pairs)) for j in range(i + 1, len(pairs))
+                  if set(pairs[i]) & set(pairs[j])],
+    }))
+    return str(path)
+
+
+def test_assoc_line_graph_lists_the_stars_in_order(capsys, lk6_json):
+    # the maximal cliques of L(K6) are the 6 stars of order 5 and the 20
+    # triangles; at q = 4 only the stars become fat vertices
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    stars = [[k for k, pair in enumerate(pairs) if a in pair] for a in range(6)]
+    code, report = run_cli(capsys, "assoc", "--graph", lk6_json, "--q", "4")
+    assert code == 0
+    res = report["results"]
+    assert (res["n"], res["fats"]) == (15, 6)
+    assert res["cliques"] == res["hoffman"]["fat_adj"] == sorted(stars)
+    code, report = run_cli(capsys, "assoc", "--graph", lk6_json, "--q", "3")
+    assert code == 0
+    assert report["results"]["fats"] == 26
+
+
+def test_bose_laskar_vertex_out_of_range_is_an_input_error(capsys, lk6_json):
+    code = main(["bose-laskar", "--graph", lk6_json, "--x", "15", "--lam", "2", "--c", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: vertex 15 out of range\n"
+
+
 def test_bose_laskar(capsys, c5_g6):
     code, report = run_cli(
         capsys, "bose-laskar", "--graph", c5_g6, "--x", "0", "--lam", "2", "--c", "1")

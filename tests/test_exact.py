@@ -19,9 +19,9 @@ from hoffman import (
     cycle_graph,
     det_exact,
     eigenvalues_float,
+    graph_lambda_min_float,
     graph_quotient_matrix,
     is_psd_exact,
-    lambda_min_float,
     m_matrix,
     psd_witness,
     quotient_eigenvalues_float,
@@ -508,7 +508,7 @@ def test_exact_and_float_agree_on_random_matrices():
             for j in range(i + 1):
                 rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         M = RationalMatrix(rows)
-        assert is_psd_exact(M) == (lambda_min_float(M) >= -1e-7)
+        assert is_psd_exact(M) == (eigenvalues_float(M)[0] >= -1e-7)
 
 
 # -- determinants ----------------------------------------------------------------------
@@ -553,23 +553,23 @@ def test_det_matches_fraction_elimination_oracle():
 # -- floating eigensolver ---------------------------------------------------------------
 
 def test_identity_lambda_min():
-    assert abs(lambda_min_float(identity(3)) - 1.0) < 1e-12
+    assert abs(eigenvalues_float(identity(3))[0] - 1.0) < 1e-12
 
 
 def test_complete_graph_lambda_min_is_minus_one():
     for n in range(2, 51):
         A = adjacency_rational(complete_graph(n))
-        assert abs(lambda_min_float(A) + 1.0) < 1e-9
+        assert abs(eigenvalues_float(A)[0] + 1.0) < 1e-9
 
 
 def test_float_solver_rejects_nonsymmetric(monkeypatch):
     with pytest.raises(ValueError):
-        lambda_min_float(RationalMatrix([[0, 1], [0, 0]]))
+        eigenvalues_float(RationalMatrix([[0, 1], [0, 0]]))
     import hoffman.exact as exact
     monkeypatch.setattr(exact, "FLOAT_ORDER_LIMIT", 2)
     # above the limit there is no floating value, symmetric or not, and the
     # size check comes before any array is built
-    assert exact.lambda_min_float(identity(3)) is None
+    assert exact.eigenvalues_float(identity(3)) is None
     assert exact.eigenvalues_float(RationalMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])) is None
 
 
@@ -583,8 +583,7 @@ def test_empty_matrix_has_no_smallest_eigenvalue():
 
     assert eigenvalues_float(RationalMatrix([])) == []
     assert eigenvalues_float(Graph(0)) == []
-    assert lambda_min_float(RationalMatrix([])) is None
-    assert lambda_min_float(Graph(0)) is None
+    assert graph_lambda_min_float(Graph(0)) is None
 
 
 # -- quotient matrices ----------------------------------------------------------------------
@@ -633,16 +632,16 @@ def test_lambda_min_on_forbidden_templates():
     from hoffman import m_matrix
     import math
 
-    assert abs(lambda_min_float(RationalMatrix(m_matrix(5, t=2))) + 4.0) < 1e-9
-    assert abs(lambda_min_float(RationalMatrix(m_matrix(6, t=2))) + 4.0) < 1e-9
+    assert abs(eigenvalues_float(RationalMatrix(m_matrix(5, t=2)))[0] + 4.0) < 1e-9
+    assert abs(eigenvalues_float(RationalMatrix(m_matrix(6, t=2)))[0] + 4.0) < 1e-9
     target = -2 - math.sqrt(2)
     for kind in (7, 8, 9):
-        assert abs(lambda_min_float(RationalMatrix(m_matrix(kind, t=2))) - target) < 1e-9
+        assert abs(eigenvalues_float(RationalMatrix(m_matrix(kind, t=2)))[0] - target) < 1e-9
     # the general closed forms at t = 3
-    assert abs(lambda_min_float(RationalMatrix(m_matrix(2, -3, 3))) + 6.0) < 1e-9
-    assert abs(lambda_min_float(RationalMatrix(m_matrix(4, -2, 3))) + 6.0) < 1e-9
+    assert abs(eigenvalues_float(RationalMatrix(m_matrix(2, -3, 3)))[0] + 6.0) < 1e-9
+    assert abs(eigenvalues_float(RationalMatrix(m_matrix(4, -2, 3)))[0] + 6.0) < 1e-9
     golden = -3 - (1 + math.sqrt(5)) / 2
-    assert abs(lambda_min_float(RationalMatrix(m_matrix(3, 1, 3))) - golden) < 1e-9
+    assert abs(eigenvalues_float(RationalMatrix(m_matrix(3, 1, 3)))[0] - golden) < 1e-9
 
 
 def test_quotient_complete_bipartite_sides():

@@ -16,7 +16,6 @@ from hoffman import (
     cycle_graph,
     graph_from_json,
     load_graph,
-    max_independent_set_in_neighborhood,
     maximal_cliques,
     maximum_independent_set,
     mu_parameter,
@@ -170,15 +169,17 @@ def test_clique_set_json_is_sorted_lists():
 
 def test_star_center_neighborhood():
     G = Graph(5, [(0, i) for i in range(1, 5)])
-    assert max_independent_set_in_neighborhood(G, 0) == (1, 2, 3, 4)
+    assert maximum_independent_set(G, G.neighbors(0)) == (1, 2, 3, 4)
 
 
 def test_complete_graph_neighborhood_lex_first():
-    assert max_independent_set_in_neighborhood(complete_graph(5), 2) == (0,)
+    G = complete_graph(5)
+    assert maximum_independent_set(G, G.neighbors(2)) == (0,)
 
 
 def test_c5_neighborhood():
-    assert max_independent_set_in_neighborhood(cycle_graph(5), 0) == (1, 4)
+    G = cycle_graph(5)
+    assert maximum_independent_set(G, G.neighbors(0)) == (1, 4)
 
 
 def test_independent_set_maximum_by_bruteforce():
@@ -186,7 +187,7 @@ def test_independent_set_maximum_by_bruteforce():
     for _ in range(30):
         G = random_graph(rng, rng.randint(2, 11), rng.random())
         x = rng.randrange(G.n)
-        got = max_independent_set_in_neighborhood(G, x)
+        got = maximum_independent_set(G, G.neighbors(x))
         nbrs = G.neighbors(x)
         assert set(got) <= set(nbrs)
         assert all(not G.has_edge(u, v) for u, v in combinations(got, 2))

@@ -16,12 +16,11 @@ from hoffman import (
     catalog,
     clique_with_two_fats,
     complete_graph,
+    eigenvalues_float,
     expand,
     expansion_blocks,
-    hoffman_at_least,
+    is_psd_exact,
     is_t_fat,
-    lambda_min_float,
-    lambda_min_hoffman,
     m_matrix,
     pendant_slim_pair,
     slim_with_fats,
@@ -171,15 +170,18 @@ def test_catalog_unknown_id():
 # -- eigenvalues --------------------------------------------------------------------
 
 def test_lambda_min_examples():
-    assert lambda_min_hoffman(catalog("fan3").hoffman) == -3.0
-    assert abs(lambda_min_hoffman(catalog("box").hoffman) + 3.0) < 1e-12
-    assert abs(lambda_min_hoffman(catalog("h_{3,1}").hoffman) - GOLDEN_RATIO_SHIFT) < 1e-9
+    def lambda_min(name):
+        return eigenvalues_float(special_matrix(catalog(name).hoffman))[0]
+
+    assert lambda_min("fan3") == -3.0
+    assert abs(lambda_min("box") + 3.0) < 1e-12
+    assert abs(lambda_min("h_{3,1}") - GOLDEN_RATIO_SHIFT) < 1e-9
 
 
 def test_at_least_exact_threshold():
     box = catalog("box").hoffman
-    assert hoffman_at_least(box, 3)
-    assert not hoffman_at_least(box, Fraction(29, 10))
+    assert is_psd_exact(special_matrix(box).shifted(3))
+    assert not is_psd_exact(special_matrix(box).shifted(Fraction(29, 10)))
 
 
 # -- expansion -----------------------------------------------------------------------
@@ -194,7 +196,7 @@ def test_expand_box_p1_is_k4_minus_edge():
     expected = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert G == expected
     # frozen from the eigensolver: (1 - sqrt(17)) / 2
-    assert abs(lambda_min_float(adjacency_rational(G)) - (1 - math.sqrt(17)) / 2) < 1e-9
+    assert abs(eigenvalues_float(adjacency_rational(G))[0] - (1 - math.sqrt(17)) / 2) < 1e-9
 
 
 def test_expand_three_fats_drops_below_minus_two():
@@ -290,10 +292,10 @@ def test_expand_over_the_vertex_limit_raises_before_building(monkeypatch):
 
 def test_ostrowski_lower_bound_smoke():
     for entry in catalog("H")[:4]:
-        base = lambda_min_hoffman(entry.hoffman)
+        base = eigenvalues_float(special_matrix(entry.hoffman))[0]
         for p in (1, 3, 6):
             G = expand(entry.hoffman, p)
-            assert lambda_min_float(adjacency_rational(G)) >= base - 1e-7
+            assert eigenvalues_float(adjacency_rational(G))[0] >= base - 1e-7
 
 
 # -- t-fatness --------------------------------------------------------------------------
@@ -322,12 +324,12 @@ def test_induced_lambda_min_never_smaller():
     rng = random.Random(17)
     for entry in catalog("H"):
         h = entry.hoffman
-        host = lambda_min_hoffman(h)
+        host = eigenvalues_float(special_matrix(h))[0]
         for _ in range(4):
             k = rng.randint(1, h.n_slim)
             W = rng.sample(range(h.n_slim), k)
             sub = induced_by_slim(h, W)
-            assert lambda_min_hoffman(sub) >= host - 1e-7
+            assert eigenvalues_float(special_matrix(sub))[0] >= host - 1e-7
 
 
 # -- decomposition -----------------------------------------------------------------------
@@ -441,12 +443,12 @@ def test_exact_thresholds_bracket_irrational_minimum():
     # lambda_min(h_7) = -2 - sqrt(2) = -3.41421356...; exact PSD decisions
     # must separate rationals on either side of it
     h7 = catalog("h_7").hoffman
-    assert hoffman_at_least(h7, Fraction(341422, 100000))
-    assert not hoffman_at_least(h7, Fraction(341421, 100000))
+    assert is_psd_exact(special_matrix(h7).shifted(Fraction(341422, 100000)))
+    assert not is_psd_exact(special_matrix(h7).shifted(Fraction(341421, 100000)))
     # lambda_min(h_{3,1}) = -2 - (1 + sqrt(5))/2 = -3.61803398...
     h31 = catalog("h_{3,1}").hoffman
-    assert hoffman_at_least(h31, Fraction(361804, 100000))
-    assert not hoffman_at_least(h31, Fraction(361803, 100000))
+    assert is_psd_exact(special_matrix(h31).shifted(Fraction(361804, 100000)))
+    assert not is_psd_exact(special_matrix(h31).shifted(Fraction(361803, 100000)))
 
 
 def test_exact_boundaries_of_two_by_two_templates():
@@ -474,7 +476,7 @@ def test_ostrowski_bound_on_random_hoffman_graphs():
             size = rng.randint(1, ns)
             fats.append(rng.sample(range(ns), size))
         h = HoffmanGraph(ns, edges, fats)
-        base = lambda_min_hoffman(h)
+        base = eigenvalues_float(special_matrix(h))[0]
         for p in (1, 2, 4, 6):
             assert graph_lambda_min_float(expand(h, p)) >= base - 1e-7
 

@@ -1,12 +1,14 @@
-"""The library's public surface: every export and method has a user, no check
-is an assert, there is one floating path, and every function the benchmark
-traces exists.
+"""The library's public surface: every export and method has a user, no export
+is a second name for another, no check is an assert, there is one floating
+path, and every function the benchmark traces exists.
 
 A name exported from ``hoffman`` must be needed by the library itself, that
 is referenced by a module of ``src/hoffman/`` other than ``__init__`` outside
 its own definition, or be kept on purpose for a reason given in
 :data:`KEEP`.  The same holds for the public methods of library classes, by
-name, with :data:`KEEP_METHODS`.  An ``assert`` cannot carry a check, since
+name, with :data:`KEEP_METHODS`.  An export whose body, after the docstring,
+is only ``return f(<its own parameters, in order>)`` with ``f`` another
+export is a second name for ``f``.  An ``assert`` cannot carry a check, since
 ``python -O`` strips it.  ``np.linalg`` is reached only from ``exact.py``, so
 no second floating path decides or reports anything.  Each
 ``Boundary(module, function)`` of ``perfbench/spans.py`` names an attribute
@@ -27,8 +29,6 @@ SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 KEEP = {
     "complete_graph": "graph constructor",
     "cycle_graph": "graph constructor",
-    "hoffman_at_least": "README library example",
-    "lambda_min_hoffman": "acceptance criteria 7a and 7e",
     "certify_lambda_min_below": "LDL^T oracle of the tests; perfbench boundary",
 }
 
@@ -83,6 +83,49 @@ def test_every_export_is_used_or_kept():
 def test_keep_list_names_only_unused_exports():
     # a kept name that gained a library caller no longer needs its entry
     assert sorted(set(KEEP) - set(_unused_exports(_modules()))) == []
+
+
+def _pass_throughs(modules) -> list[str]:
+    """Exported functions that only return another export called on their own parameters."""
+    exports = set(_exports(modules["__init__.py"]))
+    found = []
+    for tree in modules.values():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in exports:
+                continue
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in exports and call.func.id != node.name):
+                continue
+            passed = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+            passed += [k.value.id if isinstance(k.value, ast.Name) and k.arg == k.value.id
+                       else None for k in call.keywords]
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if passed == [a.arg for a in params]:
+                found.append(f"{node.name} -> {call.func.id}")
+    return found
+
+
+def test_no_export_is_a_pass_through():
+    assert _pass_throughs(_modules()) == []
+
+
+def test_pass_through_guard_sees_an_alias():
+    # f and h are second names of g; k reorders, m post-processes, n is not exported
+    tree = ast.parse(
+        "def f(a, b):\n    return g(a, b)\n"
+        "def h(a, b):\n    'doc'\n    return g(a, b=b)\n"
+        "def k(a, b):\n    return g(b, a)\n"
+        "def m(a):\n    return g(a)[0]\n"
+        "def n(a):\n    return g(a)\n"
+    )
+    init = ast.parse("from .x import f, g, h, k, m")
+    assert _pass_throughs({"__init__.py": init, "x.py": tree}) == ["f -> g", "h -> g"]
 
 
 def test_no_assert_in_library():
