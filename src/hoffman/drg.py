@@ -7,14 +7,18 @@ the integrality of the triple-intersection numbers p^{i+h}_{ih} in integer
 arithmetic, take alpha on the grid k/(b+1) (forced by the integrality of c_2
 and c_3) and never touch floating point.
 
-A scan does not test every grid point.  For a check (i, h) with i, h >= 2,
-k+b+1 divides the denominator of p^{i+h}_{ih}, and a survivor forces k+b+1
-to divide a fixed integer R_ih; so the exact test runs only on the divisors
-of gcd(R_ih) in range.  The gcd is factored in pure Python: [m]_b splits into
-cyclotomic values Phi_d(b), which are factored by trial division and Pollard
-rho, and every prime is certified by deterministic Miller-Rabin (exact below
-3.3e24, which covers D = 14 and b <= 100).  Without such a check, or when a
-factor cannot be certified prime, the scan tests the whole grid.
+A scan does not test every grid point; two sieves pick the k it tests.
+For a check (i, h) with i, h >= 2, k+b+1 divides the denominator of
+p^{i+h}_{ih}, and a survivor forces k+b+1 to divide a fixed integer R_ih; so
+the exact test runs only on the divisors of gcd(R_ih) in range.  The gcd is
+factored in pure Python: [m]_b splits into cyclotomic values Phi_d(b), which
+are factored by trial division and Pollard rho, and every prime is certified
+by deterministic Miller-Rabin (exact below 3.3e24, which covers D = 14 and
+b <= 100).  For a check with i, h >= 3, (b+1)(k+1) divides that denominator
+too, and a survivor forces k+1 to divide a second fixed integer; its gcd
+over those checks is only a modulus and is never factored.  Without a check
+with i, h >= 2, or when a factor cannot be certified prime, the scan tests
+the whole grid, and refuses a grid of more than 10^7 points.
 
 beta never enters the c_i-based integrality checks, so scans quantify over
 alpha only.  b = 1 is supported for formula evaluation, scans require b >= 2.
@@ -32,6 +36,7 @@ from .errors import (
     IndexOutOfRange,
     NegativeIntersectionNumber,
     OrderingViolation,
+    SearchBudgetExhausted,
     VerificationError,
 )
 
@@ -166,6 +171,9 @@ _PRIME_CERT_LIMIT = 3317044064679887385961981
 # squarings Pollard rho may spend on one composite; b <= 100 at D = 14 needs
 # at most about 5e4, a product of two primes near 1e11 about 8e5
 _RHO_STEPS = 1 << 21
+# grid points a scan may test one by one when no divisor route applies; at
+# about 2.4 us a point this is half a minute
+_MAX_GRID_POINTS = 10**7
 
 
 def _is_prime(n: int) -> bool:
@@ -262,18 +270,27 @@ def _factor(n: int) -> Counter | None:
 
 
 def _divisor_candidates(b: int, pairs, k_max: int) -> list[int] | None:
-    """The k in 0..k_max with k+b+1 dividing every R_ih, or ``None`` (full grid).
+    """The k in 0..k_max that pass both sieves, or ``None`` (full grid).
 
-    Write u_j = b+1 + k[j-1]_b, so that c_j = [j]_b u_j / (b+1) and
-    u_2 = k+b+1.  For h >= 2, u_2 divides the denominator of p^{i+h}_{ih},
-    so a survivor has u_2 | prod_{m=i+1}^{i+h} [m]_b u_m.  As
+    Write u_j = b+1 + k[j-1]_b, so that c_j = [j]_b u_j / (b+1), and a
+    survivor of check (i, h) has den_h | num_ih, where num_ih = prod_{m=i+1}^{i+h}
+    [m]_b u_m and den_h = prod_{m=1}^{h} [m]_b u_m.
+
+    The u_2 sieve: u_2 = k+b+1 divides den_h for h >= 2.  As
     u_m = -(b+1) b [m-2]_b modulo u_2, u_2 divides the fixed integer
-    R_ih = prod_{m=i+1}^{i+h} [m]_b (b+1) b [m-2]_b, which is 0 for i = 1.
-    The candidates are the divisors of G = gcd of the R_ih over the checks
+    R2_ih = prod_{m=i+1}^{i+h} [m]_b (b+1) b [m-2]_b, which is 0 for i = 1.
+    The k+b+1 are the divisors of G2 = gcd of the R2_ih over the checks
     with i, h >= 2, read off the factorizations of b, b+1 and the cyclotomic
-    values Phi_d(b) that make up [m]_b = prod_{d | m, d > 1} Phi_d(b).
+    values Phi_d(b) that make up [m]_b = prod_{d | m, d > 1} Phi_d(b), and
+    built largest prime first so that the partial lists stay short.
 
-    ``None`` when no check has i, h >= 2, or when G cannot be factored
+    The u_3 sieve: u_3 = (b+1)(k+1) divides den_h for h >= 3.  As
+    u_m = -b^2 [m-3]_b modulo k+1, k+1 divides
+    R3_ih = prod_{m=i+1}^{i+h} [m]_b b^2 [m-3]_b, which is 0 for i <= 2.  A
+    divisor of G2 is kept only when k+1 divides G3 = gcd of the R3_ih over
+    the checks with i, h >= 3 (G3 = 0, no constraint, when there is none).
+
+    ``None`` when no check has i, h >= 2, or when G2 cannot be factored
     into certified primes: the divisors of an unfactored composite would
     miss survivors.
     """
@@ -295,15 +312,20 @@ def _divisor_candidates(b: int, pairs, k_max: int) -> list[int] | None:
         return None
     g_factors = {m: sum((phi_factors[d] for d in range(2, m + 1) if m % d == 0), Counter())
                  for m in ms}
-    G = None
+    G2 = None
+    G3 = 0
     for i, h in binding:
-        R = Counter()
+        R2 = Counter()
         for m in range(i + 1, i + h + 1):
-            R += g_factors[m] + g_factors[m - 2] + b_factors + b1_factors
-        G = R if G is None else G & R
+            R2 += g_factors[m] + g_factors[m - 2] + b_factors + b1_factors
+        G2 = R2 if G2 is None else G2 & R2
+        if i >= 3 and h >= 3:
+            R3 = math.prod(gaussian(m, b) * b * b * gaussian(m - 3, b)
+                           for m in range(i + 1, i + h + 1))
+            G3 = math.gcd(G3, R3)
     hi = b + 1 + k_max
     divisors = [1]
-    for p, e in G.items():
+    for p, e in sorted(G2.items(), reverse=True):
         grown = []
         for d in divisors:
             for _ in range(e + 1):
@@ -312,7 +334,8 @@ def _divisor_candidates(b: int, pairs, k_max: int) -> list[int] | None:
                 grown.append(d)
                 d *= p
         divisors = grown
-    return sorted(d - b - 1 for d in divisors if d >= b + 1)
+    ks = (d - b - 1 for d in divisors if d >= b + 1)
+    return sorted(k for k in ks if G3 % (k + 1) == 0)
 
 
 # -- feasibility scans ---------------------------------------------------------------
@@ -340,10 +363,13 @@ def feasibility_scan(
     The result is deterministic, ascending, and independent of the order of
     ``checks``.
 
-    The exact test runs only on the k with k+b+1 dividing a fixed integer
-    (see :func:`_divisor_candidates`), a necessary condition for surviving a
-    check with i, h >= 2.  Without such a check, or when that integer cannot
-    be factored into certified primes, it runs on every k of the grid.  The
+    The exact test runs only on the k that pass two sieves (see
+    :func:`_divisor_candidates`): k+b+1 divides a fixed integer, necessary
+    to survive a check with i, h >= 2, and k+1 divides another, necessary
+    to survive a check with i, h >= 3.  Without a check with i, h >= 2, or
+    when the first integer cannot be factored into certified primes, it
+    runs on every k of the grid, and raises :class:`SearchBudgetExhausted`
+    when that grid has more than :data:`_MAX_GRID_POINTS` points.  The
     candidate count is ``result.candidates``.
     """
     if b < 2:
@@ -366,6 +392,11 @@ def feasibility_scan(
     k_max = math.floor(Fraction(alpha_max) * (b + 1))
     candidates = _divisor_candidates(b, checklist, k_max)
     if candidates is None:
+        if k_max + 1 > _MAX_GRID_POINTS:
+            raise SearchBudgetExhausted(
+                f"the alpha grid has {k_max + 1} points, more than the "
+                f"{_MAX_GRID_POINTS} a scan tests one by one"
+            )
         candidates = range(k_max + 1)
     for k in candidates:
         ok = True

@@ -41,7 +41,7 @@ class BoundViolation(HoffmanError):
 
 
 class SearchBudgetExhausted(HoffmanError):
-    """The backtracking search hit its node budget without a verdict."""
+    """A search or scan would exceed its budget; no verdict is given."""
 
 
 class NegativeIntersectionNumber(HoffmanError):

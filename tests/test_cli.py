@@ -310,6 +310,18 @@ def test_repeated_main_calls_share_no_state(capsys):
     assert build_parser() is build_parser()
 
 
+def test_drg_scan_over_the_grid_cap_is_one_error_line(capsys):
+    # (1, 3) leaves only the full grid, here 3 * 10^9 + 1 points
+    argv = ["drg", "scan", "--b", "2", "--D", "14", "--alpha-max", "1e9", "--checks", "1,3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the alpha grid has 3000000001 points, "
+        "more than the 10000000 a scan tests one by one\n"
+    )
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 1
     assert main(["drg", "scan", "--b", "2"]) == 1

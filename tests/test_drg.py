@@ -11,6 +11,7 @@ from hoffman import (
     IndexOutOfRange,
     NegativeIntersectionNumber,
     OrderingViolation,
+    SearchBudgetExhausted,
     VerificationError,
     check_ie1,
     delsarte_bound,
@@ -313,6 +314,58 @@ def test_scan_falls_back_when_factors_are_uncertified(monkeypatch):
         survivors = feasibility_scan(*case)
         assert survivors == expected == oracle_scan(*case)
         assert survivors.candidates == grid > expected.candidates
+
+
+def test_sieve_congruences():
+    # u_m = b+1 + k[m-1]_b: u_3 = (b+1)(k+1), and the residues of u_m modulo
+    # k+1 and k+b+1 that the two sieves of the divisor route rest on
+    rng = random.Random(15)
+    for _ in range(2000):
+        b, k, m = rng.randint(2, 40), rng.randint(0, 10**4), rng.randint(3, 14)
+
+        def u(j):
+            return b + 1 + k * gaussian(j - 1, b)
+
+        assert u(3) == (b + 1) * (k + 1)
+        assert (u(m) + b * b * gaussian(m - 3, b)) % (k + 1) == 0, (b, k, m)
+        assert (u(m) + (b + 1) * b * gaussian(m - 2, b)) % (k + b + 1) == 0, (b, k, m)
+
+
+@pytest.mark.parametrize("b", [2, 3, 9])
+def test_candidates_are_the_grid_points_passing_both_sieves(b):
+    # the gcds of the R products as plain integers, no factoring: the exact
+    # test runs on the k with (k+b+1) | G2 and (k+1) | G3, and on no other
+    def rproduct(i, h, shift, factor):
+        return math.prod(gaussian(m, b) * factor * gaussian(m - shift, b)
+                         for m in range(i + 1, i + h + 1))
+
+    G2 = G3 = 0
+    for i, h in FIVE_CHECKS:
+        G2 = math.gcd(G2, rproduct(i, h, 2, (b + 1) * b))
+        G3 = math.gcd(G3, rproduct(i, h, 3, b * b))
+    alpha_max = theorem_beta_bounds(b, 14, 0).alpha_bound
+    k_max = math.floor(alpha_max * (b + 1))
+    expected = sum(1 for k in range(k_max + 1) if G2 % (k + b + 1) == 0 and G3 % (k + 1) == 0)
+    survivors = feasibility_scan(b, 14, alpha_max, FIVE_CHECKS)
+    assert survivors.candidates == expected
+    assert len(survivors) <= expected
+
+
+@pytest.mark.parametrize("b", [30, 33, 36, 50, 75, 100])
+def test_scan_matches_oracle_on_large_b(b):
+    assert feasibility_scan(b, 14, b + 2, FIVE_CHECKS) == oracle_scan(b, 14, b + 2, FIVE_CHECKS)
+
+
+def test_full_grid_scan_is_capped(monkeypatch):
+    # an i = 1 check leaves no divisor route; a grid over the cap is refused
+    # before any point is tested, while the divisor route has no such limit
+    with pytest.raises(SearchBudgetExhausted, match="3000000001 points"):
+        feasibility_scan(2, 14, 10**9, [(1, 3)])
+    assert feasibility_scan(2, 14, 10**9, [(6, 6)])[-1] == 17
+    monkeypatch.setattr(drg, "_MAX_GRID_POINTS", 37)
+    assert feasibility_scan(2, 14, 12, [(1, 3)]).candidates == 37
+    with pytest.raises(SearchBudgetExhausted):
+        feasibility_scan(2, 14, Fraction(37, 3), [(1, 3)])
 
 
 def test_miller_rabin_rejects_strong_pseudoprimes():
