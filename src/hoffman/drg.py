@@ -10,15 +10,16 @@ and c_3) and never touch floating point.
 A scan does not test every grid point; two sieves pick the k it tests.
 For a check (i, h) with i, h >= 2, k+b+1 divides the denominator of
 p^{i+h}_{ih}, and a survivor forces k+b+1 to divide a fixed integer R_ih; so
-the exact test runs only on the divisors of gcd(R_ih) in range.  The gcd is
-factored in pure Python: [m]_b splits into cyclotomic values Phi_d(b), which
-are factored by trial division and Pollard rho, and every prime is certified
-by deterministic Miller-Rabin (exact below 3.3e24, which covers D = 14 and
-b <= 100).  For a check with i, h >= 3, (b+1)(k+1) divides that denominator
-too, and a survivor forces k+1 to divide a second fixed integer; its gcd
-over those checks is only a modulus and is never factored.  Without a check
-with i, h >= 2, or when a factor cannot be certified prime, the scan tests
-the whole grid, and refuses a grid of more than 10^7 points.
+the exact test runs only on the divisors of G2 = gcd(R_ih) in range.  G2 is
+a plain integer; its divisors are read over a prime set found in pure
+Python: every prime of R_ih divides b or a cyclotomic value Phi_d(b) of
+[m]_b (b+1 is Phi_2(b)), these are factored by trial division and Pollard
+rho, and every prime is certified by deterministic Miller-Rabin (exact below
+3.3e24, which covers D = 14 and b <= 100).  For a check with i, h >= 3, (b+1)(k+1) divides that
+denominator too, and a survivor forces k+1 to divide a second fixed integer;
+its gcd G3 over those checks is only a modulus and is never factored.
+Without a check with i, h >= 2, or when a factor cannot be certified prime,
+the scan tests the whole grid, and refuses a grid of more than 10^6 points.
 
 beta never enters the c_i-based integrality checks, so scans quantify over
 alpha only.  b = 1 is supported for formula evaluation, scans require b >= 2.
@@ -172,8 +173,9 @@ _PRIME_CERT_LIMIT = 3317044064679887385961981
 # at most about 5e4, a product of two primes near 1e11 about 8e5
 _RHO_STEPS = 1 << 21
 # grid points a scan may test one by one when no divisor route applies; at
-# about 2.4 us a point this is half a minute
-_MAX_GRID_POINTS = 10**7
+# about 2.4 us a point this is 2.4 s, and at about 113 bytes a surviving
+# Fraction the survivors of a full grid stay near 100 MB
+_MAX_GRID_POINTS = 10**6
 
 
 def _is_prime(n: int) -> bool:
@@ -269,20 +271,22 @@ def _factor(n: int) -> Counter | None:
     return factors
 
 
-def _divisor_candidates(b: int, pairs, k_max: int) -> list[int] | None:
+def _divisor_candidates(b: int, pairs, k_max: int, g: Sequence[int]) -> list[int] | None:
     """The k in 0..k_max that pass both sieves, or ``None`` (full grid).
 
-    Write u_j = b+1 + k[j-1]_b, so that c_j = [j]_b u_j / (b+1), and a
-    survivor of check (i, h) has den_h | num_ih, where num_ih = prod_{m=i+1}^{i+h}
+    ``g[m]`` is [m]_b for m up to the largest i+h of ``pairs``.  Write
+    u_j = b+1 + k[j-1]_b, so that c_j = [j]_b u_j / (b+1), and a survivor
+    of check (i, h) has den_h | num_ih, where num_ih = prod_{m=i+1}^{i+h}
     [m]_b u_m and den_h = prod_{m=1}^{h} [m]_b u_m.
 
     The u_2 sieve: u_2 = k+b+1 divides den_h for h >= 2.  As
     u_m = -(b+1) b [m-2]_b modulo u_2, u_2 divides the fixed integer
     R2_ih = prod_{m=i+1}^{i+h} [m]_b (b+1) b [m-2]_b, which is 0 for i = 1.
     The k+b+1 are the divisors of G2 = gcd of the R2_ih over the checks
-    with i, h >= 2, read off the factorizations of b, b+1 and the cyclotomic
-    values Phi_d(b) that make up [m]_b = prod_{d | m, d > 1} Phi_d(b), and
-    built largest prime first so that the partial lists stay short.
+    with i, h >= 2.  Every prime of G2 divides b or one of the cyclotomic
+    values Phi_d(b) (Phi_2(b) = b+1) that make up [m]_b = prod_{d | m, d > 1}
+    Phi_d(b); the divisors are built over those primes, largest first so
+    that the partial lists stay short, each power grown while it divides G2.
 
     The u_3 sieve: u_3 = (b+1)(k+1) divides den_h for h >= 3.  As
     u_m = -b^2 [m-3]_b modulo k+1, k+1 divides
@@ -290,49 +294,41 @@ def _divisor_candidates(b: int, pairs, k_max: int) -> list[int] | None:
     divisor of G2 is kept only when k+1 divides G3 = gcd of the R3_ih over
     the checks with i, h >= 3 (G3 = 0, no constraint, when there is none).
 
-    ``None`` when no check has i, h >= 2, or when G2 cannot be factored
-    into certified primes: the divisors of an unfactored composite would
-    miss survivors.
+    ``None`` when no check has i, h >= 2, or when b or a Phi_d(b) cannot
+    be factored into certified primes: the divisors built over an
+    incomplete prime set would miss survivors.
     """
     binding = [(i, h) for i, h in pairs if i >= 2 and h >= 2]
     if not binding:
         return None
-    ms = {m for i, h in binding for m in range(i - 1, i + h + 1)}
-    phi = {1: b - 1}
-    phi_factors: dict[int, Counter] = {}
-    for d in range(2, max(ms) + 1):
-        # b^d - 1 = prod_{e | d} Phi_e(b)
-        phi[d] = (b**d - 1) // math.prod(phi[e] for e in range(1, d) if d % e == 0)
-        if any(m % d == 0 for m in ms):
-            phi_factors[d] = _factor(phi[d])
-            if phi_factors[d] is None:
-                return None
-    b_factors, b1_factors = _factor(b), _factor(b + 1)
-    if b_factors is None or b1_factors is None:
-        return None
-    g_factors = {m: sum((phi_factors[d] for d in range(2, m + 1) if m % d == 0), Counter())
-                 for m in ms}
-    G2 = None
-    G3 = 0
+    # the Phi_d(b) of the brackets [i-1]_b .. [i+h]_b that the R2_ih use,
+    # Phi_2(b) = b+1 among them as i or i+1 is even; every divisor e > 1 of
+    # such a d is one too, so phi[e] is ready in turn
+    phi: dict[int, int] = {}
+    for d in sorted({e for i, h in binding for m in range(i - 1, i + h + 1)
+                     for e in range(2, m + 1) if m % e == 0}):
+        phi[d] = g[d] // math.prod(phi[e] for e in phi if d % e == 0)
+    primes = set()
+    for n in (b, *phi.values()):
+        factors = _factor(n)
+        if factors is None:
+            return None
+        primes |= factors.keys()
+    G2 = G3 = 0
     for i, h in binding:
-        R2 = Counter()
-        for m in range(i + 1, i + h + 1):
-            R2 += g_factors[m] + g_factors[m - 2] + b_factors + b1_factors
-        G2 = R2 if G2 is None else G2 & R2
+        G2 = math.gcd(G2, math.prod(g[m] * (b + 1) * b * g[m - 2]
+                                    for m in range(i + 1, i + h + 1)))
         if i >= 3 and h >= 3:
-            R3 = math.prod(gaussian(m, b) * b * b * gaussian(m - 3, b)
-                           for m in range(i + 1, i + h + 1))
-            G3 = math.gcd(G3, R3)
+            G3 = math.gcd(G3, math.prod(g[m] * b * b * g[m - 3]
+                                        for m in range(i + 1, i + h + 1)))
     hi = b + 1 + k_max
     divisors = [1]
-    for p, e in sorted(G2.items(), reverse=True):
+    for p in sorted(primes, reverse=True):
         grown = []
         for d in divisors:
-            for _ in range(e + 1):
-                if d > hi:
-                    break
+            grown.append(d)
+            while (d := d * p) <= hi and G2 % d == 0:
                 grown.append(d)
-                d *= p
         divisors = grown
     ks = (d - b - 1 for d in divisors if d >= b + 1)
     return sorted(k for k in ks if G3 % (k + 1) == 0)
@@ -378,7 +374,7 @@ def feasibility_scan(
     for i, h in checklist:
         if i < 1 or h < 1 or i + h > D:
             raise IndexOutOfRange(f"check ({i},{h}) invalid for D = {D}")
-    g = [gaussian(j, b) for j in range(D + 1)]
+    g = [gaussian(j, b) for j in range(max((i + h for i, h in checklist), default=0) + 1)]
     prepared = []
     # cheapest checks first; the survivor set is a conjunction, so the
     # evaluation order cannot change the result
@@ -390,7 +386,7 @@ def feasibility_scan(
         prepared.append((num_const, den_const, num_idx, den_idx))
     survivors = ScanSurvivors()
     k_max = math.floor(Fraction(alpha_max) * (b + 1))
-    candidates = _divisor_candidates(b, checklist, k_max)
+    candidates = _divisor_candidates(b, checklist, k_max, g)
     if candidates is None:
         if k_max + 1 > _MAX_GRID_POINTS:
             raise SearchBudgetExhausted(

@@ -72,9 +72,8 @@ def thresholds(lam, c: int) -> Thresholds:
     c_tilde = min(c, ceil_l * (ceil_l - 1))
     q = K = None
     if ceil_l == 3:
-        ct3 = min(c, 6)
-        q = max(c + 5, 50 * ct3 + 16)
-        K = max(36 * c + 400 * ct3 + 83, 44 * c - 5)
+        q = max(c + 5, 50 * c_tilde + 16)
+        K = max(36 * c + 400 * c_tilde + 83, 44 * c - 5)
     return Thresholds(c=c, c_tilde=c_tilde, n1=n1_threshold(ceil_l), q=q, K=K)
 
 
@@ -229,8 +228,10 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
         "exact": True,
     }
 
-    if all(report[k]["passed"] for k in
-           ("condition_mu", "condition_clique_order", "condition_lambda_min")):
+    hypotheses = all(report[k]["passed"] for k in
+                     ("condition_mu", "condition_clique_order", "condition_lambda_min"))
+    report["associated"] = None
+    if hypotheses:
         h = associated_hoffman(G, th.q)
         two_fat = is_t_fat(h, 2)
         hit = scan_M_t(special_matrix(h), 2)
@@ -243,10 +244,5 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
             },
             "passed": two_fat and hit is None,
         }
-    else:
-        report["associated"] = None
-    report["passed"] = all(
-        report[k]["passed"] for k in
-        ("condition_mu", "condition_clique_order", "condition_lambda_min")
-    ) and (report["associated"] is None or report["associated"]["passed"])
+    report["passed"] = hypotheses and report["associated"]["passed"]
     return report

@@ -318,7 +318,7 @@ def test_drg_scan_over_the_grid_cap_is_one_error_line(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: the alpha grid has 3000000001 points, "
-        "more than the 10000000 a scan tests one by one\n"
+        "more than the 1000000 a scan tests one by one\n"
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -331,22 +332,30 @@ def test_sieve_congruences():
         assert (u(m) + (b + 1) * b * gaussian(m - 2, b)) % (k + b + 1) == 0, (b, k, m)
 
 
-@pytest.mark.parametrize("b", [2, 3, 9])
-def test_candidates_are_the_grid_points_passing_both_sieves(b):
+@pytest.mark.parametrize("b, checks", [
+    *(pytest.param(b, FIVE_CHECKS, id=str(b)) for b in (2, 3, 9)),
+    # bracket indices with gaps: (10, 2) needs no Phi_7 or Phi_8 and has no
+    # u_3 sieve, (2, 2) with (9, 3) needs no Phi_7; (4, 4) alone has both sieves
+    *(pytest.param(b, checks, id=f"{b}-" + "_".join(f"{i},{h}" for i, h in checks))
+      for checks in ([(10, 2)], [(2, 2), (9, 3)], [(4, 4)]) for b in (2, 3, 5)),
+])
+def test_candidates_are_the_grid_points_passing_both_sieves(b, checks):
     # the gcds of the R products as plain integers, no factoring: the exact
-    # test runs on the k with (k+b+1) | G2 and (k+1) | G3, and on no other
+    # test runs on the k with (k+b+1) | G2 and (k+1) | G3, and on no other;
+    # G2 runs over the checks with i, h >= 2, G3 over those with i, h >= 3
     def rproduct(i, h, shift, factor):
         return math.prod(gaussian(m, b) * factor * gaussian(m - shift, b)
                          for m in range(i + 1, i + h + 1))
 
     G2 = G3 = 0
-    for i, h in FIVE_CHECKS:
+    for i, h in checks:
         G2 = math.gcd(G2, rproduct(i, h, 2, (b + 1) * b))
-        G3 = math.gcd(G3, rproduct(i, h, 3, b * b))
+        if min(i, h) >= 3:
+            G3 = math.gcd(G3, rproduct(i, h, 3, b * b))
     alpha_max = theorem_beta_bounds(b, 14, 0).alpha_bound
     k_max = math.floor(alpha_max * (b + 1))
     expected = sum(1 for k in range(k_max + 1) if G2 % (k + b + 1) == 0 and G3 % (k + 1) == 0)
-    survivors = feasibility_scan(b, 14, alpha_max, FIVE_CHECKS)
+    survivors = feasibility_scan(b, 14, alpha_max, checks)
     assert survivors.candidates == expected
     assert len(survivors) <= expected
 
@@ -362,10 +371,21 @@ def test_full_grid_scan_is_capped(monkeypatch):
     with pytest.raises(SearchBudgetExhausted, match="3000000001 points"):
         feasibility_scan(2, 14, 10**9, [(1, 3)])
     assert feasibility_scan(2, 14, 10**9, [(6, 6)])[-1] == 17
+    with pytest.raises(SearchBudgetExhausted, match="1000001 points"):
+        feasibility_scan(2, 14, Fraction(10**6, 3), [(1, 3)])
     monkeypatch.setattr(drg, "_MAX_GRID_POINTS", 37)
     assert feasibility_scan(2, 14, 12, [(1, 3)]).candidates == 37
     with pytest.raises(SearchBudgetExhausted):
         feasibility_scan(2, 14, Fraction(37, 3), [(1, 3)])
+
+
+def test_scan_brackets_stop_at_the_largest_check_index():
+    # the brackets [j]_b are built up to max(i+h), not up to D: at D = 10^5
+    # brackets up to [D]_2 alone would take seconds
+    start = time.perf_counter()
+    survivors = feasibility_scan(2, 10**5, 1, [(1, 1)])
+    assert time.perf_counter() - start < 2
+    assert survivors == [0, Fraction(1, 3), Fraction(2, 3), 1]
 
 
 def test_miller_rabin_rejects_strong_pseudoprimes():
