@@ -30,7 +30,6 @@ from .exact import (
     RationalMatrix,
     det_exact,
     eigenvalues_float,
-    is_psd_exact,
     psd_witness,
     quotient_eigenvalues_float,
 )

@@ -14,21 +14,22 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
 
 from .errors import HoffmanError, VerificationError
-from .exact import RationalMatrix, is_psd_exact
 from .forbidden import (
     PROP_CAL_PAIRS,
-    adjacency_rational,
+    certify_lambda_min_below,
     graph_lambda_min_float,
+    load_matrix_file,
     prop215,
     scan_M_t,
     verify_proposition_cal,
 )
-from .graphs import _is_int, load_graph_file
+from .graphs import load_graph_file
 from .hgraphs import catalog, load_hoffman_file, special_matrix
 from .structure import (
     associated_hoffman,
@@ -78,6 +79,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only integers and decimals as negative numbers, so a
+        # value such as -5/2 would be taken for an option; fractions too
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -239,7 +246,7 @@ def _cmd_lambda_min(args, timings):
     certs = []
     if args.at_least is not None:
         t = -args.at_least
-        verdict = is_psd_exact(adjacency_rational(G).shifted(t))
+        verdict = certify_lambda_min_below(G, t) is None
         results["at_least"] = {"threshold": str(-t), "holds": verdict}
         certs.append(
             f"lambda_min >= {-t} decided exactly via PSD(A + ({t})I): {verdict}"
@@ -286,27 +293,13 @@ def _cmd_check_intro2(args, timings):
     return report, [], code
 
 
-def _load_matrix_file(path: str) -> RationalMatrix:
-    """A square symmetric matrix of JSON integers."""
-    with open(path, "r", encoding="ascii") as fh:
-        rows = json.load(fh)
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == len(rows) and all(_is_int(x) for x in row)
-        for row in rows
-    ):
-        raise ValueError("matrix JSON must be a square list of integer rows")
-    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
-        raise ValueError("matrix JSON must be symmetric")
-    return RationalMatrix(rows)
-
-
 def _cmd_scan_forbidden(args, timings):
     if args.hoffman:
         h = load_hoffman_file(args.hoffman)
         S = special_matrix(h)
         source = {"hoffman": args.hoffman}
     else:
-        S = _load_matrix_file(args.matrix)
+        S = load_matrix_file(args.matrix)
         source = {"matrix": args.matrix}
     hit = scan_M_t(S, args.t)
     results = {
@@ -364,17 +357,12 @@ def _cmd_drg_params(args, timings):
 # -- the verification suite -------------------------------------------------------
 
 def _suite_cal():
-    certs = []
     try:
         checks = verify_proposition_cal()
     except VerificationError as exc:
         return {"ok": False, "error": str(exc)}, [], False
-    for entry in checks:
-        certs.append(
-            f"({entry['pair']}, p={entry['p']}): rational witness with "
-            f"x^T(A+3I)x < 0 on {entry['vertices']} vertices"
-        )
-        entry.pop("witness")
+    certs = [f"({entry['pair']}, p={entry['p']}): rational witness with "
+             f"x^T(A+3I)x < 0 on {entry['vertices']} vertices" for entry in checks]
     return {"ok": True, "checks": checks}, certs, True
 
 
@@ -399,7 +387,9 @@ def _suite_prop215(s_max: int):
 
 
 def _suite_prop5():
-    survivors = [str(a) for a in feasibility_scan(2, 12, 9, [(6, 6)])]
+    b, D, alpha_max = 2, 12, 9
+    scan = feasibility_scan(b, D, alpha_max, [(6, 6)])
+    survivors = [str(a) for a in scan]
     claimed = list(PROP5_CLAIMED)
     extra = [a for a in survivors if a not in claimed]
     missing = [a for a in claimed if a not in survivors]
@@ -410,12 +400,14 @@ def _suite_prop5():
         "claimed": claimed,
         "extra_survivors": extra,
         "missing_survivors": missing,
+        "candidates": scan.candidates,
         "leading_constant": p66_leading_constant(2),
         "leading_constant_claimed": 230674393235,
     }
     if results["leading_constant"] != results["leading_constant_claimed"]:
         ok = results["ok"] = False
-    certs = [f"exact scan over alpha = k/3, k = 0..27: survivors {survivors}"]
+    certs = [f"exact scan over alpha = k/{b + 1}, k = 0..{alpha_max * (b + 1)}, "
+             f"{scan.candidates} tested exactly: survivors {survivors}"]
     return results, certs, ok
 
 

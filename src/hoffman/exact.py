@@ -274,11 +274,6 @@ def _refuting_vector(W: list[list[int]], k: int, y: dict[int, Fraction]) -> list
     return x
 
 
-def is_psd_exact(M: RationalMatrix) -> bool:
-    """Exact positive-semidefiniteness over the rationals."""
-    return psd_witness(M) is None
-
-
 # -- determinants ------------------------------------------------------------
 
 def det_exact(M: RationalMatrix) -> Fraction:

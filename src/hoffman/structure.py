@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BoundViolation
-from .exact import is_psd_exact
-from .forbidden import adjacency_rational, graph_lambda_min_float, scan_M_t
+from .forbidden import certify_lambda_min_below, graph_lambda_min_float, scan_M_t
 from .graphs import Graph, _bitset, maximal_cliques, maximum_independent_set, mu_parameter
 from .hgraphs import HoffmanGraph, is_t_fat, special_matrix
 
@@ -204,10 +203,10 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
 
     Conditions: (i) at most c common neighbors over non-adjacent pairs;
     (ii) every maximal clique C has order at most min over x in C of
-    d(x) - K; (iii) smallest eigenvalue >= -3, decided exactly.  When all
-    three hold the associated Hoffman graph at level q is built, 2-fatness is
-    asserted, and its special matrix is scanned for forbidden principal
-    submatrices at t = 2.
+    d(x) - K; (iii) smallest eigenvalue >= -3, decided exactly, with a
+    refutation re-checked on the graph.  When all three hold the associated
+    Hoffman graph at level q is built, 2-fatness is asserted, and its special
+    matrix is scanned for forbidden principal submatrices at t = 2.
     """
     th = thresholds(3, c)
     report: dict = {"c": c, "c_tilde": th.c_tilde, "q": th.q, "K": th.K}
@@ -223,7 +222,7 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
     report["condition_clique_order"] = {"passed": not violations, "violations": violations[:10]}
 
     report["condition_lambda_min"] = {
-        "passed": is_psd_exact(adjacency_rational(G).shifted(3)),
+        "passed": certify_lambda_min_below(G, 3) is None,
         "lambda_min_float": graph_lambda_min_float(G),
         "exact": True,
     }

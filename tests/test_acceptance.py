@@ -22,13 +22,13 @@ from hoffman import (
     eigenvalues_float,
     expand,
     feasibility_scan,
-    is_psd_exact,
     maximal_cliques,
     mu_parameter,
     n1_threshold,
     n2_threshold,
     p66_leading_constant,
     prop215,
+    psd_witness,
     scan_M_t,
     special_matrix,
     theorem_beta_bounds,
@@ -142,7 +142,7 @@ def test_criterion_7b_clique_extraction_bounds():
         accepted = 0
         while accepted < 1000:
             G = random_graph(rng, rng.randint(4, 14), rng.uniform(0.15, 0.55))
-            if not is_psd_exact(adjacency_rational(G).shifted(3)):
+            if psd_witness(adjacency_rational(G).shifted(3)) is not None:
                 continue
             accepted += 1
             c = max(1, mu_parameter(G))
@@ -180,7 +180,7 @@ def test_criterion_7d_exact_float_agreement():
                 for j in range(i + 1):
                     rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             M = RationalMatrix(rows)
-            assert is_psd_exact(M) == (eigenvalues_float(M)[0] >= -1e-7)
+            assert (psd_witness(M) is None) == (eigenvalues_float(M)[0] >= -1e-7)
 
 
 def test_criterion_7e_associated_invariants():

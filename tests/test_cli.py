@@ -6,6 +6,7 @@ import pytest
 
 import jsonschema
 
+from hoffman import verify_proposition_cal
 from hoffman.cli import REPORT_SCHEMA, build_parser, main
 
 
@@ -57,6 +58,43 @@ def test_lambda_min_with_exact_threshold(capsys, k5_json):
     assert code == 0
     assert report["results"]["at_least"]["holds"] is True
     assert abs(report["results"]["lambda_min_float"] + 1.0) < 1e-9
+
+
+def test_negative_fraction_is_an_option_value(capsys, k5_json, c5_g6):
+    # argparse alone reads -5/2 as an option and reports a missing argument
+    code, report = run_cli(capsys, "lambda-min", "--graph", k5_json, "--at-least", "-5/2")
+    assert code == 0
+    assert report["results"]["at_least"] == {"threshold": "-5/2", "holds": True}
+    code = main(["bose-laskar", "--graph", c5_g6, "--x", "0", "--lam", "-1/2", "--c", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: lambda must be non-negative\n"
+
+
+@pytest.fixture
+def star11_json(tmp_path):
+    # K_{1,10}: lambda_min = -sqrt(10) < -3
+    path = tmp_path / "star11.json"
+    path.write_text(json.dumps({"n": 11, "edges": [[0, i] for i in range(1, 11)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda-min", "--graph", "{c5}", "--at-least", "-1"],
+    ["check-intro2", "--graph", "{star11}", "--c", "1"],
+])
+def test_refutation_is_rechecked_on_the_graph(capsys, monkeypatch, c5_g6, star11_json, argv):
+    # both commands refute lambda_min >= -t; a witness that fails the
+    # re-check on the graph is an error, not a verdict
+    import hoffman.forbidden as forbidden
+
+    monkeypatch.setattr(forbidden, "graph_quadratic_form", lambda G, t, x: 0)
+    code = main([a.format(c5=c5_g6, star11=star11_json) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: internal error: witness failed re-verification\n"
 
 
 def test_lambda_min_graph6_autodetect(capsys, c5_g6):
@@ -212,6 +250,8 @@ def test_verify_cal_ok(capsys):
     assert code == 0
     assert len(report["results"]["checks"]) == 9
     assert len(report["exact_certificates"]) == 9
+    # the suite reports the library's entries as they are
+    assert report["results"]["checks"] == verify_proposition_cal()
 
 
 def test_verify_prop215_small(capsys):
@@ -254,6 +294,10 @@ def test_verify_prop5_reports_extra_survivor(capsys):
     assert report["results"]["extra_survivors"] == ["9"]
     assert report["results"]["missing_survivors"] == []
     assert report["results"]["leading_constant"] == 230674393235
+    # 25 of the 28 grid points k/3 pass the sieves and are tested exactly
+    assert report["results"]["candidates"] == 25
+    assert report["exact_certificates"][0].startswith(
+        "exact scan over alpha = k/3, k = 0..27, 25 tested exactly: survivors ")
 
 
 def test_verify_beta_reports_counterexample(capsys):

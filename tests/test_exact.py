@@ -21,7 +21,6 @@ from hoffman import (
     eigenvalues_float,
     graph_lambda_min_float,
     graph_quotient_matrix,
-    is_psd_exact,
     m_matrix,
     psd_witness,
     quotient_eigenvalues_float,
@@ -121,33 +120,32 @@ def test_adjacency_matches_fraction_oracle_at_byte_boundaries(n):
 # -- PSD decision -------------------------------------------------------------------
 
 def test_identity_is_psd():
-    assert is_psd_exact(identity(3))
+    assert psd_witness(identity(3)) is None
 
 
 def test_negative_scalar_is_not_psd():
-    assert not is_psd_exact(_sym([[-1]]))
+    assert psd_witness(_sym([[-1]])) is not None
 
 
 def test_cycle_shift_examples():
     A = adjacency_rational(cycle_graph(5))
     # lambda_min(C5) = 2 cos(4 pi / 5) ~ -1.618, so A + 2I is PSD
-    assert is_psd_exact(A.shifted(2))
-    assert not is_psd_exact(A.shifted(Fraction(8, 5)))
+    assert psd_witness(A.shifted(2)) is None
+    assert psd_witness(A.shifted(Fraction(8, 5))) is not None
 
 
 def test_zero_pivot_semidefinite_rule():
     # [[0, 1], [1, 0]] has a zero pivot with nonzero residual: indefinite
     M = _sym([[0, 1], [1, 0]])
-    assert not is_psd_exact(M)
     w = psd_witness(M)
     assert quadratic_form(M, w) < 0
     # an actual PSD matrix with a zero row
-    assert is_psd_exact(_sym([[0, 0], [0, 2]]))
+    assert psd_witness(_sym([[0, 0], [0, 2]])) is None
 
 
 def test_psd_requires_symmetry():
     with pytest.raises(ValueError):
-        is_psd_exact(RationalMatrix([[0, 1], [0, 0]]))
+        psd_witness(RationalMatrix([[0, 1], [0, 0]]))
 
 
 @st.composite
@@ -260,8 +258,8 @@ def test_integer_kernel_matches_oracle_on_line_graphs(m):
     A = adjacency_rational(_line_graph_of_complete(m))
     for t in (1, 2, 3, Fraction(5, 2)):
         _assert_agrees_with_oracle(A.shifted(t))
-    assert not is_psd_exact(A.shifted(1))
-    assert is_psd_exact(A.shifted(2))
+    assert psd_witness(A.shifted(1)) is not None
+    assert psd_witness(A.shifted(2)) is None
 
 
 # -- the int64 elimination and its one-time promotion --------------------------------
@@ -447,7 +445,7 @@ def test_zero_pivot_after_elimination_with_zero_column_is_skipped():
     M = _gram([(2, 0, 0), (3, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 3)])
     assert psd_witness(M) is None
     _assert_agrees_with_oracle(M)
-    assert not is_psd_exact(M.shifted(Fraction(-1, 100)))
+    assert psd_witness(M.shifted(Fraction(-1, 100))) is not None
     # a definite block interleaved by index with zero rows and columns
     D = [[2, 1, 1], [1, 3, 0], [1, 0, 4]]
     spread = [0, 2, 3]
@@ -496,7 +494,7 @@ def test_gram_matrices_are_psd():
         m = rng.randint(1, 6)
         a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
         gram = [[sum(a[k][i] * a[k][j] for k in range(m)) for j in range(n)] for i in range(n)]
-        assert is_psd_exact(RationalMatrix(gram))
+        assert psd_witness(RationalMatrix(gram)) is None
 
 
 def test_exact_and_float_agree_on_random_matrices():
@@ -508,7 +506,7 @@ def test_exact_and_float_agree_on_random_matrices():
             for j in range(i + 1):
                 rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         M = RationalMatrix(rows)
-        assert is_psd_exact(M) == (eigenvalues_float(M)[0] >= -1e-7)
+        assert (psd_witness(M) is None) == (eigenvalues_float(M)[0] >= -1e-7)
 
 
 # -- determinants ----------------------------------------------------------------------

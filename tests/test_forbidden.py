@@ -26,7 +26,6 @@ from hoffman import (
     graph_lambda_min_float,
     graph_quadratic_form,
     graph_quotient_matrix,
-    is_psd_exact,
     m_matrix,
     pendant_slim_pair,
     prop215,
@@ -237,8 +236,23 @@ def test_certificate_on_small_expansion():
 
 
 def test_certificate_refuses_when_psd():
-    with pytest.raises(VerificationError):
-        certify_lambda_min_below(complete_graph(5), 1)
+    assert certify_lambda_min_below(complete_graph(5), 1) is None
+
+
+@pytest.mark.parametrize("t", [0, 1, Fraction(3, 2), 2, 3])
+def test_certificate_verdict_matches_full_ldlt(t):
+    # the graph-level decision agrees with LDL^T on the full A + tI, and each
+    # refutation it returns is a witness on the graph
+    rng = random.Random(f"verdict {t}")
+    verdicts = set()
+    for _ in range(40):
+        G = random_graph(rng, rng.randint(0, 14), rng.random())
+        w = certify_lambda_min_below(G, t)
+        assert (w is None) == (psd_witness(adjacency_rational(G).shifted(t)) is None)
+        if w is not None:
+            assert graph_quadratic_form(G, t, w) < 0
+        verdicts.add(w is None)
+    assert verdicts == {True, False}
 
 
 def _threshold_expansions(s):
@@ -395,7 +409,7 @@ def test_find_min_p_below_minimal_values():
     assert find_min_p_below(catalog("h_6").hoffman, -3, 20) == 5
     # at p = 10 the clique-with-two-fats expansion has -3 as an exact
     # eigenvalue (A + 3I is PSD), so the strict inequality starts at 11
-    assert is_psd_exact(adjacency_rational(expand(catalog("h_5").hoffman, 10)).shifted(3))
+    assert psd_witness(adjacency_rational(expand(catalog("h_5").hoffman, 10)).shifted(3)) is None
     assert find_min_p_below(catalog("h_5").hoffman, -3, 20) == 11
 
 

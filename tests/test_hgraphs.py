@@ -19,10 +19,10 @@ from hoffman import (
     eigenvalues_float,
     expand,
     expansion_blocks,
-    is_psd_exact,
     is_t_fat,
     m_matrix,
     pendant_slim_pair,
+    psd_witness,
     slim_with_fats,
     special_matrix,
 )
@@ -180,8 +180,8 @@ def test_lambda_min_examples():
 
 def test_at_least_exact_threshold():
     box = catalog("box").hoffman
-    assert is_psd_exact(special_matrix(box).shifted(3))
-    assert not is_psd_exact(special_matrix(box).shifted(Fraction(29, 10)))
+    assert psd_witness(special_matrix(box).shifted(3)) is None
+    assert psd_witness(special_matrix(box).shifted(Fraction(29, 10))) is not None
 
 
 # -- expansion -----------------------------------------------------------------------
@@ -201,9 +201,7 @@ def test_expand_box_p1_is_k4_minus_edge():
 
 def test_expand_three_fats_drops_below_minus_two():
     G = expand(slim_with_fats(3), 3)
-    from hoffman import is_psd_exact
-
-    assert not is_psd_exact(adjacency_rational(G).shifted(2))
+    assert psd_witness(adjacency_rational(G).shifted(2)) is not None
 
 
 def test_expand_structure_counts():
@@ -443,25 +441,25 @@ def test_exact_thresholds_bracket_irrational_minimum():
     # lambda_min(h_7) = -2 - sqrt(2) = -3.41421356...; exact PSD decisions
     # must separate rationals on either side of it
     h7 = catalog("h_7").hoffman
-    assert is_psd_exact(special_matrix(h7).shifted(Fraction(341422, 100000)))
-    assert not is_psd_exact(special_matrix(h7).shifted(Fraction(341421, 100000)))
+    assert psd_witness(special_matrix(h7).shifted(Fraction(341422, 100000))) is None
+    assert psd_witness(special_matrix(h7).shifted(Fraction(341421, 100000))) is not None
     # lambda_min(h_{3,1}) = -2 - (1 + sqrt(5))/2 = -3.61803398...
     h31 = catalog("h_{3,1}").hoffman
-    assert is_psd_exact(special_matrix(h31).shifted(Fraction(361804, 100000)))
-    assert not is_psd_exact(special_matrix(h31).shifted(Fraction(361803, 100000)))
+    assert psd_witness(special_matrix(h31).shifted(Fraction(361804, 100000))) is None
+    assert psd_witness(special_matrix(h31).shifted(Fraction(361803, 100000))) is not None
 
 
 def test_exact_boundaries_of_two_by_two_templates():
-    from hoffman import RationalMatrix, is_psd_exact
+    from hoffman import RationalMatrix
 
     # m_{2,a}: smallest eigenvalue -t - |a|, hit exactly
     m = RationalMatrix(m_matrix(2, -3, 2))
-    assert is_psd_exact(m.shifted(5))
-    assert not is_psd_exact(m.shifted(Fraction(4999, 1000)))
+    assert psd_witness(m.shifted(5)) is None
+    assert psd_witness(m.shifted(Fraction(4999, 1000))) is not None
     # m_{4,a}: smallest eigenvalue -t - 1 - |a|
     m4 = RationalMatrix(m_matrix(4, -2, 2))
-    assert is_psd_exact(m4.shifted(5))
-    assert not is_psd_exact(m4.shifted(Fraction(4999, 1000)))
+    assert psd_witness(m4.shifted(5)) is None
+    assert psd_witness(m4.shifted(Fraction(4999, 1000))) is not None
 
 
 def test_ostrowski_bound_on_random_hoffman_graphs():

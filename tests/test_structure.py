@@ -14,11 +14,11 @@ from hoffman import (
     bose_laskar,
     complete_graph,
     cycle_graph,
-    is_psd_exact,
     maximal_cliques,
     mu_parameter,
     n1_threshold,
     n2_threshold,
+    psd_witness,
     theorem_intro2_check,
     thresholds,
 )
@@ -142,7 +142,7 @@ def test_bose_laskar_w_bound_and_partition():
     done = 0
     while done < 60:
         G = random_graph(rng, rng.randint(4, 12), rng.uniform(0.2, 0.6))
-        if not is_psd_exact(adjacency_rational(G).shifted(3)):
+        if psd_witness(adjacency_rational(G).shifted(3)) is not None:
             continue
         done += 1
         c = max(1, mu_parameter(G))
@@ -221,7 +221,7 @@ def test_bose_laskar_outputs_are_maximal_cliques():
     done = 0
     while done < 30:
         G = random_graph(rng, rng.randint(4, 11), rng.uniform(0.2, 0.6))
-        if not is_psd_exact(adjacency_rational(G).shifted(3)):
+        if psd_witness(adjacency_rational(G).shifted(3)) is not None:
             continue
         done += 1
         c = max(1, mu_parameter(G))

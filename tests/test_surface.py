@@ -10,7 +10,9 @@ name, with :data:`KEEP_METHODS`.  An export whose body, after the docstring,
 is only ``return f(<its own parameters, in order>)`` with ``f`` another
 export is a second name for ``f``.  An ``assert`` cannot carry a check, since
 ``python -O`` strips it.  ``np.linalg`` is reached only from ``exact.py``, so
-no second floating path decides or reports anything.  Each
+no second floating path decides or reports anything.  The exact PSD kernel
+``psd_witness`` is reached only from ``exact.py`` and ``forbidden.py``, so
+every graph decision re-checks its refutation on the graph.  Each
 ``Boundary(module, function)`` of ``perfbench/spans.py`` names an attribute
 of that module, since the traced benchmark run patches it by name.
 """
@@ -29,7 +31,6 @@ SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 KEEP = {
     "complete_graph": "graph constructor",
     "cycle_graph": "graph constructor",
-    "certify_lambda_min_below": "LDL^T oracle of the tests; perfbench boundary",
 }
 
 # public methods no other library code calls, each with the reason it stays
@@ -172,6 +173,20 @@ def test_np_linalg_only_in_exact():
     found = sorted({name for name, tree in _modules().items()
                     for node in ast.walk(tree) if _mentions_linalg(node)})
     assert found == ["exact.py"]
+
+
+def _references(tree: ast.Module, name: str) -> bool:
+    """Whether a module defines ``name``, or loads, imports or reaches it as an attribute."""
+    return _identifiers(tree)[name] > 0 or any(
+        isinstance(node, ast.FunctionDef) and node.name == name for node in ast.walk(tree))
+
+
+def test_psd_witness_only_in_exact_and_forbidden():
+    # graph decisions reach the kernel through forbidden.certify_lambda_min_below,
+    # which re-checks each refutation on the graph; __init__ only re-exports it
+    found = sorted(name for name, tree in _modules().items()
+                   if name != "__init__.py" and _references(tree, "psd_witness"))
+    assert found == ["exact.py", "forbidden.py"]
 
 
 def _trace_boundaries() -> list[tuple[str, str]]:
