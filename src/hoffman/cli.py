@@ -6,6 +6,11 @@ the published computational claims.  Every subcommand emits a single Report
 
 Exit codes: 0 success, 1 usage or input error, 2 a claimed result failed to
 reproduce under exact verification.
+
+A new command is a subparser in :func:`build_parser` whose ``run`` default is
+its handler, ``(args, timings) -> (results, certificates, exit code)``.  A new
+``verify-paper`` suite is one entry of :data:`SUITES`.  Results may hold
+Fractions; the report writes each as its "p/q" string.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import HoffmanError, VerificationError
@@ -70,6 +76,7 @@ REPORT_SCHEMA = {
 }
 
 PROP5_CLAIMED = ("0", "1/3", "2/3", "1", "4/3", "2")
+PROP5_LEADING_CONSTANT = 230674393235
 ALPHAB_DESK_BS = (2, 3, 4, 5, 9, 16, 25)
 FIVE_CHECKS = ((7, 7), (6, 6), (5, 5), (4, 4), (3, 3))
 
@@ -82,8 +89,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads only integers and decimals as negative numbers, so a
-        # value such as -5/2 would be taken for an option; fractions too
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        # value such as -5/2 or -1e0 would be taken for an option; every sign
+        # form that Fraction reads is a value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$")
 
     def error(self, message):
         raise _UsageError(message)
@@ -144,15 +153,24 @@ def _report(command: str, inputs: dict, results, certificates, timings) -> dict:
     }
 
 
+def _json_value(value):
+    """``json.dumps`` hook: a Fraction becomes its "p/q" string; any other
+    type that JSON has no form for is an error, never a Python repr."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, fmt: str) -> None:
     _validate_report(report)
+    dumps = functools.partial(json.dumps, indent=2, sort_keys=True, default=_json_value)
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(dumps(report))
     else:
         print(f"# {report['command']}")
         for key, value in report["inputs"].items():
             print(f"input {key} = {value}")
-        print(json.dumps(report["results"], indent=2, sort_keys=True))
+        print(dumps(report["results"]))
         for cert in report["exact_certificates"]:
             print(f"certificate: {cert}")
 
@@ -175,7 +193,8 @@ def _validate_report(report: dict) -> None:
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
-    parser = _Parser(prog="hoffman", description=__doc__)
+    # the docstring's last paragraph is for developers, not for --help
+    parser = _Parser(prog="hoffman", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--format", choices=("json", "text"), default="json")
     # accept --format after the subcommand too; SUPPRESS keeps the top-level
     # value when the flag is absent there
@@ -183,52 +202,53 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, run, help, subparsers=sub):
+        p = subparsers.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p = add_parser("lambda-min", help="smallest adjacency eigenvalue of a graph")
+    p = add_parser("lambda-min", _cmd_lambda_min, "smallest adjacency eigenvalue of a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--at-least", type=_fraction, default=None,
                    help="also decide lambda_min >= this rational, exactly")
 
-    p = add_parser("assoc", help="associated Hoffman graph at level q")
+    p = add_parser("assoc", _cmd_assoc, "associated Hoffman graph at level q")
     p.add_argument("--graph", required=True)
     p.add_argument("--q", type=int, required=True)
 
-    p = add_parser("bose-laskar", help="large-clique extraction through a vertex")
+    p = add_parser("bose-laskar", _cmd_bose_laskar, "large-clique extraction through a vertex")
     p.add_argument("--graph", required=True)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--lam", type=_fraction, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--r", type=int, default=None)
 
-    p = add_parser("check-intro2", help="structure-theorem condition report")
+    p = add_parser("check-intro2", _cmd_check_intro2, "structure-theorem condition report")
     p.add_argument("--graph", required=True)
     p.add_argument("--c", type=int, required=True)
 
-    p = add_parser("scan-forbidden", help="forbidden principal-submatrix scan")
+    p = add_parser("scan-forbidden", _cmd_scan_forbidden, "forbidden principal-submatrix scan")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--hoffman", help="Hoffman graph JSON file")
     src.add_argument("--matrix", help="integer matrix JSON file")
     p.add_argument("--t", type=int, default=2)
 
-    p = add_parser("drg", help="distance-regular classical parameter tools")
+    p = sub.add_parser("drg", parents=[common], help="distance-regular classical parameter tools")
     dsub = p.add_subparsers(dest="drg_cmd", required=True)
-    ps = dsub.add_parser("scan", parents=[common], help="feasible alpha scan")
+    ps = add_parser("scan", _cmd_drg_scan, "feasible alpha scan", dsub)
     ps.add_argument("--b", type=int, required=True)
     ps.add_argument("--D", type=int, required=True)
     ps.add_argument("--alpha-max", type=_fraction, required=True)
     ps.add_argument("--checks", type=_check_pair, action="append", required=True,
                     help="pair 'i,h'; repeat for several checks")
-    pp = dsub.add_parser("params", parents=[common], help="arrays, eigenvalues and bounds")
+    pp = add_parser("params", _cmd_drg_params, "arrays, eigenvalues and bounds", dsub)
     pp.add_argument("--D", type=int, required=True)
     pp.add_argument("--b", type=int, required=True)
     pp.add_argument("--alpha", type=_fraction, required=True)
     pp.add_argument("--beta", type=_fraction, required=True)
 
-    p = add_parser("verify-paper", help="re-run the published computational claims")
-    p.add_argument("suite", choices=(
-        "cal", "prop215", "prop5", "alphab", "beta", "thresholds", "all"))
+    p = add_parser("verify-paper", _cmd_verify_paper, "re-run the published computational claims")
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--s-max", type=_s_max, default=6, help="largest s for prop215, at least 2")
     b_values = p.add_mutually_exclusive_group()
     b_values.add_argument("--bs", type=_b_list, default=None,
@@ -247,7 +267,7 @@ def _cmd_lambda_min(args, timings):
     if args.at_least is not None:
         t = -args.at_least
         verdict = certify_lambda_min_below(G, t) is None
-        results["at_least"] = {"threshold": str(-t), "holds": verdict}
+        results["at_least"] = {"threshold": args.at_least, "holds": verdict}
         certs.append(
             f"lambda_min >= {-t} decided exactly via PSD(A + ({t})I): {verdict}"
         )
@@ -270,14 +290,15 @@ def _cmd_assoc(args, timings):
 def _cmd_bose_laskar(args, timings):
     G = load_graph_file(args.graph)
     res = bose_laskar(G, args.x, args.lam, args.c, args.r)
+    # not asdict(res): it deep-copies every entry, tens of microseconds a call
     results = {
         "x": res.x,
-        "independent_set": list(res.independent_set),
-        "w_set": list(res.w_set),
-        "clique1": list(res.clique1),
-        "bound1": str(res.bound1),
-        "clique2": None if res.clique2 is None else list(res.clique2),
-        "bound2": None if res.bound2 is None else str(res.bound2),
+        "independent_set": res.independent_set,
+        "w_set": res.w_set,
+        "clique1": res.clique1,
+        "bound1": res.bound1,
+        "clique2": res.clique2,
+        "bound2": res.bound2,
         "second_hypothesis_holds": res.second_hypothesis_holds,
     }
     certs = [f"|clique1| = {len(res.clique1)} >= {res.bound1}"]
@@ -302,26 +323,17 @@ def _cmd_scan_forbidden(args, timings):
         S = load_matrix_file(args.matrix)
         source = {"matrix": args.matrix}
     hit = scan_M_t(S, args.t)
-    results = {
-        "t": args.t,
-        "source": source,
-        "hit": None if hit is None else {
-            "slim_subset": list(hit.slim_subset),
-            "family_member": hit.family_member,
-            "witness_matrix": [list(r) for r in hit.witness_matrix],
-        },
-    }
+    results = {"t": args.t, "source": source, "hit": None if hit is None else asdict(hit)}
     return results, [], 0
 
 
 def _cmd_drg_scan(args, timings):
-    survivors = feasibility_scan(args.b, args.D, args.alpha_max, args.checks)
     results = {
         "b": args.b,
         "D": args.D,
-        "alpha_max": str(args.alpha_max),
-        "checks": [list(c) for c in args.checks],
-        "survivors": [str(a) for a in survivors],
+        "alpha_max": args.alpha_max,
+        "checks": args.checks,
+        "survivors": feasibility_scan(args.b, args.D, args.alpha_max, args.checks),
     }
     return results, [], 0
 
@@ -329,53 +341,49 @@ def _cmd_drg_scan(args, timings):
 def _cmd_drg_params(args, timings):
     p = ClassicalParams(args.D, args.b, args.alpha, args.beta)
     arr = intersection_array(p)
-    eig = eigenvalues(p)
     results = {
         "D": p.D,
         "b": p.b,
-        "alpha": str(p.alpha),
-        "beta": str(p.beta),
-        "k": str(arr.k),
-        "c": [str(v) for v in arr.c],
-        "b_seq": [str(v) for v in arr.b],
-        "a": [str(v) for v in arr.a],
-        "eigenvalues": [str(v) for v in eig],
-        "delsarte_bound": str(delsarte_bound(p)),
+        "alpha": p.alpha,
+        "beta": p.beta,
+        "k": arr.k,
+        "c": arr.c,
+        "b_seq": arr.b,
+        "a": arr.a,
+        "eigenvalues": eigenvalues(p),
+        "delsarte_bound": delsarte_bound(p),
         "ie1_holds": check_ie1(p),
     }
     if p.D >= 3:
         local = local_graph_params(p)
         results["local_graph"] = {
-            "n": str(local.n),
-            "w": str(local.w),
-            "c": str(local.c_local),
-            "lambda_lb": str(local.lambda_lb),
+            "n": local.n, "w": local.w, "c": local.c_local, "lambda_lb": local.lambda_lb,
         }
     return results, [], 0
 
 
 # -- the verification suite -------------------------------------------------------
+# Each suite takes the parsed arguments and returns (results, certificates);
+# results["ok"] is its verdict.
 
-def _suite_cal():
+def _suite_cal(args):
     try:
         checks = verify_proposition_cal()
     except VerificationError as exc:
-        return {"ok": False, "error": str(exc)}, [], False
+        return {"ok": False, "error": str(exc)}, []
     certs = [f"({entry['pair']}, p={entry['p']}): rational witness with "
              f"x^T(A+3I)x < 0 on {entry['vertices']} vertices" for entry in checks]
-    return {"ok": True, "checks": checks}, certs, True
+    return {"ok": True, "checks": checks}, certs
 
 
-def _suite_prop215(s_max: int):
+def _suite_prop215(args):
     out = []
     certs = []
-    ok = True
-    for s in range(2, s_max + 1):
+    for s in range(2, args.s_max + 1):
         try:
             r = prop215(s)
         except HoffmanError as exc:
             out.append({"s": s, "ok": False, "error": str(exc)})
-            ok = False
             continue
         out.append(r)
         for chk in r["checks"]:
@@ -383,118 +391,107 @@ def _suite_prop215(s_max: int):
                 f"s={s} {chk['construction']}: det(Q+{s}I) = {chk['det_shifted']} < 0, "
                 "witness re-verified on the graph"
             )
-    return {"ok": ok, "s_values": out}, certs, ok
+    return {"ok": all("error" not in r for r in out), "s_values": out}, certs
 
 
-def _suite_prop5():
+def _suite_prop5(args):
     b, D, alpha_max = 2, 12, 9
     scan = feasibility_scan(b, D, alpha_max, [(6, 6)])
     survivors = [str(a) for a in scan]
     claimed = list(PROP5_CLAIMED)
     extra = [a for a in survivors if a not in claimed]
     missing = [a for a in claimed if a not in survivors]
-    ok = not extra and not missing
+    constant = p66_leading_constant(b)
     results = {
-        "ok": ok,
+        "ok": not extra and not missing and constant == PROP5_LEADING_CONSTANT,
         "survivors": survivors,
         "claimed": claimed,
         "extra_survivors": extra,
         "missing_survivors": missing,
         "candidates": scan.candidates,
-        "leading_constant": p66_leading_constant(2),
-        "leading_constant_claimed": 230674393235,
+        "leading_constant": constant,
+        "leading_constant_claimed": PROP5_LEADING_CONSTANT,
     }
-    if results["leading_constant"] != results["leading_constant_claimed"]:
-        ok = results["ok"] = False
     certs = [f"exact scan over alpha = k/{b + 1}, k = 0..{alpha_max * (b + 1)}, "
              f"{scan.candidates} tested exactly: survivors {survivors}"]
-    return results, certs, ok
+    return results, certs
 
 
-def _suite_alphab(bs, full: bool):
-    if full:
-        bs = tuple(range(2, 101))
+def _suite_alphab(args):
     D = 14
-    results = []
-    ok = True
+    bs = range(2, 101) if args.full else args.bs or ALPHAB_DESK_BS
+    per_b = []
     for b in bs:
         # up to the paper's bound alpha <= b^2(b+1) + f(D, b)
         alpha_max = theorem_beta_bounds(b, D, 0).alpha_bound
         survivors = feasibility_scan(b, D, alpha_max, FIVE_CHECKS)
         root = math.isqrt(b)
         square = root * root == b
-        allowed = [a for a in survivors if a <= b or (square and a == b + root)]
-        good = allowed == survivors
-        ok = ok and good
-        results.append({
+        offending = [a for a in survivors if not (a <= b or (square and a == b + root))]
+        per_b.append({
             "b": b,
             "square": square,
-            "survivors": [str(a) for a in survivors],
+            "survivors": survivors,
             "candidates": survivors.candidates,
-            "offending": [str(a) for a in survivors if a not in allowed],
-            "ok": good,
+            "offending": offending,
+            "ok": not offending,
         })
-    return {"ok": ok, "per_b": results}, [], ok
+    return {"ok": all(r["ok"] for r in per_b), "per_b": per_b}, []
 
 
-def _suite_beta():
+def _suite_beta(args):
     f9 = {b: theorem_beta_bounds(b, 9, 0).f for b in range(2, 100)}
-    violations = [{"b": b, "f": str(f)} for b, f in f9.items() if not f < 6]
-    f_small_claim = not violations
+    violations = [{"b": b, "f": f} for b, f in f9.items() if not f < 6]
     tail = (100 + 1) * theorem_beta_bounds(100, 10, 0).f
-    tail_claim = tail < 1
     mono = f9[2] > theorem_beta_bounds(2, 10, 0).f and f9[2] > f9[3]
-    ok = f_small_claim and tail_claim and mono
     results = {
-        "ok": ok,
-        "f_below_6_for_b_2_to_99": f_small_claim,
+        "ok": not violations and tail < 1 and mono,
+        "f_below_6_for_b_2_to_99": not violations,
         "f_violations": violations,
-        "tail_bound_101_f_10_100": str(tail),
-        "tail_bound_below_1": tail_claim,
+        "tail_bound_101_f_10_100": tail,
+        "tail_bound_below_1": tail < 1,
         "monotonic_spot_checks": mono,
     }
-    certs = [f"101 * f(10,100) = {tail} (exact)"]
-    return results, certs, ok
+    return results, [f"101 * f(10,100) = {tail} (exact)"]
 
 
-def _suite_thresholds():
-    n1_ok = n1_threshold(3) == 48
+def _suite_thresholds(args):
     # (phi, sigma, p) of the nine expansions: fat count, slim count, clique order
     n2_args = []
     for name, p in PROP_CAL_PAIRS:
         h = catalog(name).hoffman
         n2_args.append((h.n_fat, h.n_slim, p))
     per_c = []
-    ok = n1_ok
     for c in range(1, 21):
         th = thresholds(3, c)
         worst = max(n2_threshold(phi, sigma, p, th.c_tilde) for phi, sigma, p in n2_args)
-        good = th.q >= worst and th.q >= th.n1
-        ok = ok and good
-        per_c.append({"c": c, "q": th.q, "max_n2": worst, "ok": good})
-    results = {"ok": ok, "n1_3": n1_threshold(3), "n1_3_is_48": n1_ok, "per_c": per_c}
-    return results, [], ok
+        per_c.append({"c": c, "q": th.q, "max_n2": worst,
+                      "ok": th.q >= worst and th.q >= th.n1})
+    n1 = n1_threshold(3)
+    results = {"ok": n1 == 48 and all(r["ok"] for r in per_c), "n1_3": n1,
+               "n1_3_is_48": n1 == 48, "per_c": per_c}
+    return results, []
+
+
+SUITES = {
+    "cal": _suite_cal,
+    "prop215": _suite_prop215,
+    "prop5": _suite_prop5,
+    "alphab": _suite_alphab,
+    "beta": _suite_beta,
+    "thresholds": _suite_thresholds,
+}
 
 
 def _cmd_verify_paper(args, timings):
-    suites = {
-        "cal": _suite_cal,
-        "prop215": lambda: _suite_prop215(args.s_max),
-        "prop5": _suite_prop5,
-        "alphab": lambda: _suite_alphab(args.bs or ALPHAB_DESK_BS, args.full),
-        "beta": _suite_beta,
-        "thresholds": _suite_thresholds,
-    }
     combined = {}
     certs = []
-    ok = True
-    for name in suites if args.suite == "all" else (args.suite,):
+    for name in SUITES if args.suite == "all" else (args.suite,):
         t0 = time.perf_counter()
-        results, suite_certs, suite_ok = suites[name]()
+        combined[name], suite_certs = SUITES[name](args)
         timings[name] = (time.perf_counter() - t0) * 1000.0
-        combined[name] = results
         certs.extend(suite_certs)
-        ok = ok and suite_ok
+    ok = all(results["ok"] for results in combined.values())
     if args.suite == "all":
         combined["ok"] = ok
     else:
@@ -511,34 +508,21 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
 
-    handlers = {
-        "lambda-min": _cmd_lambda_min,
-        "assoc": _cmd_assoc,
-        "bose-laskar": _cmd_bose_laskar,
-        "check-intro2": _cmd_check_intro2,
-        "scan-forbidden": _cmd_scan_forbidden,
-        "verify-paper": _cmd_verify_paper,
-    }
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     try:
-        if args.cmd == "drg":
-            handler = _cmd_drg_scan if args.drg_cmd == "scan" else _cmd_drg_params
-            command = f"drg {args.drg_cmd}"
-        else:
-            handler = handlers[args.cmd]
-            command = args.cmd if args.cmd != "verify-paper" else f"verify-paper {args.suite}"
-        results, certs, code = handler(args, timings)
+        results, certs, code = args.run(args, timings)
     except (OSError, ValueError, json.JSONDecodeError, HoffmanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     timings["total"] = (time.perf_counter() - t0) * 1000.0
+    fields = vars(args)
+    command = " ".join(fields[k] for k in ("cmd", "drg_cmd", "suite") if k in fields)
     inputs = {
-        k: v for k, v in vars(args).items()
+        k: str(v) for k, v in fields.items()
         if k not in ("cmd", "format", "drg_cmd") and v is not None and not callable(v)
     }
-    report = _report(command, {k: str(v) for k, v in inputs.items()}, results, certs, timings)
-    _emit(report, args.format)
+    _emit(_report(command, inputs, results, certs, timings), args.format)
     return code
 
 

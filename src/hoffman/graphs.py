@@ -22,6 +22,11 @@ MAX_CLIQUES = 100_000
 MIS_NODE_BUDGET = 1_000_000
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"graphs with more than {MAX_VERTICES} vertices are not supported")
+
+
 class Graph:
     """Simple undirected graph on vertices ``0..n-1`` with bitset adjacency."""
 
@@ -30,8 +35,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if n > MAX_VERTICES:
-            raise ValueError(f"graphs with more than {MAX_VERTICES} vertices are not supported")
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -55,8 +59,7 @@ class Graph:
         """
         adj = tuple(adj)
         n = len(adj)
-        if n > MAX_VERTICES:
-            raise ValueError(f"graphs with more than {MAX_VERTICES} vertices are not supported")
+        _check_order(n)
         for v, bits in enumerate(adj):
             if bits >> n:
                 raise ValueError(f"neighborhood of vertex {v} out of range for n={n}")
@@ -307,6 +310,7 @@ def parse_graph6(text: str | bytes) -> Graph:
         body = vals[8:]
     else:
         raise ValueError("truncated graph6 header")
+    _check_order(n)  # before the n(n-1)/2 bits are expanded
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) < need:
         raise ValueError("graph6 body too short")

@@ -1,13 +1,20 @@
 """End-to-end CLI tests: exit codes, report schema, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import jsonschema
 
-from hoffman import verify_proposition_cal
-from hoffman.cli import REPORT_SCHEMA, build_parser, main
+from hoffman import (
+    ClassicalParams,
+    eigenvalues,
+    intersection_array,
+    local_graph_params,
+    verify_proposition_cal,
+)
+from hoffman.cli import REPORT_SCHEMA, _emit, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -61,15 +68,17 @@ def test_lambda_min_with_exact_threshold(capsys, k5_json):
 
 
 def test_negative_fraction_is_an_option_value(capsys, k5_json, c5_g6):
-    # argparse alone reads -5/2 as an option and reports a missing argument
-    code, report = run_cli(capsys, "lambda-min", "--graph", k5_json, "--at-least", "-5/2")
-    assert code == 0
-    assert report["results"]["at_least"] == {"threshold": "-5/2", "holds": True}
-    code = main(["bose-laskar", "--graph", c5_g6, "--x", "0", "--lam", "-1/2", "--c", "1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == "error: lambda must be non-negative\n"
+    # argparse alone reads -5/2 and -1e0 as options and reports a missing argument
+    for value, threshold in (("-5/2", "-5/2"), ("-1e0", "-1")):
+        code, report = run_cli(capsys, "lambda-min", "--graph", k5_json, "--at-least", value)
+        assert code == 0
+        assert report["results"]["at_least"] == {"threshold": threshold, "holds": True}
+    for value in ("-1/2", "-2.5e-1"):
+        code = main(["bose-laskar", "--graph", c5_g6, "--x", "0", "--lam", value, "--c", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: lambda must be non-negative\n"
 
 
 @pytest.fixture
@@ -227,6 +236,22 @@ def test_drg_params(capsys):
     assert res["c"][2] == "9"
     assert res["eigenvalues"][-1] == "-15"
     assert res["local_graph"]["lambda_lb"] == "-3"
+    # every rational is the "p/q" string of the library's Fraction
+    p = ClassicalParams(4, 2, 2, 62)
+    arr = intersection_array(p)
+    local = local_graph_params(p)
+
+    def strings(values):
+        assert all(isinstance(v, Fraction) for v in values)
+        return [str(v) for v in values]
+
+    assert res["c"] == strings(arr.c)
+    assert res["b_seq"] == strings(arr.b)
+    assert res["a"] == strings(arr.a)
+    assert res["eigenvalues"] == strings(eigenvalues(p))
+    assert res["local_graph"] == dict(zip(
+        ("n", "w", "c", "lambda_lb"),
+        strings((local.n, local.w, local.c_local, local.lambda_lb))))
 
 
 def test_drg_scan(capsys):
@@ -542,6 +567,19 @@ def test_malformed_scan_input_is_an_input_error(capsys, tmp_path, flag, content)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_report_with_a_value_json_cannot_write_is_an_error(capsys):
+    # the one JSON hook writes Fractions as "p/q" (the key "a" sorts first)
+    # and refuses everything else, so no Python repr reaches a report
+    report = {
+        "command": "x", "inputs": {}, "results": {"a": Fraction(1, 2), "b": {1, 2}},
+        "exact_certificates": [], "timings_ms": {"total": 1.0},
+    }
+    for fmt in ("json", "text"):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            _emit(report, fmt)
+    assert "{1, 2}" not in capsys.readouterr().out
 
 
 def test_every_report_is_validated():

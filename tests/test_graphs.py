@@ -294,3 +294,12 @@ def test_graph6_three_byte_header():
 
 def test_graph6_empty_graph():
     assert parse_graph6("?") == Graph(0)
+
+
+def test_graph6_oversized_header_is_rejected_before_the_body():
+    # n = MAX_VERTICES + 1 in the three-byte header form; the one-byte body is
+    # far too short, but the vertex limit is the error, read off the header
+    n = MAX_VERTICES + 1
+    header = chr(126) + "".join(chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0))
+    with pytest.raises(ValueError, match=f"more than {MAX_VERTICES} vertices"):
+        parse_graph6(header + "?")
