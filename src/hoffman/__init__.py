@@ -24,6 +24,7 @@ from .graphs import (
     maximum_independent_set,
     mu_parameter,
     parse_graph6,
+    twin_classes,
 )
 from .exact import (
     Partition,

@@ -169,7 +169,7 @@ def _emit(report: dict, fmt: str) -> None:
     else:
         print(f"# {report['command']}")
         for key, value in report["inputs"].items():
-            print(f"input {key} = {value}")
+            print(f"input {key} = {json.dumps(value, default=_json_value)}")
         print(dumps(report["results"]))
         for cert in report["exact_certificates"]:
             print(f"certificate: {cert}")
@@ -519,7 +519,7 @@ def main(argv=None) -> int:
     fields = vars(args)
     command = " ".join(fields[k] for k in ("cmd", "drg_cmd", "suite") if k in fields)
     inputs = {
-        k: str(v) for k, v in fields.items()
+        k: v for k, v in fields.items()
         if k not in ("cmd", "format", "drg_cmd") and v is not None and not callable(v)
     }
     _emit(_report(command, inputs, results, certs, timings), args.format)

@@ -107,7 +107,7 @@ class RationalMatrix:
         scale = den // self.den
         shift = t.numerator * (den // t.denominator)
         num = self.num
-        if num.dtype != object and _amax(num) * scale + abs(shift) >= _INT64_LIMIT:
+        if num.dtype != object and max(_amax(num), 1) * scale + abs(shift) >= _INT64_LIMIT:
             num = num.astype(object)
         num = num * scale
         diagonal = np.arange(len(num))
@@ -310,29 +310,27 @@ def det_exact(M: RationalMatrix) -> Fraction:
 
 # -- floating eigensolver ------------------------------------------------------
 
-def adjacency_bits(G: Graph) -> np.ndarray:
-    """The 0/1 adjacency matrix of G as a uint8 array, unpacked from the bitsets."""
-    n = G.n
-    width = (n + 7) // 8
-    packed = b"".join(G.bits(v).to_bytes(width, "little") for v in range(n))
+def adjacency_bits(G: Graph, vertices: Optional[Sequence[int]] = None) -> np.ndarray:
+    """The 0/1 adjacency matrix of G as a uint8 array, unpacked from the bitsets;
+    with ``vertices``, its principal submatrix on them, in that order, from
+    their rows alone."""
+    vertices = range(G.n) if vertices is None else vertices
+    width = (G.n + 7) // 8
+    packed = b"".join(G.bits(v).to_bytes(width, "little") for v in vertices)
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    return bits.reshape(n, 8 * width)[:, :n]
+    return bits.reshape(len(vertices), 8 * width)[:, vertices]
 
 
-def eigenvalues_float(M: RationalMatrix | Graph | np.ndarray) -> Optional[list[float]]:
-    """Eigenvalues of a symmetric matrix or of a graph's adjacency matrix, ascending,
-    to ~1e-9; None above FLOAT_ORDER_LIMIT, with no adjacency array built for a graph."""
+def eigenvalues_float(M: RationalMatrix | np.ndarray) -> Optional[list[float]]:
+    """Eigenvalues of a symmetric matrix, ascending, to ~1e-9; None above FLOAT_ORDER_LIMIT."""
     if isinstance(M, RationalMatrix):
         M = M.num / M.den
-    n = M.n if isinstance(M, Graph) else len(M)
+    n = len(M)
     if n > FLOAT_ORDER_LIMIT:
         return None
-    if isinstance(M, Graph):
-        a = adjacency_bits(M).astype(float)
-    else:
-        a = np.array(M, dtype=float).reshape(n, n)
-        if not np.array_equal(a, a.T):
-            raise ValueError("floating eigensolver requires a symmetric matrix")
+    a = np.asarray(M, dtype=float).reshape(n, n)
+    if not np.array_equal(a, a.T):
+        raise ValueError("floating eigensolver requires a symmetric matrix")
     try:
         return [float(v) for v in np.linalg.eigvalsh(a)]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -351,5 +349,13 @@ def quotient_eigenvalues_float(Q: RationalMatrix, block_sizes: Sequence[int]) ->
     if len(block_sizes) != n:
         raise ValueError("block size list does not match quotient order")
     root = np.sqrt(np.array(block_sizes, dtype=float))
-    sym = Q.num.astype(float) / Q.den * root[:, None] / root[None, :]
-    return eigenvalues_float((sym + sym.T) / 2.0)
+    # the order of operations fixes the reported digits: (Q / den) * root_I / root_J,
+    # then (S + S^T) / 2; in place, so no n x n temporary is allocated
+    sym = Q.num.astype(float)
+    if Q.den != 1:
+        sym /= Q.den
+    sym *= root[:, None]
+    sym /= root
+    sym += sym.T
+    sym /= 2.0
+    return eigenvalues_float(sym)

@@ -25,8 +25,24 @@ block, so no edge is visited one at a time.
 
 Every other exact decision of lambda_min(G) >= -t on a graph, that is
 ``lambda-min --at-least`` and condition (iii) of ``check-intro2``, is
-:func:`certify_lambda_min_below`: exact LDL^T on the full A + tI, whose
-refutation is re-checked on the graph the same way before it is returned.
+:func:`certify_lambda_min_below`, and the floating evidence of every command
+is :func:`graph_lambda_min_float`.  Both first split G into its twin classes
+(:func:`hoffman.graphs.twin_classes`): closed twins have N[u] = N[v], open
+twins N(u) = N(v).  Each class V_I is a module, so the split of the spectrum
+is exact.  A vector supported on one class and summing to zero there is an
+eigenvector, with eigenvalue -1 for a closed class and 0 for an open one,
+since A restricted to the class is J - I or 0 and the rest of the graph sees
+every vertex of the class alike.  These vectors are orthogonal to the
+block-constant vectors, which A maps to themselves; on x = sum_I y_I 1_{V_I},
+x^T (A + tI) x = y^T (B + t diag(s)) y with B_IJ = e(V_I, V_J), the number of
+ordered adjacent pairs, and s the class sizes.  So A + tI is PSD exactly when
+t >= 1 if a closed class has two vertices, t >= 0 if an open class has two,
+and B + t diag(s) = diag(s)(Q + tI) is PSD, for the twin quotient Q.  A
+refutation is e_u - e_v inside a class or a witness of the r x r block form
+lifted block-constant, re-checked on the graph the same way before it is
+returned.  In a clique expansion G(h, p) the vertices of each fat clique are
+closed twins, so its block form has order at most that of h; on a twin-free
+graph it is A + tI itself.
 """
 
 from __future__ import annotations
@@ -39,17 +55,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import exact
 from .errors import NotEquitable, VerificationError
 from .exact import (
+    _INT64_LIMIT,
     Partition,
     RationalMatrix,
+    _amax,
     adjacency_bits,
     det_exact,
-    eigenvalues_float,
     psd_witness,
     quotient_eigenvalues_float,
 )
-from .graphs import Graph, _bitset, _is_int
+from .graphs import Graph, _bitset, _is_int, twin_classes
 from .hgraphs import (
     catalog,
     clique_with_two_fats,
@@ -138,15 +156,52 @@ def scan_M_t(S: RationalMatrix, t: int) -> Optional[ForbiddenHit]:
 
 # -- exact certificates ---------------------------------------------------------
 
-def adjacency_rational(G: Graph) -> RationalMatrix:
-    """Adjacency matrix as a RationalMatrix, unpacked from the bitsets."""
-    return RationalMatrix.fraction_free(adjacency_bits(G).astype(np.int64), 1)
+def adjacency_rational(G: Graph, vertices: Optional[Sequence[int]] = None) -> RationalMatrix:
+    """Adjacency matrix as a RationalMatrix, unpacked from the bitsets; with
+    ``vertices``, its principal submatrix on them, in that order."""
+    return RationalMatrix.fraction_free(adjacency_bits(G, vertices).astype(np.int64), 1)
+
+
+def _twin_quotient(G: Graph) -> tuple[tuple[tuple[int, ...], ...], RationalMatrix]:
+    """The twin classes of G and their quotient Q, an integer matrix of order r.
+
+    Q_IJ = s_J A(v_I, v_J) off the diagonal, with s the class sizes and v_I
+    the first vertex of class I, and Q_II = s_I - 1 for a closed class and 0
+    otherwise.  It is built from the r x r submatrix of A on the v_I, not
+    from per-vertex counts, so on a twin-free graph (r = n, every s_I = 1)
+    it is the adjacency matrix at the cost of :func:`adjacency_rational`.
+    """
+    classes = twin_classes(G)
+    Q = adjacency_rational(G, [c[0] for c in classes]).num * np.array(
+        [len(c) for c in classes], dtype=np.int64)
+    for i, _, _, e in _twin_gaps(G, classes):
+        if e:
+            Q[i, i] = len(classes[i]) - 1
+    return classes, RationalMatrix.fraction_free(Q, 1)
+
+
+def _twin_gaps(G: Graph, classes):
+    """(I, u, v, e) for each twin class I of two or more with first vertices
+    u, v: e_u - e_v is an eigenvector of A with eigenvalue e, -1 for a closed
+    class and 0 for an open one."""
+    for i, c in enumerate(classes):
+        if len(c) > 1:
+            yield i, c[0], c[1], -1 if G.has_edge(c[0], c[1]) else 0
 
 
 def graph_lambda_min_float(G: Graph) -> Optional[float]:
-    """Smallest adjacency eigenvalue as floating evidence; None at order 0 or above the limit."""
-    values = eigenvalues_float(G)
-    return values[0] if values else None
+    """Smallest adjacency eigenvalue as floating evidence; None at order 0 or above the limit.
+
+    It is the least of the twin quotient's smallest eigenvalue, -1 when a
+    closed class has two or more vertices and 0 when an open one has, so the
+    dense solver runs on the quotient alone.  The limit applies to the
+    order of G, as it did when the whole adjacency matrix was solved.
+    """
+    if not 0 < G.n <= exact.FLOAT_ORDER_LIMIT:
+        return None
+    classes, Q = _twin_quotient(G)
+    values = quotient_eigenvalues_float(Q, [len(c) for c in classes])
+    return min([values[0], *(float(e) for *_, e in _twin_gaps(G, classes))])
 
 
 def graph_quotient_matrix(G: Graph, P: Partition) -> RationalMatrix:
@@ -208,8 +263,22 @@ def graph_quadratic_form(G: Graph, t, x: Sequence) -> Fraction:
 
 def certify_lambda_min_below(G: Graph, t) -> Optional[list[Fraction]]:
     """None when lambda_min(G) >= -t, that is when A + tI is PSD; otherwise a
-    rational witness x with x^T (A + tI) x < 0, re-checked on the graph."""
-    return _rechecked(G, t, psd_witness(adjacency_rational(G).shifted(Fraction(t))))
+    rational witness x with x^T (A + tI) x < 0, re-checked on the graph.
+
+    A twin class of two or more gives e_u - e_v with value 2(t + e) for its
+    eigenvalue e, which refutes when t < -e.  Otherwise A + tI is PSD exactly
+    when diag(s)(Q + tI) is, for the twin quotient Q; on a twin-free graph
+    that matrix is A + tI itself, so the verdict and the witness are those
+    of LDL^T on the full matrix.
+    """
+    t = Fraction(t)
+    classes, Q = _twin_quotient(G)
+    for _, u, v, e in _twin_gaps(G, classes):
+        if t < -e:
+            x = [Fraction(0)] * G.n
+            x[u], x[v] = Fraction(1), Fraction(-1)
+            return _rechecked(G, t, x)
+    return _block_witness(G, t, classes, Q)
 
 
 def _rechecked(G: Graph, t, witness: Optional[list[Fraction]]) -> Optional[list[Fraction]]:
@@ -219,24 +288,47 @@ def _rechecked(G: Graph, t, witness: Optional[list[Fraction]]) -> Optional[list[
     return witness
 
 
-def _lift_quotient_witness(G: Graph, t, partition: Partition, quotient: RationalMatrix) -> list[Fraction]:
-    """Witness via an equitable partition: solve the small block form exactly.
+def _block_witness(G: Graph, t, blocks, quotient: RationalMatrix) -> Optional[list[Fraction]]:
+    """None when the block form of an equitable partition is PSD; otherwise
+    its witness, lifted block-constant and re-checked on the graph.
 
-    For block sizes n_I the matrix T with T_IJ = n_I (Q + tI)_IJ is symmetric
-    and represents the quadratic form of A + tI on block-constant vectors, so
-    any witness for T lifts to the graph.
+    For block sizes n_I the matrix T = diag(n)(Q + tI), with T_IJ = n_I Q_IJ
+    + t n_I [I = J], is symmetric and represents the quadratic form of
+    A + tI on block-constant vectors, so any witness for T lifts to the
+    graph.  T is built in one pass over Q, as :meth:`RationalMatrix.shifted`
+    builds Q + tI, and is Q + tI itself when every block is a singleton.
     """
-    Q = quotient.shifted(Fraction(t))
-    sizes = np.array(partition.sizes(), dtype=object)
-    T = RationalMatrix.fraction_free(sizes[:, None] * Q.num, Q.den)
-    y = psd_witness(T)
+    t = Fraction(t)
+    sizes = [len(block) for block in blocks]
+    den = math.lcm(quotient.den, t.denominator)
+    scale = den // quotient.den
+    shift = t.numerator * (den // t.denominator)
+    num = quotient.num
+    # each entry of T's numerator, and each n_I scale, is at most
+    # n_I (scale max(|Q_IJ|, 1) + |shift|)
+    wide = num.dtype == object or (
+        max(sizes, default=1) * (max(_amax(num), 1) * scale + abs(shift)) >= _INT64_LIMIT)
+    dtype = object if wide else np.int64
+    rows = np.array([n * scale for n in sizes], dtype=dtype)
+    num = rows[:, None] * num.astype(dtype, copy=False)
+    diagonal = np.arange(len(num))
+    num[diagonal, diagonal] += np.array([n * shift for n in sizes], dtype=dtype)
+    y = psd_witness(RationalMatrix.fraction_free(num, den))
     if y is None:
-        raise VerificationError("quotient form is PSD; no block-constant witness")
+        return None
     x = [Fraction(0)] * G.n
-    for block, val in zip(partition.blocks, y):
+    for block, val in zip(blocks, y):
         for v in block:
             x[v] = val
     return _rechecked(G, t, x)
+
+
+def _lift_quotient_witness(G: Graph, t, partition: Partition, quotient: RationalMatrix) -> list[Fraction]:
+    """The witness of :func:`_block_witness` for a stated partition, which must exist."""
+    x = _block_witness(G, t, partition.blocks, quotient)
+    if x is None:
+        raise VerificationError("quotient form is PSD; no block-constant witness")
+    return x
 
 
 # -- the nine expansion inequalities ---------------------------------------------

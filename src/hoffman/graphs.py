@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import CliqueLimitExceeded, SearchBudgetExhausted
 
 MAX_VERTICES = 10_000
@@ -137,6 +139,38 @@ def complete_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# -- twin classes -----------------------------------------------------------
+
+def twin_classes(G: Graph) -> tuple[tuple[int, ...], ...]:
+    """The twin classes of G, each a sorted tuple, ordered by their smallest vertex.
+
+    u and v are closed twins when N[u] = N[v] and open twins when
+    N(u) = N(v).  A vertex with a closed twin has no open twin (if v is a
+    closed twin of u and w an open twin, then v ~ w, so w is in N[v] = N[u]
+    and u is in N(w) = N(u)), so the classes of two or more vertices of both
+    kinds are disjoint, and every other vertex is a class of its own.  Each
+    class is a module: its vertices have the same neighbors outside it.  The
+    first two vertices of a class of two or more are adjacent exactly when it
+    is a closed class.  Each bitset is hashed once: closed classes by
+    ``bits(v) | 1 << v``, then open classes by ``bits(v)`` over the vertices
+    left over.
+    """
+    adj = G._adj
+    closed: dict[int, list[int]] = {}
+    for v, bits in enumerate(adj):
+        closed.setdefault(bits | 1 << v, []).append(v)
+    classes = []
+    open_: dict[int, list[int]] = {}
+    for members in closed.values():
+        if len(members) > 1:
+            classes.append(members)
+        else:
+            open_.setdefault(adj[members[0]], []).append(members[0])
+    classes += open_.values()
+    # the classes are disjoint, so sorting orders them by their smallest vertex
+    return tuple(sorted(tuple(members) for members in classes))
 
 
 # -- mu parameter ----------------------------------------------------------
@@ -294,38 +328,36 @@ def parse_graph6(text: str | bytes) -> Graph:
         data = data[len(b">>graph6<<"):]
     if not data:
         raise ValueError("empty graph6 string")
-    vals = [b - 63 for b in data]
-    if any(v < 0 or v > 63 for v in vals):
+    if min(data) < 63 or max(data) > 126:
         raise ValueError("invalid graph6 character")
+    vals = [b - 63 for b in data[:8]]
     if vals[0] < 63:
         n = vals[0]
-        body = vals[1:]
+        body = data[1:]
     elif len(vals) >= 4 and vals[1] < 63:
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body = vals[4:]
+        body = data[4:]
     elif len(vals) >= 8:
         n = 0
         for v in vals[2:8]:
             n = (n << 6) | v
-        body = vals[8:]
+        body = data[8:]
     else:
         raise ValueError("truncated graph6 header")
     _check_order(n)  # before the n(n-1)/2 bits are expanded
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) < need:
         raise ValueError("graph6 body too short")
-    bits = []
-    for v in body[:need]:
-        for k in range(5, -1, -1):
-            bits.append((v >> k) & 1)
-    edges = []
-    idx = 0
+    # the body lists x(i, j) for j = 1..n-1 and i < j, six bits per byte, so
+    # row j of the lower triangle is the j bits from j(j-1)/2 on
+    stream = np.unpackbits(np.frombuffer(body[:need], dtype=np.uint8)[:, None] - 63, axis=1)
+    stream = stream[:, 2:].ravel()
+    lower = np.zeros((n, n), dtype=np.uint8)
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+        start = j * (j - 1) // 2
+        lower[j, :j] = stream[start:start + j]
+    rows = np.packbits(lower | lower.T, axis=1, bitorder="little")
+    return Graph._from_bits([int.from_bytes(row.tobytes(), "little") for row in rows])
 
 
 def load_graph(text: str) -> Graph:

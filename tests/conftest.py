@@ -33,6 +33,41 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def planted_twin_graph(rng: random.Random, k: int, p: float) -> Graph:
+    """A random graph on k planted classes, relabelled at random.
+
+    Each class is a clique or an independent set of 1 to 4 vertices, two
+    classes are joined completely or not at all as a random base graph on k
+    vertices says, and 0 to 2 isolated vertices are added.  The twin classes
+    may be coarser than the planted ones.
+    """
+    base = random_graph(rng, k, p)
+    classes, n = [], 0
+    for _ in range(k):
+        size = rng.randint(1, 4)
+        classes.append((range(n, n + size), rng.random() < 0.5))
+        n += size
+    n += rng.randint(0, 2)
+    edges = []
+    for a, (block, closed) in enumerate(classes):
+        if closed:
+            edges += combinations(block, 2)
+        for b in base.neighbors(a):
+            if b > a:
+                edges += [(u, v) for u in block for v in classes[b][0]]
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def line_graph_of_complete(m: int) -> Graph:
+    pairs = list(combinations(range(m), 2))
+    return Graph(len(pairs), [
+        (i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))
+        if set(pairs[i]) & set(pairs[j])
+    ])
+
+
 def is_clique(G: Graph, vertices: Sequence[int]) -> bool:
     return all(G.has_edge(u, v) for u, v in combinations(vertices, 2))
 
@@ -155,21 +190,60 @@ def hoffman_isomorphic(h1: HoffmanGraph, h2: HoffmanGraph) -> bool:
 
 
 def graph6_encode(G: Graph) -> str:
-    """Minimal graph6 encoder (n <= 62), used as a round-trip oracle."""
-    assert G.n <= 62
+    """Minimal graph6 encoder (n <= 258047), used as a round-trip oracle."""
+    assert G.n <= 258047
     bits = []
     for j in range(1, G.n):
         for i in range(j):
             bits.append(1 if G.has_edge(i, j) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(G.n + 63)]
+    if G.n <= 62:
+        out = [chr(G.n + 63)]
+    else:
+        out = [chr(126)] + [chr(63 + ((G.n >> shift) & 63)) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         val = 0
         for b in bits[k:k + 6]:
             val = val * 2 + b
         out.append(chr(val + 63))
     return "".join(out)
+
+
+def parse_graph6_by_edges(text: str | bytes) -> Graph:
+    """A graph6 decoder that lists every bit and every edge, the test oracle
+    for :func:`hoffman.parse_graph6`; same errors, no vertex limit."""
+    data = text.strip().encode("ascii") if isinstance(text, str) else text.strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    if not data:
+        raise ValueError("empty graph6 string")
+    vals = [b - 63 for b in data]
+    if any(v < 0 or v > 63 for v in vals):
+        raise ValueError("invalid graph6 character")
+    if vals[0] < 63:
+        n, body = vals[0], vals[1:]
+    elif len(vals) >= 4 and vals[1] < 63:
+        n, body = (vals[1] << 12) | (vals[2] << 6) | vals[3], vals[4:]
+    elif len(vals) >= 8:
+        n = 0
+        for v in vals[2:8]:
+            n = (n << 6) | v
+        body = vals[8:]
+    else:
+        raise ValueError("truncated graph6 header")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) < need:
+        raise ValueError("graph6 body too short")
+    bits = [(v >> k) & 1 for v in body[:need] for k in range(5, -1, -1)]
+    edges = []
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    return Graph(n, edges)
 
 
 @pytest.fixture

@@ -262,6 +262,28 @@ def test_drg_scan(capsys):
     assert report["results"]["survivors"] == ["0", "1/3", "2/3", "1", "4/3", "2", "9"]
 
 
+def test_inputs_are_echoed_as_json_values(capsys):
+    # list options are JSON lists, as in results, and a Fraction is its "p/q"
+    code, report = run_cli(capsys, "drg", "scan", "--b", "2", "--D", "12",
+                           "--alpha-max", "9/2", "--checks", "6,6")
+    assert code == 0
+    assert report["inputs"] == {"b": 2, "D": 12, "alpha_max": "9/2", "checks": [[6, 6]]}
+    code, report = run_cli(capsys, "verify-paper", "alphab", "--bs", "2,4,9")
+    assert code == 0
+    assert report["inputs"]["bs"] == [2, 4, 9]
+    assert report["inputs"]["full"] is False
+    # text format prints each input as the same JSON
+    assert main(["--format", "text", "verify-paper", "alphab", "--bs", "2,4,9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert 'input suite = "alphab"' in lines
+    assert "input bs = [2, 4, 9]" in lines
+    assert main(["--format", "text", "drg", "scan", "--b", "2", "--D", "12",
+                 "--alpha-max", "9/2", "--checks", "6,6", "--checks", "5,5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "input checks = [[6, 6], [5, 5]]" in lines
+    assert 'input alpha_max = "9/2"' in lines
+
+
 def test_verify_thresholds_ok(capsys):
     code, report = run_cli(capsys, "verify-paper", "thresholds")
     assert code == 0

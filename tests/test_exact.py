@@ -31,6 +31,7 @@ from .conftest import (
     adjacency_fraction,
     fraction_rows,
     identity,
+    line_graph_of_complete,
     petersen_graph,
     quadratic_form,
     quotient_matrix,
@@ -244,18 +245,10 @@ def test_integer_kernel_matches_oracle_on_criterion_7d_matrices():
         _assert_agrees_with_oracle(RationalMatrix(rows))
 
 
-def _line_graph_of_complete(m):
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    return Graph(len(pairs), [
-        (i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))
-        if set(pairs[i]) & set(pairs[j])
-    ])
-
-
 @pytest.mark.parametrize("m", range(5, 11))
 def test_integer_kernel_matches_oracle_on_line_graphs(m):
     # lambda_min(L(K_m)) = -2: refuted at shift 1, singular at 2, definite at 5/2 and 3
-    A = adjacency_rational(_line_graph_of_complete(m))
+    A = adjacency_rational(line_graph_of_complete(m))
     for t in (1, 2, 3, Fraction(5, 2)):
         _assert_agrees_with_oracle(A.shifted(t))
     assert psd_witness(A.shifted(1)) is not None
@@ -338,7 +331,7 @@ def test_kernel_at_the_int64_limits(no_certificate):
 
 @pytest.mark.parametrize("m", range(5, 19))
 def test_int64_kernel_matches_oracle_on_line_graph_shifts(m, no_certificate):
-    A = adjacency_rational(_line_graph_of_complete(m))
+    A = adjacency_rational(line_graph_of_complete(m))
     for t in (1, 2):
         _assert_agrees_with_oracle(A.shifted(t))
     assert psd_witness(A.shifted(2)) is None
@@ -355,7 +348,7 @@ def _certified(M):
 @pytest.mark.parametrize("m", range(5, 15))
 def test_certificate_proves_definite_line_graph_shifts(m):
     # called directly, so a certificate that always falls back to Bareiss fails here
-    A = adjacency_rational(_line_graph_of_complete(m))
+    A = adjacency_rational(line_graph_of_complete(m))
     for t in (3, Fraction(5, 2)):
         assert _certified(A.shifted(t))
         assert psd_witness(A.shifted(t)) is None
@@ -363,7 +356,7 @@ def test_certificate_proves_definite_line_graph_shifts(m):
 
 @pytest.mark.parametrize("m", (5, 8))
 def test_certificate_declines_singular_and_indefinite_shifts(m):
-    A = adjacency_rational(_line_graph_of_complete(m))
+    A = adjacency_rational(line_graph_of_complete(m))
     assert not _certified(A.shifted(2))
     assert not _certified(A.shifted(1))
     assert psd_witness(A.shifted(2)) is None
@@ -580,7 +573,6 @@ def test_empty_matrix_has_no_smallest_eigenvalue():
     from hoffman import Graph
 
     assert eigenvalues_float(RationalMatrix([])) == []
-    assert eigenvalues_float(Graph(0)) == []
     assert graph_lambda_min_float(Graph(0)) is None
 
 

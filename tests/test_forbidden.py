@@ -33,13 +33,17 @@ from hoffman import (
     scan_M_t,
     slim_with_fats,
     special_matrix,
+    twin_classes,
     verify_proposition_cal,
 )
 from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness
 
 from .conftest import (
     fraction_rows,
+    line_graph_of_complete,
     permutation_equivalent,
+    petersen_graph,
+    planted_twin_graph,
     quadratic_form,
     quotient_matrix,
     random_graph,
@@ -253,6 +257,65 @@ def test_certificate_verdict_matches_full_ldlt(t):
             assert graph_quadratic_form(G, t, w) < 0
         verdicts.add(w is None)
     assert verdicts == {True, False}
+
+
+TWIN_SHIFTS = (Fraction(-1, 2), 0, Fraction(1, 2), 1, 2, 3)
+
+
+def _twinned_graphs():
+    """Planted-twin random graphs and the expansions of every catalog entry."""
+    rng = random.Random("twinned graphs")
+    for _ in range(40):
+        yield planted_twin_graph(rng, rng.randint(0, 6), rng.random())
+    for entry in (*catalog("H"), *catalog("G2"), catalog("path2fat")):
+        for p in (1, 2, 5):
+            yield expand(entry.hoffman, p)
+
+
+def test_certificate_with_twins_matches_full_ldlt():
+    # a class of two gives e_u - e_v below t = 1 (closed) or t = 0 (open);
+    # otherwise the quotient's block form decides, and its lift refutes
+    kinds = set()
+    for G in _twinned_graphs():
+        for t in TWIN_SHIFTS:
+            w = certify_lambda_min_below(G, t)
+            assert (w is None) == (psd_witness(adjacency_rational(G).shifted(t)) is None)
+            if w is None:
+                kinds.add("psd")
+                continue
+            assert graph_quadratic_form(G, t, w) < 0
+            support = [v for v, x in enumerate(w) if x]
+            if len(support) == 2 and w[support[0]] == -w[support[1]] == 1:
+                kinds.add("closed" if G.has_edge(*support) else "open")
+            else:
+                kinds.add("lifted")
+    assert kinds == {"psd", "closed", "open", "lifted"}
+
+
+def test_certificate_with_a_huge_denominator():
+    # n_I times a shift denominator of 2^70 does not fit in int64, even on an
+    # edgeless graph, whose quotient is zero
+    for G in (Graph(3), Graph(1), complete_graph(4), expand(catalog("box").hoffman, 3)):
+        for t in (Fraction(1, 2**70), Fraction(-1, 2**70), Fraction(2**70 + 1, 2**69)):
+            w = certify_lambda_min_below(G, t)
+            assert (w is None) == (psd_witness(adjacency_rational(G).shifted(t)) is None)
+            if w is not None:
+                assert graph_quadratic_form(G, t, w) < 0
+
+
+@pytest.mark.parametrize("G", [
+    *(line_graph_of_complete(m) for m in (5, 6, 7)),
+    *(cycle_graph(n) for n in (5, 6, 7, 8, 9)),
+    petersen_graph(),
+], ids=lambda G: repr(G))
+def test_twin_free_witness_is_the_full_matrix_one(G):
+    assert twin_classes(G) == tuple((v,) for v in range(G.n))
+    refuted = 0
+    for t in (*TWIN_SHIFTS, Fraction(3, 2)):
+        full = psd_witness(adjacency_rational(G).shifted(t))
+        assert certify_lambda_min_below(G, t) == full
+        refuted += full is not None
+    assert refuted
 
 
 def _threshold_expansions(s):
@@ -510,6 +573,18 @@ def test_graph_float_matches_rational_route(n):
         G = random_graph(rng, n, p)
         expected = eigenvalues_float(adjacency_rational(G))[0]
         assert abs(graph_lambda_min_float(G) - expected) < 1e-9
+
+
+def test_graph_float_with_twins_matches_the_dense_route():
+    # the twin quotient's smallest eigenvalue, with -1 and 0 for classes of two
+    graphs = list(_twinned_graphs())
+    graphs += [G for s in range(2, 7) for G, _ in _threshold_expansions(s)]
+    for G in graphs:
+        if G.n == 0:
+            assert graph_lambda_min_float(G) is None
+            continue
+        expected = eigenvalues_float(adjacency_rational(G))[0]
+        assert abs(graph_lambda_min_float(G) - expected) < 1e-9, G
 
 
 def test_prop215_float_evidence_is_null_above_the_limit(monkeypatch):

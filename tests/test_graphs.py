@@ -20,10 +20,18 @@ from hoffman import (
     maximum_independent_set,
     mu_parameter,
     parse_graph6,
+    twin_classes,
 )
 from hoffman.graphs import MAX_VERTICES
 
-from .conftest import graph6_encode, is_clique, petersen_graph, random_graph
+from .conftest import (
+    graph6_encode,
+    is_clique,
+    parse_graph6_by_edges,
+    petersen_graph,
+    planted_twin_graph,
+    random_graph,
+)
 
 
 # -- construction ---------------------------------------------------------------
@@ -215,6 +223,45 @@ def test_independent_set_search_node_budget(monkeypatch):
         maximum_independent_set(G)
 
 
+# -- twin classes ------------------------------------------------------------------------
+
+def _twin_classes_by_neighborhoods(G: Graph):
+    """Classes of N[u] = N[v] or N(u) = N(v), compared as vertex sets."""
+    open_nbhd = [frozenset(G.neighbors(u)) for u in range(G.n)]
+    closed_nbhd = [nbhd | {u} for u, nbhd in enumerate(open_nbhd)]
+    return tuple(sorted({
+        tuple(v for v in range(G.n)
+              if closed_nbhd[u] == closed_nbhd[v] or open_nbhd[u] == open_nbhd[v])
+        for u in range(G.n)
+    }))
+
+
+def test_twin_classes_match_neighborhood_comparison():
+    rng = random.Random("twins")
+    kinds = set()
+    for _ in range(150):
+        G = planted_twin_graph(rng, rng.randint(0, 7), rng.random())
+        classes = twin_classes(G)
+        assert classes == _twin_classes_by_neighborhoods(G)
+        for c in classes:
+            if len(c) > 1:
+                kinds.add("closed" if G.has_edge(c[0], c[1]) else "open")
+                if not any(G.bits(v) for v in c):
+                    kinds.add("isolated")
+    assert kinds == {"closed", "open", "isolated"}
+
+
+def test_twin_classes_small_cases():
+    assert twin_classes(Graph(0)) == ()
+    assert twin_classes(Graph(3)) == ((0, 1, 2),)
+    assert twin_classes(complete_graph(4)) == ((0, 1, 2, 3),)
+    # C_4 is K_{2,2}: opposite vertices are open twins
+    assert twin_classes(cycle_graph(4)) == ((0, 2), (1, 3))
+    assert twin_classes(petersen_graph()) == tuple((v,) for v in range(10))
+    # the path 0-1-2 with a pendant 3 at 1: 0, 2 and 3 are open twins
+    assert twin_classes(Graph(4, [(0, 1), (1, 2), (1, 3)])) == ((0, 2, 3), (1,))
+
+
 # -- file formats ------------------------------------------------------------------------
 
 def test_graph6_known_strings():
@@ -290,6 +337,34 @@ def test_graph6_three_byte_header():
     text = chr(126) + chr(63 + 0) + chr(63 + 0) + chr(63 + 63) + "?" * body_len
     G = parse_graph6(text)
     assert G.n == 63 and G.edge_count() == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 258, 259])
+def test_graph6_matches_the_edge_list_decoder(n):
+    # both header forms, the orders at their 62/63 boundary, and bodies that
+    # end on 0, 3 or 5 padding bits
+    rng = random.Random(f"graph6 {n}")
+    for p in (0.0, 0.1, 0.5, 0.9, 1.0, rng.random()):
+        text = graph6_encode(random_graph(rng, n, p))
+        G = parse_graph6(text)
+        assert G == parse_graph6_by_edges(text)
+        # bytes after the body are ignored by both
+        assert parse_graph6(text + "~?") == G
+
+
+@pytest.mark.parametrize("text, message", [
+    ("D", "graph6 body too short"),
+    ("Dhc" + chr(62), "invalid graph6 character"),
+    ("D h", "invalid graph6 character"),
+    ("~??", "truncated graph6 header"),
+    ("~~????", "truncated graph6 header"),
+    (chr(126) + "?A?" + "?" * 10, "graph6 body too short"),
+    ("", "empty graph6 string"),
+])
+def test_graph6_errors_match_the_edge_list_decoder(text, message):
+    for decode in (parse_graph6, parse_graph6_by_edges):
+        with pytest.raises(ValueError, match=message):
+            decode(text)
 
 
 def test_graph6_empty_graph():
