@@ -175,19 +175,30 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"certificate: {cert}")
 
 
-@functools.cache
-def _report_validator():
-    # imported on first use so that importing the CLI stays cheap; the
-    # constant schema is checked against its metaschema once, not per report
-    import jsonschema
-
-    validator_class = jsonschema.validators.validator_for(REPORT_SCHEMA)
-    validator_class.check_schema(REPORT_SCHEMA)
-    return validator_class(REPORT_SCHEMA)
-
-
 def _validate_report(report: dict) -> None:
-    _report_validator().validate(report)
+    """Raise ValueError unless ``report`` satisfies :data:`REPORT_SCHEMA`.
+
+    The checks are the schema's, written out: the five keys and no others, a
+    str command, an object of inputs, a list of str certificates and an
+    object of number timings.
+    """
+    if not isinstance(report, dict):
+        raise ValueError("report is not an object")
+    keys = set(REPORT_SCHEMA["required"])
+    if report.keys() != keys:
+        raise ValueError(f"report keys {sorted(report)} are not {sorted(keys)}")
+    if not isinstance(report["command"], str):
+        raise ValueError("report command is not a string")
+    if not isinstance(report["inputs"], dict):
+        raise ValueError("report inputs is not an object")
+    certificates = report["exact_certificates"]
+    if not (isinstance(certificates, list) and all(isinstance(c, str) for c in certificates)):
+        raise ValueError("report exact_certificates is not a list of strings")
+    timings = report["timings_ms"]
+    # JSON Schema's "number" is an int or a float, but not a bool
+    if not (isinstance(timings, dict) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in timings.values())):
+        raise ValueError("report timings_ms is not an object of numbers")
 
 
 @functools.cache

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConvergenceFailure
 from .graphs import Graph
 
@@ -323,11 +322,11 @@ def adjacency_bits(G: Graph, vertices: Optional[Sequence[int]] = None) -> np.nda
 
 def eigenvalues_float(M: RationalMatrix | np.ndarray) -> Optional[list[float]]:
     """Eigenvalues of a symmetric matrix, ascending, to ~1e-9; None above FLOAT_ORDER_LIMIT."""
-    if isinstance(M, RationalMatrix):
-        M = M.num / M.den
-    n = len(M)
+    n = M.order if isinstance(M, RationalMatrix) else len(M)
     if n > FLOAT_ORDER_LIMIT:
         return None
+    if isinstance(M, RationalMatrix):
+        M = M.num / M.den
     a = np.asarray(M, dtype=float).reshape(n, n)
     if not np.array_equal(a, a.T):
         raise ValueError("floating eigensolver requires a symmetric matrix")

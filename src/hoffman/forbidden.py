@@ -53,9 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import exact
+from ._numpy import np
 from .errors import NotEquitable, VerificationError
 from .exact import (
     _INT64_LIMIT,

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import CliqueLimitExceeded, SearchBudgetExhausted
 
 MAX_VERTICES = 10_000
@@ -22,6 +21,11 @@ MAX_VERTICES = 10_000
 MAX_CLIQUES = 100_000
 # search nodes one maximum_independent_set call may visit
 MIS_NODE_BUDGET = 1_000_000
+# graph6 body bits that parse_graph6 unpacks at once, and rows it mirrors at once
+_GRAPH6_CHUNK_BITS = 1 << 20
+_GRAPH6_BAND = 256
+# the bytes a graph6 string is written in
+_GRAPH6_CHARACTERS = bytes(range(63, 127))
 
 
 def _check_order(n: int) -> None:
@@ -328,35 +332,45 @@ def parse_graph6(text: str | bytes) -> Graph:
         data = data[len(b">>graph6<<"):]
     if not data:
         raise ValueError("empty graph6 string")
-    if min(data) < 63 or max(data) > 126:
+    if data.translate(None, _GRAPH6_CHARACTERS):
         raise ValueError("invalid graph6 character")
     vals = [b - 63 for b in data[:8]]
     if vals[0] < 63:
-        n = vals[0]
-        body = data[1:]
+        n, header = vals[0], 1
     elif len(vals) >= 4 and vals[1] < 63:
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body = data[4:]
+        n, header = (vals[1] << 12) | (vals[2] << 6) | vals[3], 4
     elif len(vals) >= 8:
         n = 0
         for v in vals[2:8]:
             n = (n << 6) | v
-        body = data[8:]
+        header = 8
     else:
         raise ValueError("truncated graph6 header")
     _check_order(n)  # before the n(n-1)/2 bits are expanded
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) < need:
+    if len(data) - header < need:
         raise ValueError("graph6 body too short")
     # the body lists x(i, j) for j = 1..n-1 and i < j, six bits per byte, so
-    # row j of the lower triangle is the j bits from j(j-1)/2 on
-    stream = np.unpackbits(np.frombuffer(body[:need], dtype=np.uint8)[:, None] - 63, axis=1)
-    stream = stream[:, 2:].ravel()
-    lower = np.zeros((n, n), dtype=np.uint8)
-    for j in range(1, n):
-        start = j * (j - 1) // 2
-        lower[j, :j] = stream[start:start + j]
-    rows = np.packbits(lower | lower.T, axis=1, bitorder="little")
+    # row j of the lower triangle is the j bits from j(j-1)/2 on; the bits are
+    # unpacked for a few rows at a time, never as one n(n-1)/2-byte stream
+    body = np.frombuffer(data, dtype=np.uint8, count=need, offset=header)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    step = max(1, _GRAPH6_CHUNK_BITS // max(n, 1))
+    for j0 in range(1, n, step):
+        j1 = min(n, j0 + step)
+        first = j0 * (j0 - 1) // 2 // 6
+        bits = np.unpackbits(body[first:(j1 * (j1 - 1) // 2 + 5) // 6, None] - 63, axis=1)
+        bits = bits[:, 2:].ravel()
+        for j in range(j0, j1):
+            start = j * (j - 1) // 2 - 6 * first
+            adj[j, :j] = bits[start:start + j]
+    # mirror the lower triangle a band of rows at a time, so that the
+    # transposed copy is one band, not a second n x n array
+    for b0 in range(0, n, _GRAPH6_BAND):
+        b1 = min(n, b0 + _GRAPH6_BAND)
+        adj[b0:b1, b0:] |= adj[b0:, b0:b1].T
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    del adj  # freed before the row ints are built
     return Graph._from_bits([int.from_bytes(row.tobytes(), "little") for row in rows])
 
 

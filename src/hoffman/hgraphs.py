@@ -24,8 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import IndexOutOfFamily
 from .exact import RationalMatrix, adjacency_bits
 from .graphs import MAX_VERTICES, Graph, _bitset, _is_int, _is_int_pairs

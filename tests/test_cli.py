@@ -1,11 +1,18 @@
 """End-to-end CLI tests: exit codes, report schema, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
-import pytest
-
 import jsonschema
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import hoffman
 
 from hoffman import (
     ClassicalParams,
@@ -607,11 +614,135 @@ def test_report_with_a_value_json_cannot_write_is_an_error(capsys):
 def test_every_report_is_validated():
     from hoffman.cli import _validate_report
 
-    # the validator is built once and then reused; each call still checks
-    for _ in range(2):
-        with pytest.raises(jsonschema.ValidationError):
-            _validate_report({"command": "x"})
+    with pytest.raises(ValueError):
+        _validate_report({"command": "x"})
     _validate_report({
         "command": "x", "inputs": {}, "results": None,
         "exact_certificates": [], "timings_ms": {"total": 1.0},
     })
+
+
+# -- the report check against its oracle -------------------------------------------
+
+_VALID_REPORT = {
+    "command": "x", "inputs": {"a": 1}, "results": {"ok": True},
+    "exact_certificates": ["c"], "timings_ms": {"total": 1.0, "n": 2},
+}
+
+
+def _with(**fields):
+    return {**_VALID_REPORT, **fields}
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# per key, a value of the schema's type with entries of the right types ...
+_good_fields = {
+    "command": st.text(max_size=3),
+    "inputs": st.dictionaries(st.text(max_size=3), _json_values, max_size=3),
+    "results": _json_values,
+    "exact_certificates": st.lists(st.text(max_size=3), max_size=3),
+    "timings_ms": st.dictionaries(st.text(max_size=3), st.integers() | st.floats(), max_size=3),
+}
+# ... and values that may break the schema: any JSON value, or the right
+# container holding entries of any type (bools and strs among the timings)
+_other_fields = {
+    "command": _json_values,
+    "inputs": _json_values,
+    "results": _json_values,
+    "exact_certificates": st.lists(_json_values, max_size=3) | _json_values,
+    "timings_ms": st.dictionaries(st.text(max_size=3), _json_values, max_size=3)
+    | _json_values,
+}
+
+
+@st.composite
+def _reports(draw):
+    """A report of the schema's shape with up to two keys dropped or replaced,
+    and sometimes keys outside the schema."""
+    report = {key: draw(values) for key, values in _good_fields.items()}
+    for key in draw(st.sets(st.sampled_from(sorted(report)), max_size=2)):
+        if draw(st.booleans()):
+            del report[key]
+        else:
+            report[key] = draw(_other_fields[key])
+    report.update(draw(st.just({}) | st.dictionaries(st.text(max_size=4), _json_values,
+                                                     min_size=1, max_size=2)))
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports() | _json_values)
+@example(_VALID_REPORT)
+@example({k: v for k, v in _VALID_REPORT.items() if k != "timings_ms"})
+@example(_with(extra=1))
+@example(_with(exact_certificates=["c", 1]))
+@example(_with(exact_certificates="c"))
+@example(_with(timings_ms={"total": True}))
+@example(_with(timings_ms={"total": "1.0"}))
+@example(_with(inputs=[1]))
+@example(_with(command=None))
+@example([_VALID_REPORT])
+def test_report_check_agrees_with_the_schema(report):
+    from hoffman.cli import _validate_report
+
+    try:
+        jsonschema.validate(report, REPORT_SCHEMA)
+    except jsonschema.ValidationError:
+        with pytest.raises(ValueError):
+            _validate_report(report)
+    else:
+        _validate_report(report)
+
+
+# -- start-up cost ---------------------------------------------------------------
+
+_SRC = str(pathlib.Path(hoffman.__file__).resolve().parents[1])
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter that imports the library from this checkout."""
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_start_loads_neither_numpy_nor_jsonschema(lk6_json):
+    # commands that build no matrix never import numpy, and no report
+    # check imports jsonschema; sys.modules["numpy"] may be the unloaded stub
+    code = """
+import contextlib, io, sys
+import hoffman.cli
+for argv in (["drg", "params", "--D", "4", "--b", "2", "--alpha", "2", "--beta", "62"],
+             ["bose-laskar", "--graph", sys.argv[1], "--x", "0", "--lam", "2", "--c", "4"],
+             ["verify-paper", "alphab", "--bs", "2,3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hoffman.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith(("numpy.", "jsonschema"))))
+"""
+    assert _fresh_python(code, lk6_json) == "[]\n"
+
+
+def test_lambda_min_in_a_fresh_interpreter_matches(capsys, tmp_path):
+    # the first eigensolve of the process imports numpy on the spot
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    path = tmp_path / "lk5.json"
+    path.write_text(json.dumps({
+        "n": len(pairs),
+        "edges": [[i, j] for i in range(len(pairs)) for j in range(i + 1, len(pairs))
+                  if set(pairs[i]) & set(pairs[j])],
+    }))
+    argv = ["lambda-min", "--graph", str(path), "--at-least", "-2"]
+    code = "import sys; from hoffman.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = json.loads(_fresh_python(code, *argv))
+    _, here = run_cli(capsys, *argv)
+    assert fresh["results"] == here["results"]
+    assert fresh["exact_certificates"] == here["exact_certificates"]
+    assert fresh["results"]["at_least"]["holds"] is True
+    assert abs(fresh["results"]["lambda_min_float"] + 2) < 1e-9

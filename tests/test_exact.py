@@ -564,6 +564,24 @@ def test_float_solver_rejects_nonsymmetric(monkeypatch):
     assert exact.eigenvalues_float(RationalMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])) is None
 
 
+def test_float_solver_above_the_limit_builds_no_array():
+    import tracemalloc
+
+    from hoffman.exact import FLOAT_ORDER_LIMIT
+
+    n = FLOAT_ORDER_LIMIT + 1
+    M = RationalMatrix.fraction_free(np.zeros((n, n), dtype=np.int64), 1)
+    tracemalloc.start()
+    try:
+        values = eigenvalues_float(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float copy alone would be 8 n^2 bytes, about 32 MB
+    assert values is None
+    assert peak < 1 << 20
+
+
 def test_float_solver_rejects_nonsymmetric_array():
     with pytest.raises(ValueError):
         eigenvalues_float(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -290,6 +290,48 @@ def test_graph6_roundtrip(n, rnd):
     assert parse_graph6(graph6_encode(G)) == G
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 200), st.integers(1, 12), st.random_module())
+def test_graph6_roundtrip_across_chunks_and_bands(n, chunk_bits, band, rnd):
+    # small unpack chunks and mirror bands put their boundaries at every
+    # offset within the six-bit bytes and the rows
+    from hoffman import graphs
+
+    rng = random.Random(rnd.seed)
+    edges = [(i, j) for i in range(n) for j in range(i) if rng.random() < 0.4]
+    G = Graph(n, edges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_GRAPH6_CHUNK_BITS", chunk_bits)
+        mp.setattr(graphs, "_GRAPH6_BAND", band)
+        assert parse_graph6(graph6_encode(G)) == G
+
+
+def test_graph6_roundtrip_over_several_chunks():
+    # 1100 rows take two unpack chunks and five mirror bands
+    rng = random.Random("graph6 chunks")
+    n = 1100
+    G = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.01])
+    assert parse_graph6(graph6_encode(G)) == G
+
+
+def test_graph6_peak_memory():
+    # one n x n byte matrix plus the packed rows: the decoder that held the
+    # unpacked bit stream and two n x n matrices peaked at 44.7 MB here
+    import tracemalloc
+
+    n = 4000
+    header = chr(126) + "".join(chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0))
+    text = header + "?" * ((n * (n - 1) // 2 + 5) // 6)
+    tracemalloc.start()
+    try:
+        G = parse_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (G.n, G.edge_count()) == (n, 0)
+    assert peak < 1.4 * n * n
+
+
 def test_json_graph_roundtrip():
     G = Graph(5, [(0, 1), (2, 4)])
     assert graph_from_json({"n": G.n, "edges": [list(e) for e in G.edges()]}) == G
