@@ -28,6 +28,7 @@ from fractions import Fraction
 from .errors import HoffmanError, VerificationError
 from .forbidden import (
     PROP_CAL_PAIRS,
+    _TwinSplit,
     certify_lambda_min_below,
     graph_lambda_min_float,
     load_matrix_file,
@@ -273,11 +274,12 @@ def build_parser() -> _Parser:
 
 def _cmd_lambda_min(args, timings):
     G = load_graph_file(args.graph)
-    results = {"n": G.n, "lambda_min_float": graph_lambda_min_float(G)}
+    split = _TwinSplit(G)
+    results = {"n": G.n, "lambda_min_float": graph_lambda_min_float(G, split)}
     certs = []
     if args.at_least is not None:
         t = -args.at_least
-        verdict = certify_lambda_min_below(G, t) is None
+        verdict = certify_lambda_min_below(G, t, split) is None
         results["at_least"] = {"threshold": args.at_least, "holds": verdict}
         certs.append(
             f"lambda_min >= {-t} decided exactly via PSD(A + ({t})I): {verdict}"

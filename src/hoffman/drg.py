@@ -12,12 +12,14 @@ For a check (i, h) with i, h >= 2, k+b+1 divides the denominator of
 p^{i+h}_{ih}, and a survivor forces k+b+1 to divide a fixed integer R_ih; so
 the exact test runs only on the divisors of G2 = gcd(R_ih) in range.  G2 is
 a plain integer; its divisors are read over a prime set found in pure
-Python: every prime of R_ih divides b or a cyclotomic value Phi_d(b) of
-[m]_b (b+1 is Phi_2(b)), these are factored by trial division and Pollard
-rho, and every prime is certified by deterministic Miller-Rabin (exact below
-3.3e24, which covers D = 14 and b <= 100).  For a check with i, h >= 3, (b+1)(k+1) divides that
-denominator too, and a survivor forces k+1 to divide a second fixed integer;
-its gcd G3 over those checks is only a modulus and is never factored.
+Python: G2 divides the R_ih of the check with the least i+h, every prime of
+which divides b or a cyclotomic value Phi_d(b) of its brackets [m]_b (b+1
+is Phi_2(b)); these alone are factored, by trial division and Pollard rho,
+and every prime is certified by deterministic Miller-Rabin (exact below
+3.3e24, which covers D = 14 and b <= 100).  For a check with i, h >= 3,
+(b+1)(k+1) divides that denominator too, and a survivor forces k+1 to
+divide a second fixed integer; its gcd G3 over those checks is only a
+modulus and is never factored.
 Without a check with i, h >= 2, or when a factor cannot be certified prime,
 the scan tests the whole grid, and refuses a grid of more than 10^6 points.
 
@@ -283,10 +285,13 @@ def _divisor_candidates(b: int, pairs, k_max: int, g: Sequence[int]) -> list[int
     u_m = -(b+1) b [m-2]_b modulo u_2, u_2 divides the fixed integer
     R2_ih = prod_{m=i+1}^{i+h} [m]_b (b+1) b [m-2]_b, which is 0 for i = 1.
     The k+b+1 are the divisors of G2 = gcd of the R2_ih over the checks
-    with i, h >= 2.  Every prime of G2 divides b or one of the cyclotomic
-    values Phi_d(b) (Phi_2(b) = b+1) that make up [m]_b = prod_{d | m, d > 1}
-    Phi_d(b); the divisors are built over those primes, largest first so
-    that the partial lists stay short, each power grown while it divides G2.
+    with i, h >= 2.  G2 divides each of them, so every prime of G2 divides
+    the R2_ih of the check with the least i+h: it divides b or one of the
+    cyclotomic values Phi_d(b) (Phi_2(b) = b+1) that make up
+    [m]_b = prod_{d | m, d > 1} Phi_d(b) for that check's brackets, and only
+    those are factored.  The divisors are built over their primes, largest
+    first so that the partial lists stay short, each power grown while it
+    divides G2.
 
     The u_3 sieve: u_3 = (b+1)(k+1) divides den_h for h >= 3.  As
     u_m = -b^2 [m-3]_b modulo k+1, k+1 divides
@@ -294,19 +299,21 @@ def _divisor_candidates(b: int, pairs, k_max: int, g: Sequence[int]) -> list[int
     divisor of G2 is kept only when k+1 divides G3 = gcd of the R3_ih over
     the checks with i, h >= 3 (G3 = 0, no constraint, when there is none).
 
-    ``None`` when no check has i, h >= 2, or when b or a Phi_d(b) cannot
-    be factored into certified primes: the divisors built over an
-    incomplete prime set would miss survivors.
+    ``None`` when no check has i, h >= 2, or when b or one of those
+    Phi_d(b) cannot be factored into certified primes: the divisors built
+    over an incomplete prime set would miss survivors.
     """
     binding = [(i, h) for i, h in pairs if i >= 2 and h >= 2]
     if not binding:
         return None
-    # the Phi_d(b) of the brackets [i-1]_b .. [i+h]_b that the R2_ih use,
-    # Phi_2(b) = b+1 among them as i or i+1 is even; every divisor e > 1 of
-    # such a d is one too, so phi[e] is ready in turn
+    # G2 divides the R2_ih of every binding check, so the primes of the one
+    # with the least i+h hold all of G2's: those of b and of the Phi_d(b) of
+    # its brackets [i-1]_b .. [i+h]_b, Phi_2(b) = b+1 among them as i or i+1
+    # is even; every divisor e > 1 of such a d is one too, so phi[e] is ready
+    # in turn
+    i, h = min(binding, key=sum)
     phi: dict[int, int] = {}
-    for d in sorted({e for i, h in binding for m in range(i - 1, i + h + 1)
-                     for e in range(2, m + 1) if m % e == 0}):
+    for d in sorted({e for m in range(i - 1, i + h + 1) for e in range(2, m + 1) if m % e == 0}):
         phi[d] = g[d] // math.prod(phi[e] for e in phi if d % e == 0)
     primes = set()
     for n in (b, *phi.values()):

@@ -9,15 +9,16 @@ denominator ``den``.  ``num`` is int64 whenever every entry fits
 Positive semidefiniteness is decided over the rationals.  A verdict "PSD
 holds" may first be proved by an integer dominance certificate
 s^2 A = C C^T + R with R diagonally dominant, which a floating Cholesky factor
-only proposes and exact int64 arithmetic checks.  Everything the certificate
-does not prove is decided by fraction-free integer LDL^T with the
-semidefinite pivot rule (symmetric Bareiss elimination on ``num``): each
-pivot is one vectorised int64 update under an exact no-overflow bound, and
-the first pivot that fails the bound promotes the array once to Python ints,
-so no Fraction arithmetic and no rounding enters the elimination.  Strict
-eigenvalue inequalities carry exact certificates: when a matrix is not PSD
-the routine produces a rational vector x with x^T M x < 0 that can be
-re-checked independently.
+only proposes: s is chosen so that C C^T is an exact float64 product (every
+partial sum an integer below 2^53), and R and its dominance are checked in
+int64.  Everything the certificate does not prove is decided by
+fraction-free integer LDL^T with the semidefinite pivot rule (symmetric
+Bareiss elimination on ``num``): each pivot is one vectorised int64 update
+under an exact no-overflow bound, and the first pivot that fails the bound
+promotes the array once to Python ints, so no Fraction arithmetic and no
+rounding enters the elimination.  Strict eigenvalue inequalities carry exact
+certificates: when a matrix is not PSD the routine produces a rational
+vector x with x^T M x < 0 that can be re-checked independently.
 
 Otherwise the floating side is for reporting only: :func:`eigenvalues_float`,
 backed by LAPACK's dense symmetric solver via numpy, gives None above
@@ -38,6 +39,8 @@ from .graphs import Graph
 FLOAT_ORDER_LIMIT = 2000
 # every int64 value the exact routines compute stays below this bound in absolute value
 _INT64_LIMIT = 2**63
+# every integer below this bound in absolute value is exact in float64
+_FLOAT_EXACT_LIMIT = 2**53
 
 
 def _amax(a: np.ndarray) -> int:
@@ -161,55 +164,79 @@ class Partition:
 
 # -- exact PSD decision ------------------------------------------------------
 
-def _dominance_certificate(A: np.ndarray) -> bool:
-    """True only when the symmetric integer matrix A is proved PSD.
+def _dominance_residual(A: np.ndarray, lambda_min: Optional[float] = None):
+    """(s, C, R) with s^2 A = C C^T + R for the symmetric int64 matrix A, or None.
 
-    The proof is s^2 A = C C^T + R with an integer C and an integer R whose
-    diagonal dominates every row (R_ii >= sum_{j != i} |R_ij|), so R is PSD by
-    Gershgorin and A is PSD.  C = rint(s L) comes from the floating Cholesky
-    factor L of A - (lam/2) I, with lam the floating smallest eigenvalue, so
-    the float only proposes C.  R is computed exactly in int64 after an
-    a-priori bound keeps every product, entry and row sum below 2^63.  False
-    means no certificate was found, never that A is not PSD.
+    s is a power of two and C = rint(s L) is integral (held as float64), for
+    the floating Cholesky factor L of A - (lam/2) I; lam is ``lambda_min``,
+    a floating estimate of a lower bound on A's smallest eigenvalue, or the
+    smallest eigenvalue of a dense eigensolve of A when it is None.  None
+    when lam is not positive or L cannot be computed.  The float only
+    proposes C; the integer R is exact.  As |C_ij| <= s * cbound, each
+    product and each partial sum of (C C^T)_ij is an integer of absolute
+    value at most n (s cbound)^2; s keeps that below 2^53, so the float64
+    product C C^T (BLAS) is exact in any summation order.  s also keeps
+    n s^2 (amax + n cbound^2), a bound on every row sum of |R|, below 2^63,
+    so R = s^2 A - C C^T is formed in int64.
     """
     n = len(A)
     if n == 0 or A.dtype != np.int64:
-        return False
+        return None
     amax = _amax(A)
     try:
-        values = eigenvalues_float(A)
-        if values is None or not values[0] > 0:
-            return False
-        L = np.linalg.cholesky(A - (values[0] / 2) * np.eye(n))
+        if lambda_min is None:
+            values = eigenvalues_float(A)
+            if values is None:
+                return None
+            lambda_min = values[0]
+        if not lambda_min > 0:
+            return None
+        L = np.linalg.cholesky(A - (lambda_min / 2) * np.eye(n))
     except (ConvergenceFailure, np.linalg.LinAlgError):
-        return False
+        return None
     lmax = float(np.abs(L).max())
     if not math.isfinite(lmax):
-        return False
-    # with s a power of two, |C_ij| <= s * cbound; each partial sum of (C C^T)_ij
-    # is at most n * (s cbound)^2, so |R_ij| <= s^2 (amax + n cbound^2) and a row
-    # sum of |R| is n times that: the largest s keeping it below 2^63 is taken
+        return None
     cbound = math.ceil(lmax) + 1
-    budget = (_INT64_LIMIT - 1) // (n * (amax + n * cbound * cbound))
+    budget = min((_FLOAT_EXACT_LIMIT - 1) // (n * cbound * cbound),
+                 (_INT64_LIMIT - 1) // (n * (amax + n * cbound * cbound)))
     if budget < 1:
-        return False
+        return None
     s = 1 << (math.isqrt(budget).bit_length() - 1)
-    C = np.rint(s * L).astype(np.int64)
-    R = (s * s) * A - C @ C.T
+    C = np.rint(s * L)
+    R = (s * s) * A - (C @ C.T).astype(np.int64)
+    return s, C, R
+
+
+def _dominance_certificate(A: np.ndarray, lambda_min: Optional[float] = None) -> bool:
+    """True only when the symmetric integer matrix A is proved PSD.
+
+    The proof is s^2 A = C C^T + R from :func:`_dominance_residual`, with an
+    integer R whose diagonal dominates every row (R_ii >= sum_{j != i}
+    |R_ij|), so R is PSD by Gershgorin and A is PSD.  ``lambda_min`` is
+    passed on to it.  False means no certificate was found, never that A is
+    not PSD.
+    """
+    found = _dominance_residual(A, lambda_min)
+    if found is None:
+        return False
+    R = found[2]
     absolute = np.abs(R)
     diagonal = np.diagonal(R)
     return bool(np.all(diagonal >= absolute.sum(axis=1) - np.diagonal(absolute)))
 
 
-def psd_witness(M: RationalMatrix) -> Optional[list[Fraction]]:
+def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Optional[list[Fraction]]:
     """None when M is PSD; otherwise a rational x with x^T M x < 0.
 
     The decision is made on ``M.num`` alone, since ``M.den`` > 0.  "PSD
     holds" may be proved by the exactly checked integer dominance certificate
     of :func:`_dominance_certificate`, whose floating Cholesky factor only
-    proposes it; the certificate never refutes.  Bareiss decides everything
-    else: fraction-free integer LDL^T (symmetric Bareiss elimination) with
-    the semidefinite pivot rule.  After the pivots of the eliminated index set
+    proposes it; the certificate never refutes.  ``lambda_min``, a floating
+    lower estimate of the smallest eigenvalue of ``M.num`` that a caller
+    already has, spares the certificate its own eigensolve.  Bareiss decides
+    everything else: fraction-free integer LDL^T (symmetric Bareiss
+    elimination) with the semidefinite pivot rule.  After the pivots of the eliminated index set
     S, entry (i, j) of the trailing block holds the bordered minor
     det A[S+i, S+j], so the Schur complement is W / prev with ``prev`` =
     det A[S] > 0, and each Bareiss division is exact.  Each pivot p updates
@@ -225,7 +252,7 @@ def psd_witness(M: RationalMatrix) -> Optional[list[Fraction]]:
     A = M.num
     if not np.array_equal(A, A.T):
         raise ValueError("PSD decision requires a symmetric matrix")
-    if _dominance_certificate(A):
+    if _dominance_certificate(A, lambda_min):
         return None
     n = M.order
     W = A.copy()
@@ -342,11 +369,14 @@ def quotient_eigenvalues_float(Q: RationalMatrix, block_sizes: Sequence[int]) ->
     """Eigenvalues of a quotient matrix via its symmetrized similar matrix.
 
     With D = diag(block sizes), D^(1/2) Q D^(-1/2) is symmetric whenever Q
-    came from an equitable partition of a symmetric matrix.
+    came from an equitable partition of a symmetric matrix.  None above
+    FLOAT_ORDER_LIMIT, before that matrix is built.
     """
     n = Q.order
     if len(block_sizes) != n:
         raise ValueError("block size list does not match quotient order")
+    if n > FLOAT_ORDER_LIMIT:
+        return None
     root = np.sqrt(np.array(block_sizes, dtype=float))
     # the order of operations fixes the reported digits: (Q / den) * root_I / root_J,
     # then (S + S^T) / 2; in place, so no n x n temporary is allocated

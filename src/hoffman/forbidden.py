@@ -43,6 +43,11 @@ lifted block-constant, re-checked on the graph the same way before it is
 returned.  In a clique expansion G(h, p) the vertices of each fat clique are
 closed twins, so its block form has order at most that of h; on a twin-free
 graph it is A + tI itself.
+
+A command that needs both passes them one :class:`_TwinSplit`, so G is
+split once and the dense eigensolve runs once, on Q (on A itself when G is
+twin-free, with no quotient built): it gives the floating evidence and the
+estimate from which the dominance certificate of the block form proposes.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import exact
@@ -161,22 +167,50 @@ def adjacency_rational(G: Graph, vertices: Optional[Sequence[int]] = None) -> Ra
     return RationalMatrix.fraction_free(adjacency_bits(G, vertices).astype(np.int64), 1)
 
 
-def _twin_quotient(G: Graph) -> tuple[tuple[tuple[int, ...], ...], RationalMatrix]:
-    """The twin classes of G and their quotient Q, an integer matrix of order r.
-
-    Q_IJ = s_J A(v_I, v_J) off the diagonal, with s the class sizes and v_I
-    the first vertex of class I, and Q_II = s_I - 1 for a closed class and 0
-    otherwise.  It is built from the r x r submatrix of A on the v_I, not
-    from per-vertex counts, so on a twin-free graph (r = n, every s_I = 1)
-    it is the adjacency matrix at the cost of :func:`adjacency_rational`.
+class _TwinSplit:
+    """The twin classes of G, the matrix its spectral decisions read and that
+    matrix's one dense eigensolve, each computed on first use, so that the
+    floating evidence and the exact decision on one graph share them.
     """
-    classes = twin_classes(G)
-    Q = adjacency_rational(G, [c[0] for c in classes]).num * np.array(
-        [len(c) for c in classes], dtype=np.int64)
-    for i, _, _, e in _twin_gaps(G, classes):
-        if e:
-            Q[i, i] = len(classes[i]) - 1
-    return classes, RationalMatrix.fraction_free(Q, 1)
+
+    def __init__(self, G: Graph):
+        self.G = G
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return twin_classes(self.G)
+
+    @cached_property
+    def quotient(self) -> RationalMatrix:
+        """The twin quotient Q, an integer matrix of order r.
+
+        Q_IJ = s_J A(v_I, v_J) off the diagonal, with s the class sizes and
+        v_I the first vertex of class I, and Q_II = s_I - 1 for a closed
+        class and 0 otherwise.  It is built from the r x r submatrix of A on
+        the v_I, not from per-vertex counts; on a twin-free graph (r = n) it
+        is the adjacency matrix itself.
+        """
+        classes = self.classes
+        if len(classes) == self.G.n:
+            return adjacency_rational(self.G)
+        Q = adjacency_rational(self.G, [c[0] for c in classes]).num * np.array(
+            [len(c) for c in classes], dtype=np.int64)
+        for i, _, _, e in _twin_gaps(self.G, classes):
+            if e:
+                Q[i, i] = len(classes[i]) - 1
+        return RationalMatrix.fraction_free(Q, 1)
+
+    @cached_property
+    def lambda_min(self) -> Optional[float]:
+        """The smallest eigenvalue of Q; None at order 0 or above the
+        floating solver's limit.  On a twin-free graph Q = A is solved as
+        it is, without the symmetrizing passes a quotient needs."""
+        Q = self.quotient
+        if len(self.classes) == self.G.n:
+            values = exact.eigenvalues_float(Q)
+        else:
+            values = quotient_eigenvalues_float(Q, [len(c) for c in self.classes])
+        return values[0] if values else None
 
 
 def _twin_gaps(G: Graph, classes):
@@ -188,19 +222,20 @@ def _twin_gaps(G: Graph, classes):
             yield i, c[0], c[1], -1 if G.has_edge(c[0], c[1]) else 0
 
 
-def graph_lambda_min_float(G: Graph) -> Optional[float]:
+def graph_lambda_min_float(G: Graph, split: Optional[_TwinSplit] = None) -> Optional[float]:
     """Smallest adjacency eigenvalue as floating evidence; None at order 0 or above the limit.
 
     It is the least of the twin quotient's smallest eigenvalue, -1 when a
     closed class has two or more vertices and 0 when an open one has, so the
     dense solver runs on the quotient alone.  The limit applies to the
     order of G, as it did when the whole adjacency matrix was solved.
+    ``split``, when given, is the :class:`_TwinSplit` of G that a caller
+    shares with :func:`certify_lambda_min_below`.
     """
     if not 0 < G.n <= exact.FLOAT_ORDER_LIMIT:
         return None
-    classes, Q = _twin_quotient(G)
-    values = quotient_eigenvalues_float(Q, [len(c) for c in classes])
-    return min([values[0], *(float(e) for *_, e in _twin_gaps(G, classes))])
+    split = _TwinSplit(G) if split is None else split
+    return min([split.lambda_min, *(float(e) for *_, e in _twin_gaps(G, split.classes))])
 
 
 def graph_quotient_matrix(G: Graph, P: Partition) -> RationalMatrix:
@@ -260,7 +295,7 @@ def graph_quadratic_form(G: Graph, t, x: Sequence) -> Fraction:
     )
 
 
-def certify_lambda_min_below(G: Graph, t) -> Optional[list[Fraction]]:
+def certify_lambda_min_below(G: Graph, t, split: Optional[_TwinSplit] = None) -> Optional[list[Fraction]]:
     """None when lambda_min(G) >= -t, that is when A + tI is PSD; otherwise a
     rational witness x with x^T (A + tI) x < 0, re-checked on the graph.
 
@@ -268,16 +303,19 @@ def certify_lambda_min_below(G: Graph, t) -> Optional[list[Fraction]]:
     eigenvalue e, which refutes when t < -e.  Otherwise A + tI is PSD exactly
     when diag(s)(Q + tI) is, for the twin quotient Q; on a twin-free graph
     that matrix is A + tI itself, so the verdict and the witness are those
-    of LDL^T on the full matrix.
+    of LDL^T on the full matrix.  The dominance certificate proposes from
+    the split's eigensolve of Q (see :func:`_block_witness`) instead of
+    solving again.  ``split``, when given, is the :class:`_TwinSplit` of G
+    that a caller shares with :func:`graph_lambda_min_float`.
     """
     t = Fraction(t)
-    classes, Q = _twin_quotient(G)
-    for _, u, v, e in _twin_gaps(G, classes):
+    split = _TwinSplit(G) if split is None else split
+    for _, u, v, e in _twin_gaps(G, split.classes):
         if t < -e:
             x = [Fraction(0)] * G.n
             x[u], x[v] = Fraction(1), Fraction(-1)
             return _rechecked(G, t, x)
-    return _block_witness(G, t, classes, Q)
+    return _block_witness(G, t, split.classes, split.quotient, split.lambda_min)
 
 
 def _rechecked(G: Graph, t, witness: Optional[list[Fraction]]) -> Optional[list[Fraction]]:
@@ -287,7 +325,8 @@ def _rechecked(G: Graph, t, witness: Optional[list[Fraction]]) -> Optional[list[
     return witness
 
 
-def _block_witness(G: Graph, t, blocks, quotient: RationalMatrix) -> Optional[list[Fraction]]:
+def _block_witness(G: Graph, t, blocks, quotient: RationalMatrix,
+                   lambda_min: Optional[float] = None) -> Optional[list[Fraction]]:
     """None when the block form of an equitable partition is PSD; otherwise
     its witness, lifted block-constant and re-checked on the graph.
 
@@ -296,6 +335,13 @@ def _block_witness(G: Graph, t, blocks, quotient: RationalMatrix) -> Optional[li
     A + tI on block-constant vectors, so any witness for T lifts to the
     graph.  T is built in one pass over Q, as :meth:`RationalMatrix.shifted`
     builds Q + tI, and is Q + tI itself when every block is a singleton.
+
+    ``lambda_min`` is a floating smallest eigenvalue of Q, when the caller
+    has one.  With N = diag(n), T = N^(1/2) (S + tI) N^(1/2) for the
+    symmetric S = N^(1/2) Q N^(-1/2), so by Ostrowski's theorem T's smallest
+    eigenvalue is at least min(n) (lambda_min + t) when that is positive;
+    scaled to T's numerator it is the estimate the dominance certificate
+    proposes from.
     """
     t = Fraction(t)
     sizes = [len(block) for block in blocks]
@@ -312,7 +358,9 @@ def _block_witness(G: Graph, t, blocks, quotient: RationalMatrix) -> Optional[li
     num = rows[:, None] * num.astype(dtype, copy=False)
     diagonal = np.arange(len(num))
     num[diagonal, diagonal] += np.array([n * shift for n in sizes], dtype=dtype)
-    y = psd_witness(RationalMatrix.fraction_free(num, den))
+    T = RationalMatrix.fraction_free(num, den)
+    estimate = None if lambda_min is None else T.den * min(sizes) * (lambda_min + t)
+    y = psd_witness(T, estimate)
     if y is None:
         return None
     x = [Fraction(0)] * G.n

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BoundViolation
-from .forbidden import certify_lambda_min_below, graph_lambda_min_float, scan_M_t
+from .forbidden import _TwinSplit, certify_lambda_min_below, graph_lambda_min_float, scan_M_t
 from .graphs import Graph, _bitset, maximal_cliques, maximum_independent_set, mu_parameter
 from .hgraphs import HoffmanGraph, is_t_fat, special_matrix
 
@@ -221,9 +221,10 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
             violations.append({"clique": list(clique), "min_degree": min_deg})
     report["condition_clique_order"] = {"passed": not violations, "violations": violations[:10]}
 
+    split = _TwinSplit(G)
     report["condition_lambda_min"] = {
-        "passed": certify_lambda_min_below(G, 3) is None,
-        "lambda_min_float": graph_lambda_min_float(G),
+        "passed": certify_lambda_min_below(G, 3, split) is None,
+        "lambda_min_float": graph_lambda_min_float(G, split),
         "exact": True,
     }
 

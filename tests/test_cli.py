@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -727,6 +728,72 @@ for argv in (["drg", "params", "--D", "4", "--b", "2", "--alpha", "2", "--beta",
 print(sorted(m for m in sys.modules if m.startswith(("numpy.", "jsonschema"))))
 """
     assert _fresh_python(code, lk6_json) == "[]\n"
+
+
+def _count_calls(monkeypatch, module, name, order):
+    """Log ``order(first argument)`` of each call of ``module.name``, through
+    every hoffman module that bound that function by name."""
+    fn = getattr(module, name)
+    log = []
+
+    def counted(*args, **kwargs):
+        log.append(order(args[0]))
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("hoffman") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return log
+
+
+def _twin_test_graphs():
+    from .conftest import line_graph_of_complete, planted_twin_graph
+
+    rng = random.Random(3)
+    planted = next(G for G in (planted_twin_graph(rng, 7, 0.5) for _ in range(50))
+                   if len(hoffman.twin_classes(G)) < G.n)
+    return [line_graph_of_complete(10), planted]
+
+
+@pytest.mark.parametrize("which", ["line_K10", "planted_twins"])
+def test_lambda_min_decision_splits_once_and_solves_once(capsys, tmp_path, monkeypatch, which):
+    import hoffman.exact as exact
+    import hoffman.graphs as graphs
+    from hoffman import certify_lambda_min_below, graph_lambda_min_float
+
+    G = _twin_test_graphs()[which == "planted_twins"]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": G.n, "edges": [list(e) for e in G.edges()]}))
+    # separate calls, each splitting G on its own, as the reference
+    expected_float = graph_lambda_min_float(G)
+    expected = {t: certify_lambda_min_below(G, t) for t in (3, 1, Fraction(1, 2))}
+    r = len(hoffman.twin_classes(G))
+    splits = _count_calls(monkeypatch, graphs, "twin_classes", lambda g: g.n)
+    solves = _count_calls(monkeypatch, exact, "eigenvalues_float",
+                          lambda M: M.order if hasattr(M, "order") else len(M))
+    for argv, read in (
+        (["lambda-min", "--at-least", "-3"],
+         lambda res: (res["lambda_min_float"], res["at_least"]["holds"])),
+        (["check-intro2", "--c", "4"],
+         lambda res: (res["condition_lambda_min"]["lambda_min_float"],
+                      res["condition_lambda_min"]["passed"])),
+    ):
+        splits.clear()
+        solves.clear()
+        _, report = run_cli(capsys, *argv, "--graph", str(path))
+        assert splits == [G.n]
+        # one eigensolve, of the twin quotient's order r <= n
+        assert solves == [r]
+        assert read(report["results"]) == (expected_float, expected[3] is None)
+    # one split shared by both entry points gives the same float and witnesses
+    from hoffman.forbidden import _TwinSplit
+
+    for t, witness in expected.items():
+        splits.clear()
+        split = _TwinSplit(G)
+        assert graph_lambda_min_float(G, split) == expected_float
+        assert certify_lambda_min_below(G, t, split) == witness
+        assert splits == [G.n]
 
 
 def test_lambda_min_in_a_fresh_interpreter_matches(capsys, tmp_path):

@@ -305,9 +305,12 @@ def test_scan_matches_oracle_on_random_check_sets():
 
 def test_scan_falls_back_when_factors_are_uncertified(monkeypatch):
     # with the certification limit below Phi_13(2) = 8191 no divisor list can
-    # be trusted; the full grid must give the same survivors
-    cases = [(2, 14, 12, FIVE_CHECKS), (9, 14, 810, FIVE_CHECKS), (3, 14, 36, [(5, 8)])]
+    # be trusted when the shortest binding check needs Phi_13(b), as (7, 7)
+    # and (5, 8) do; the full grid must give the same survivors
+    cases = [(2, 14, 12, [(7, 7)]), (9, 14, 810, [(7, 7)]), (3, 14, 36, [(5, 8)])]
     divisor_route = [feasibility_scan(*case) for case in cases]
+    five = [(2, 14, 12, FIVE_CHECKS), (9, 14, 810, FIVE_CHECKS)]
+    five_route = [feasibility_scan(*case) for case in five]
     monkeypatch.setattr(drg, "_PRIME_CERT_LIMIT", 1000)
     for case, expected in zip(cases, divisor_route):
         b, _, alpha_max, _ = case
@@ -315,6 +318,13 @@ def test_scan_falls_back_when_factors_are_uncertified(monkeypatch):
         survivors = feasibility_scan(*case)
         assert survivors == expected == oracle_scan(*case)
         assert survivors.candidates == grid > expected.candidates
+    # FIVE_CHECKS reads its primes off (3, 3), which needs only Phi_2..Phi_6,
+    # so it stays on the divisor route
+    for case, expected in zip(five, five_route):
+        b, _, alpha_max, _ = case
+        survivors = feasibility_scan(*case)
+        assert survivors == expected == oracle_scan(*case)
+        assert survivors.candidates == expected.candidates < alpha_max * (b + 1) + 1
 
 
 def test_sieve_congruences():
@@ -358,6 +368,66 @@ def test_candidates_are_the_grid_points_passing_both_sieves(b, checks):
     survivors = feasibility_scan(b, 14, alpha_max, checks)
     assert survivors.candidates == expected
     assert len(survivors) <= expected
+
+
+def all_brackets_candidates(b, pairs, k_max, g):
+    """The sieved k over the larger prime set: b and the Phi_d(b) of the
+    brackets [i-1]_b .. [i+h]_b of every check with i, h >= 2, not of the
+    shortest one alone; None when one of them is not factored."""
+    binding = [(i, h) for i, h in pairs if i >= 2 and h >= 2]
+    if not binding:
+        return None
+    phi = {}
+    for d in sorted({e for i, h in binding for m in range(i - 1, i + h + 1)
+                     for e in range(2, m + 1) if m % e == 0}):
+        phi[d] = g[d] // math.prod(phi[e] for e in phi if d % e == 0)
+    primes = set()
+    for n in (b, *phi.values()):
+        factors = drg._factor(n)
+        if factors is None:
+            return None
+        primes |= factors.keys()
+    G2 = G3 = 0
+    for i, h in binding:
+        G2 = math.gcd(G2, math.prod(g[m] * (b + 1) * b * g[m - 2] for m in range(i + 1, i + h + 1)))
+        if i >= 3 and h >= 3:
+            G3 = math.gcd(G3, math.prod(g[m] * b * b * g[m - 3] for m in range(i + 1, i + h + 1)))
+    divisors = [1]
+    for p in sorted(primes, reverse=True):
+        grown = []
+        for d in divisors:
+            while d <= b + 1 + k_max and G2 % d == 0:
+                grown.append(d)
+                d *= p
+        divisors = grown
+    return sorted(d - b - 1 for d in divisors if d >= b + 1 and G3 % (d - b) == 0)
+
+
+@pytest.mark.parametrize("checks", [FIVE_CHECKS, [(6, 6)]], ids=["five", "6,6"])
+def test_shortest_check_primes_give_the_all_brackets_candidates(checks):
+    # FIVE_CHECKS up to alpha_bound, as alphab scans it; a single check has
+    # one prime set either way, so [(6, 6)] runs up to k = 10^6 only
+    for b in range(2, 101):
+        g = [gaussian(j, b) for j in range(15)]
+        k_max = math.floor(theorem_beta_bounds(b, 14, 0).alpha_bound * (b + 1))
+        if len(checks) == 1:
+            k_max = min(k_max, 10**6)
+        assert drg._divisor_candidates(b, checks, k_max, g) == \
+            all_brackets_candidates(b, checks, k_max, g), b
+
+
+def test_shortest_check_primes_on_random_check_lists():
+    rng = random.Random(21)
+    for _ in range(200):
+        b = rng.randint(2, 60)
+        checks = []
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randint(1, 13)
+            checks.append((i, rng.randint(1, 14 - i)))
+        k_max = rng.choice((10, 10**3, 10**5, 10**6))
+        g = [gaussian(j, b) for j in range(15)]
+        assert drg._divisor_candidates(b, checks, k_max, g) == \
+            all_brackets_candidates(b, checks, k_max, g), (b, checks, k_max)
 
 
 @pytest.mark.parametrize("b", [30, 33, 36, 50, 75, 100])
@@ -412,13 +482,19 @@ def test_factor_refuses_uncertifiable_prime(monkeypatch):
 
 def test_factor_gives_up_after_rho_budget(monkeypatch):
     # a composite that rho cannot split in budget is not factored, and the
-    # scan that needs it tests the whole grid instead
+    # scan that needs it, here for a Phi_d(97) with 7 <= d <= 14, tests the
+    # whole grid instead
+    five_route = feasibility_scan(97, 14, 3, FIVE_CHECKS)
     monkeypatch.setattr(drg, "_RHO_STEPS", 64)
     assert drg._factor(100000000003 * 100000000019) is None
     assert drg._factor(101 * 103) == {101: 1, 103: 1}
-    survivors = feasibility_scan(97, 14, 3, FIVE_CHECKS)
-    assert survivors == oracle_scan(97, 14, 3, FIVE_CHECKS)
+    survivors = feasibility_scan(97, 14, 3, [(7, 7)])
+    assert survivors == oracle_scan(97, 14, 3, [(7, 7)])
     assert survivors.candidates == 3 * 98 + 1
+    # FIVE_CHECKS needs only Phi_2(97)..Phi_6(97), which split in budget
+    survivors = feasibility_scan(97, 14, 3, FIVE_CHECKS)
+    assert survivors == five_route == oracle_scan(97, 14, 3, FIVE_CHECKS)
+    assert survivors.candidates == five_route.candidates < 3 * 98 + 1
 
 
 # -- degree-regime bounds ----------------------------------------------------------------------

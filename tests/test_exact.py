@@ -261,7 +261,7 @@ def test_integer_kernel_matches_oracle_on_line_graphs(m):
 def no_certificate(monkeypatch):
     import hoffman.exact as exact
 
-    monkeypatch.setattr(exact, "_dominance_certificate", lambda A: False)
+    monkeypatch.setattr(exact, "_dominance_certificate", lambda A, lambda_min: False)
 
 
 def _minor(rows, k):
@@ -415,6 +415,72 @@ def test_certificate_check_rejects_every_proposal_for_a_matrix_that_is_not_psd(m
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: propose(len(a)))
         for rows in matrices:
             assert not exact._dominance_certificate(np.array(rows, dtype=np.int64))
+
+
+# -- the float64 product of the certificate is exact -----------------------------------
+
+def _assert_residual_is_exact(M):
+    """R of the certificate against s^2 A - C C^T rebuilt from the same C in
+    Python ints: every row up to order 100, a spread of rows and the whole
+    diagonal (the largest sums) above it."""
+    import hoffman.exact as exact
+
+    s, C, R = exact._dominance_residual(M.num)
+    n = M.order
+    A = M.num.astype(object)
+    Ci = C.astype(np.int64).astype(object)
+    assert np.array_equal(Ci, C)
+    rows = np.arange(n) if n <= 100 else np.unique(np.r_[np.arange(0, n, n // 12), n - 1])
+    assert np.array_equal((s * s) * A[rows] - Ci[rows] @ Ci.T, R[rows])
+    assert np.array_equal((s * s) * np.diagonal(A) - (Ci * Ci).sum(axis=1), np.diagonal(R))
+
+
+@pytest.mark.parametrize("m", range(5, 31))
+def test_certificate_product_is_exact_on_line_graph_shifts(m):
+    A = adjacency_rational(line_graph_of_complete(m))
+    for t in (3, Fraction(5, 2)):
+        _assert_residual_is_exact(A.shifted(t))
+        assert _certified(A.shifted(t))
+
+
+def test_certificate_product_is_exact_on_special_matrices():
+    # the definite shifts of test_integer_kernel_matches_oracle_on_special_matrices
+    entries = catalog("H") + catalog("G2") + (catalog("path2fat"),)
+    definite = 0
+    for e in entries:
+        for t in (5, Fraction(4999, 1000)):
+            M = special_matrix(e.hoffman).shifted(t)
+            if psd_witness(M) is None and det_exact(M) != 0:
+                _assert_residual_is_exact(M)
+                definite += 1
+    assert definite > 20
+
+
+def test_certificate_proposes_nothing_past_the_int64_bound():
+    import hoffman.exact as exact
+
+    for big in (2**62, 2**64):
+        assert exact._dominance_residual(_sym([[big, 0], [0, big]]).num) is None
+
+
+@pytest.mark.parametrize("m", (5, 8, 12, 18))
+def test_certificate_never_proves_what_bareiss_refutes(m, monkeypatch):
+    # L(K_m) + (2 - 1/64) I has smallest eigenvalue -1/64: the certificate
+    # declines it from its own eigensolve, from a wrong positive estimate, and
+    # when the float side is made to propose the factor of a definite neighbour
+    import hoffman.exact as exact
+
+    M = adjacency_rational(line_graph_of_complete(m)).shifted(2 - Fraction(1, 64))
+    w = psd_witness(M)
+    assert w is not None and quadratic_form(M, w) < 0
+    assert not _certified(M)
+    for estimate in (1e-3, 1.0, 64.0):
+        assert not exact._dominance_certificate(M.num, estimate)
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: cholesky(a + 2 * np.eye(len(a))))
+    assert exact._dominance_residual(M.num, 1.0) is not None
+    assert not exact._dominance_certificate(M.num, 1.0)
+    assert psd_witness(M, 1.0) == w
 
 
 def test_integer_kernel_matches_oracle_on_special_matrices():
@@ -574,11 +640,12 @@ def test_float_solver_above_the_limit_builds_no_array():
     tracemalloc.start()
     try:
         values = eigenvalues_float(M)
+        quotient_values = quotient_eigenvalues_float(M, [1] * n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the float copy alone would be 8 n^2 bytes, about 32 MB
-    assert values is None
+    assert values is None and quotient_values is None
     assert peak < 1 << 20
 
 
