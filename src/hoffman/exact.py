@@ -9,9 +9,11 @@ denominator ``den``.  ``num`` is int64 whenever every entry fits
 Positive semidefiniteness is decided over the rationals.  A verdict "PSD
 holds" may first be proved by an integer dominance certificate
 s^2 A = C C^T + R with R diagonally dominant, which a floating Cholesky factor
-only proposes: s is chosen so that C C^T is an exact float64 product (every
-partial sum an integer below 2^53), and R and its dominance are checked in
-int64.  Everything the certificate does not prove is decided by
+only proposes, from a smallest-eigenvalue estimate that the caller already
+has (the certificate runs no eigensolve of its own): s is chosen so that
+C C^T is an exact float64 product (every partial sum an integer below 2^53),
+and R and its dominance are checked in int64.  Everything the certificate
+does not prove is decided by
 fraction-free integer LDL^T with the semidefinite pivot rule (symmetric
 Bareiss elimination on ``num``): each pivot is one vectorised int64 update
 under an exact no-overflow bound, and the first pivot that fails the bound
@@ -164,35 +166,28 @@ class Partition:
 
 # -- exact PSD decision ------------------------------------------------------
 
-def _dominance_residual(A: np.ndarray, lambda_min: Optional[float] = None):
+def _dominance_residual(A: np.ndarray, lambda_min: float):
     """(s, C, R) with s^2 A = C C^T + R for the symmetric int64 matrix A, or None.
 
     s is a power of two and C = rint(s L) is integral (held as float64), for
     the floating Cholesky factor L of A - (lam/2) I; lam is ``lambda_min``,
-    a floating estimate of a lower bound on A's smallest eigenvalue, or the
-    smallest eigenvalue of a dense eigensolve of A when it is None.  None
-    when lam is not positive or L cannot be computed.  The float only
-    proposes C; the integer R is exact.  As |C_ij| <= s * cbound, each
-    product and each partial sum of (C C^T)_ij is an integer of absolute
-    value at most n (s cbound)^2; s keeps that below 2^53, so the float64
-    product C C^T (BLAS) is exact in any summation order.  s also keeps
-    n s^2 (amax + n cbound^2), a bound on every row sum of |R|, below 2^63,
-    so R = s^2 A - C C^T is formed in int64.
+    the caller's floating estimate of a lower bound on A's smallest
+    eigenvalue.  No eigensolve runs here.  None when lam is not positive or
+    L cannot be computed.  The float only proposes C; the integer R is
+    exact.  As |C_ij| <= s * cbound, each product and each partial sum of
+    (C C^T)_ij is an integer of absolute value at most n (s cbound)^2; s
+    keeps that below 2^53, so the float64 product C C^T (BLAS) is exact in
+    any summation order.  s also keeps n s^2 (amax + n cbound^2), a bound on
+    every row sum of |R|, below 2^63, so R = s^2 A - C C^T is formed in
+    int64.
     """
     n = len(A)
-    if n == 0 or A.dtype != np.int64:
+    if n == 0 or A.dtype != np.int64 or not lambda_min > 0:
         return None
     amax = _amax(A)
     try:
-        if lambda_min is None:
-            values = eigenvalues_float(A)
-            if values is None:
-                return None
-            lambda_min = values[0]
-        if not lambda_min > 0:
-            return None
         L = np.linalg.cholesky(A - (lambda_min / 2) * np.eye(n))
-    except (ConvergenceFailure, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         return None
     lmax = float(np.abs(L).max())
     if not math.isfinite(lmax):
@@ -208,7 +203,7 @@ def _dominance_residual(A: np.ndarray, lambda_min: Optional[float] = None):
     return s, C, R
 
 
-def _dominance_certificate(A: np.ndarray, lambda_min: Optional[float] = None) -> bool:
+def _dominance_certificate(A: np.ndarray, lambda_min: float) -> bool:
     """True only when the symmetric integer matrix A is proved PSD.
 
     The proof is s^2 A = C C^T + R from :func:`_dominance_residual`, with an
@@ -232,9 +227,10 @@ def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Option
     The decision is made on ``M.num`` alone, since ``M.den`` > 0.  "PSD
     holds" may be proved by the exactly checked integer dominance certificate
     of :func:`_dominance_certificate`, whose floating Cholesky factor only
-    proposes it; the certificate never refutes.  ``lambda_min``, a floating
-    lower estimate of the smallest eigenvalue of ``M.num`` that a caller
-    already has, spares the certificate its own eigensolve.  Bareiss decides
+    proposes it; the certificate never refutes.  It is tried only when the
+    caller passes ``lambda_min``, a floating lower estimate of the smallest
+    eigenvalue of ``M.num`` from an eigensolve it already ran; without one,
+    no eigensolve runs and Bareiss decides alone.  Bareiss decides
     everything else: fraction-free integer LDL^T (symmetric Bareiss
     elimination) with the semidefinite pivot rule.  After the pivots of the eliminated index set
     S, entry (i, j) of the trailing block holds the bordered minor
@@ -252,7 +248,7 @@ def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Option
     A = M.num
     if not np.array_equal(A, A.T):
         raise ValueError("PSD decision requires a symmetric matrix")
-    if _dominance_certificate(A, lambda_min):
+    if lambda_min is not None and _dominance_certificate(A, lambda_min):
         return None
     n = M.order
     W = A.copy()

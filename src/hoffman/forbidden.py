@@ -12,21 +12,21 @@ sorted triples are distinct, so one dictionary lookup per index triple
 decides it.
 
 Certificates for claims of the form lambda_min(G) < -t are rational vectors
-x with x^T (A + tI) x < 0.  Every expansion claim (the nine pairs of
-:func:`verify_proposition_cal` and the threshold expansions of
-:func:`prop215`) gets its witness from one path: the equitable partition is
-verified and its quotient computed by :func:`graph_quotient_matrix`, the
-r x r block form diag(sizes)(Q + tI) is refuted by exact LDL^T, and the
-witness is lifted to a block-constant vector and re-checked on the graph
-itself in integers.  The re-check groups the vertices by their value: each
-vertex's sum over its neighbors is one popcount of its neighborhood bitset
-against each value class, and a lifted witness has at most one value per
-block, so no edge is visited one at a time.
+x with x^T (A + tI) x < 0.  The threshold expansions of :func:`prop215` get
+theirs from their stated equitable partitions: the partition is verified and
+its quotient computed by :func:`graph_quotient_matrix`, the r x r block form
+diag(sizes)(Q + tI) is refuted by exact LDL^T, and the witness is lifted to
+a block-constant vector and re-checked on the graph itself in integers.  The
+re-check groups the vertices by their value: each vertex's sum over its
+neighbors is one popcount of its neighborhood bitset against each value
+class, and a lifted witness has at most one value per block, so no edge is
+visited one at a time.
 
-Every other exact decision of lambda_min(G) >= -t on a graph, that is
-``lambda-min --at-least`` and condition (iii) of ``check-intro2``, is
-:func:`certify_lambda_min_below`, and the floating evidence of every command
-is :func:`graph_lambda_min_float`.  Both first split G into its twin classes
+Every other exact decision of lambda_min(G) >= -t on a graph, that is the
+nine pairs of :func:`verify_proposition_cal`, ``lambda-min --at-least`` and
+condition (iii) of ``check-intro2``, is :func:`certify_lambda_min_below`,
+and the floating evidence of every command is
+:func:`graph_lambda_min_float`.  Both first split G into its twin classes
 (:func:`hoffman.graphs.twin_classes`): closed twins have N[u] = N[v], open
 twins N(u) = N(v).  Each class V_I is a module, so the split of the spectrum
 is exact.  A vector supported on one class and summing to zero there is an
@@ -44,10 +44,12 @@ returned.  In a clique expansion G(h, p) the vertices of each fat clique are
 closed twins, so its block form has order at most that of h; on a twin-free
 graph it is A + tI itself.
 
-A command that needs both passes them one :class:`_TwinSplit`, so G is
-split once and the dense eigensolve runs once, on Q (on A itself when G is
-twin-free, with no quotient built): it gives the floating evidence and the
-estimate from which the dominance certificate of the block form proposes.
+A command or ``cal`` pair that needs both passes them one
+:class:`_TwinSplit`, so G is split once and the dense eigensolve runs once,
+on Q (on A itself when G is twin-free, with no quotient built): it gives the
+floating evidence and the estimate from which the dominance certificate of
+the block form proposes.  A stated partition's block form comes with no
+estimate, so its certificate is not tried and LDL^T decides it alone.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from .hgraphs import (
     catalog,
     clique_with_two_fats,
     expand,
-    expansion_blocks,
     m_matrix,
     pendant_slim_pair,
     slim_with_fats,
@@ -304,9 +305,10 @@ def certify_lambda_min_below(G: Graph, t, split: Optional[_TwinSplit] = None) ->
     when diag(s)(Q + tI) is, for the twin quotient Q; on a twin-free graph
     that matrix is A + tI itself, so the verdict and the witness are those
     of LDL^T on the full matrix.  The dominance certificate proposes from
-    the split's eigensolve of Q (see :func:`_block_witness`) instead of
-    solving again.  ``split``, when given, is the :class:`_TwinSplit` of G
-    that a caller shares with :func:`graph_lambda_min_float`.
+    the split's one eigensolve of Q (see :func:`_block_witness`), the one
+    that also gives the floating evidence.  ``split``, when given, is the
+    :class:`_TwinSplit` of G that a caller shares with
+    :func:`graph_lambda_min_float`.
     """
     t = Fraction(t)
     split = _TwinSplit(G) if split is None else split
@@ -333,33 +335,32 @@ def _block_witness(G: Graph, t, blocks, quotient: RationalMatrix,
     For block sizes n_I the matrix T = diag(n)(Q + tI), with T_IJ = n_I Q_IJ
     + t n_I [I = J], is symmetric and represents the quadratic form of
     A + tI on block-constant vectors, so any witness for T lifts to the
-    graph.  T is built in one pass over Q, as :meth:`RationalMatrix.shifted`
-    builds Q + tI, and is Q + tI itself when every block is a singleton.
+    graph.  T is Q + tI from :meth:`RationalMatrix.shifted` with row I
+    scaled by n_I, in int64 unless max(n) max|num| reaches 2^63; when every
+    block is a singleton T is Q + tI itself, and no second array is built.
 
     ``lambda_min`` is a floating smallest eigenvalue of Q, when the caller
-    has one.  With N = diag(n), T = N^(1/2) (S + tI) N^(1/2) for the
-    symmetric S = N^(1/2) Q N^(-1/2), so by Ostrowski's theorem T's smallest
-    eigenvalue is at least min(n) (lambda_min + t) when that is positive;
-    scaled to T's numerator it is the estimate the dominance certificate
-    proposes from.
+    has one; without it the dominance certificate is not tried.  With
+    N = diag(n), T = N^(1/2) (S + tI) N^(1/2) for the symmetric
+    S = N^(1/2) Q N^(-1/2), so by Ostrowski's theorem T's smallest
+    eigenvalue is at least min(n) (lambda_min + t) when that is positive.
+    Scaled to T's numerator it is the estimate the certificate proposes
+    from.  It is formed in exact rationals and converted to float once, and
+    only for an int64 numerator, the only kind the certificate reads, so a
+    threshold outside the float range cannot make it overflow.
     """
     t = Fraction(t)
-    sizes = [len(block) for block in blocks]
-    den = math.lcm(quotient.den, t.denominator)
-    scale = den // quotient.den
-    shift = t.numerator * (den // t.denominator)
-    num = quotient.num
-    # each entry of T's numerator, and each n_I scale, is at most
-    # n_I (scale max(|Q_IJ|, 1) + |shift|)
-    wide = num.dtype == object or (
-        max(sizes, default=1) * (max(_amax(num), 1) * scale + abs(shift)) >= _INT64_LIMIT)
-    dtype = object if wide else np.int64
-    rows = np.array([n * scale for n in sizes], dtype=dtype)
-    num = rows[:, None] * num.astype(dtype, copy=False)
-    diagonal = np.arange(len(num))
-    num[diagonal, diagonal] += np.array([n * shift for n in sizes], dtype=dtype)
-    T = RationalMatrix.fraction_free(num, den)
-    estimate = None if lambda_min is None else T.den * min(sizes) * (lambda_min + t)
+    sizes = np.array([len(block) for block in blocks], dtype=np.int64)
+    T = quotient.shifted(t)
+    largest = int(sizes.max(initial=1))
+    if largest > 1:
+        num = T.num
+        if num.dtype != object and largest * _amax(num) >= _INT64_LIMIT:
+            num = num.astype(object)
+        T = RationalMatrix.fraction_free(sizes.astype(num.dtype)[:, None] * num, T.den)
+    estimate = None
+    if lambda_min is not None and T.num.dtype == np.int64:
+        estimate = float(T.den * int(sizes.min()) * (Fraction(lambda_min) + t))
     y = psd_witness(T, estimate)
     if y is None:
         return None
@@ -397,24 +398,22 @@ def verify_proposition_cal() -> list[dict]:
     """Certify lambda_min(G(h, p)) < -3 for the nine catalog pairs.
 
     Each check is independent of the others; a failure aborts with the
-    offending pair.  The exact certificate is a rational witness vector,
-    lifted from the expansion partition's quotient and re-checked on the
-    graph; results carry the floating eigenvalue as evidence.
+    offending pair.  Each graph is split into its twin classes once, and
+    that one :class:`_TwinSplit` gives both the exact certificate, a
+    rational witness vector from :func:`certify_lambda_min_below`, re-checked
+    on the graph, and the floating eigenvalue the results carry as evidence,
+    so each pair runs one eigensolve.  The vertices of each fat clique are
+    closed twins, so the block form has order at most that of h.
     """
     results = []
     for name, p in PROP_CAL_PAIRS:
-        h = catalog(name).hoffman
-        G = expand(h, p)
-        # clique vertices are closed twins, so every eigenvector orthogonal
-        # to the block-constant vectors has eigenvalue -1 > -3: the lift from
-        # the expansion quotient finds a witness whenever lambda_min < -3
-        P = Partition(expansion_blocks(h, p))
-        try:
-            _lift_quotient_witness(G, 3, P, graph_quotient_matrix(G, P))
-        except VerificationError as exc:
-            raise VerificationError(f"({name}, p={p}): {exc}") from exc
+        G = expand(catalog(name).hoffman, p)
+        split = _TwinSplit(G)
+        if certify_lambda_min_below(G, 3, split) is None:
+            raise VerificationError(f"({name}, p={p}): lambda_min >= -3; no witness")
         results.append({"pair": name, "p": p, "vertices": G.n,
-                        "lambda_min_float": graph_lambda_min_float(G), "exact_verdict": True})
+                        "lambda_min_float": graph_lambda_min_float(G, split),
+                        "exact_verdict": True})
     return results
 
 

@@ -1,6 +1,7 @@
 """Shared builders and dense reference oracles for the test suite."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
@@ -259,3 +260,19 @@ def k5() -> Graph:
 @pytest.fixture
 def c5() -> Graph:
     return cycle_graph(5)
+
+
+def count_calls(monkeypatch, module, name, order):
+    """Log ``order(first argument)`` of each call of ``module.name``, through
+    every hoffman module that bound that function by name."""
+    fn = getattr(module, name)
+    log = []
+
+    def counted(*args, **kwargs):
+        log.append(order(args[0]))
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("hoffman") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return log

@@ -24,6 +24,8 @@ from hoffman import (
 )
 from hoffman.cli import REPORT_SCHEMA, _emit, build_parser, main
 
+from .conftest import count_calls
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -539,6 +541,24 @@ def test_format_after_subcommand(capsys):
     assert out.startswith("# verify-paper thresholds")
 
 
+@pytest.mark.parametrize("graph, value, holds", [
+    # lambda_min(L(K10)) = -2 and lambda_min(K1) = 0; no threshold fits in a float
+    *(("line_K10", v, h) for v, h in
+      (("1e400", False), ("-1e400", True), ("1e-400", False), ("-1e-400", False))),
+    *(("K1", v, h) for v, h in
+      (("1e400", False), ("-1e400", True), ("1e-400", False), ("-1e-400", True))),
+])
+def test_lambda_min_threshold_outside_the_float_range(capsys, tmp_path, graph, value, holds):
+    from .conftest import line_graph_of_complete
+
+    G = line_graph_of_complete(10) if graph == "line_K10" else hoffman.Graph(1)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": G.n, "edges": [list(e) for e in G.edges()]}))
+    code, report = run_cli(capsys, "lambda-min", "--graph", str(path), "--at-least", value)
+    assert code == 0
+    assert report["results"]["at_least"] == {"threshold": str(Fraction(value)), "holds": holds}
+
+
 def test_lambda_min_empty_graph(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "edges": []}')
@@ -730,22 +750,6 @@ print(sorted(m for m in sys.modules if m.startswith(("numpy.", "jsonschema"))))
     assert _fresh_python(code, lk6_json) == "[]\n"
 
 
-def _count_calls(monkeypatch, module, name, order):
-    """Log ``order(first argument)`` of each call of ``module.name``, through
-    every hoffman module that bound that function by name."""
-    fn = getattr(module, name)
-    log = []
-
-    def counted(*args, **kwargs):
-        log.append(order(args[0]))
-        return fn(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("hoffman") and getattr(mod, name, None) is fn:
-            monkeypatch.setattr(mod, name, counted)
-    return log
-
-
 def _twin_test_graphs():
     from .conftest import line_graph_of_complete, planted_twin_graph
 
@@ -768,8 +772,8 @@ def test_lambda_min_decision_splits_once_and_solves_once(capsys, tmp_path, monke
     expected_float = graph_lambda_min_float(G)
     expected = {t: certify_lambda_min_below(G, t) for t in (3, 1, Fraction(1, 2))}
     r = len(hoffman.twin_classes(G))
-    splits = _count_calls(monkeypatch, graphs, "twin_classes", lambda g: g.n)
-    solves = _count_calls(monkeypatch, exact, "eigenvalues_float",
+    splits = count_calls(monkeypatch, graphs, "twin_classes", lambda g: g.n)
+    solves = count_calls(monkeypatch, exact, "eigenvalues_float",
                           lambda M: M.order if hasattr(M, "order") else len(M))
     for argv, read in (
         (["lambda-min", "--at-least", "-3"],

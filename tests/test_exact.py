@@ -342,7 +342,7 @@ def test_int64_kernel_matches_oracle_on_line_graph_shifts(m, no_certificate):
 def _certified(M):
     from hoffman.exact import _dominance_certificate
 
-    return _dominance_certificate(M.num)
+    return _dominance_certificate(M.num, eigenvalues_float(M.num)[0])
 
 
 @pytest.mark.parametrize("m", range(5, 15))
@@ -410,11 +410,32 @@ def test_certificate_check_rejects_every_proposal_for_a_matrix_that_is_not_psd(m
                 rows[i][j] = rows[j][i] = gen.randint(-4, 4)
         if _fraction_psd_witness(RationalMatrix(rows)) is not None:
             matrices.append(rows)
-    monkeypatch.setattr(exact, "eigenvalues_float", lambda a: [1.0])
     for propose in proposals:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: propose(len(a)))
         for rows in matrices:
-            assert not exact._dominance_certificate(np.array(rows, dtype=np.int64))
+            assert not exact._dominance_certificate(np.array(rows, dtype=np.int64), 1.0)
+
+
+def test_psd_witness_without_an_estimate_runs_no_eigensolve(monkeypatch):
+    # no certificate is tried and nothing is solved: Bareiss alone gives the
+    # verdict and the witness that the certificate route gives with an estimate
+    import hoffman.exact as exact
+
+    cases = [adjacency_rational(line_graph_of_complete(m)).shifted(t)
+             for m in (5, 8, 12) for t in (3, Fraction(5, 2), 2, 1)]
+    cases += [_sym([[2, 1], [1, 2]]), _sym([[1, 2], [2, 1]]), _sym([[0, 0], [0, 0]])]
+    expected = [psd_witness(M, eigenvalues_float(M.num)[0]) for M in cases]
+    assert any(_certified(M) for M in cases) and any(w is not None for w in expected)
+
+    def forbidden_call(*args, **kwargs):
+        raise AssertionError("no eigensolve and no certificate without an estimate")
+
+    for module, name in ((exact, "eigenvalues_float"), (exact, "_dominance_certificate"),
+                         (np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                         (np.linalg, "cholesky")):
+        monkeypatch.setattr(module, name, forbidden_call)
+    for M, w in zip(cases, expected):
+        assert psd_witness(M) == w
 
 
 # -- the float64 product of the certificate is exact -----------------------------------
@@ -425,7 +446,7 @@ def _assert_residual_is_exact(M):
     diagonal (the largest sums) above it."""
     import hoffman.exact as exact
 
-    s, C, R = exact._dominance_residual(M.num)
+    s, C, R = exact._dominance_residual(M.num, eigenvalues_float(M.num)[0])
     n = M.order
     A = M.num.astype(object)
     Ci = C.astype(np.int64).astype(object)
@@ -460,13 +481,13 @@ def test_certificate_proposes_nothing_past_the_int64_bound():
     import hoffman.exact as exact
 
     for big in (2**62, 2**64):
-        assert exact._dominance_residual(_sym([[big, 0], [0, big]]).num) is None
+        assert exact._dominance_residual(_sym([[big, 0], [0, big]]).num, float(big)) is None
 
 
 @pytest.mark.parametrize("m", (5, 8, 12, 18))
 def test_certificate_never_proves_what_bareiss_refutes(m, monkeypatch):
     # L(K_m) + (2 - 1/64) I has smallest eigenvalue -1/64: the certificate
-    # declines it from its own eigensolve, from a wrong positive estimate, and
+    # declines it from a correct estimate, from a wrong positive estimate, and
     # when the float side is made to propose the factor of a definite neighbour
     import hoffman.exact as exact
 

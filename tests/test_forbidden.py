@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hoffman import (
@@ -39,6 +40,7 @@ from hoffman import (
 from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness
 
 from .conftest import (
+    count_calls,
     fraction_rows,
     line_graph_of_complete,
     permutation_equivalent,
@@ -303,6 +305,80 @@ def test_certificate_with_a_huge_denominator():
                 assert graph_quadratic_form(G, t, w) < 0
 
 
+def test_certificate_with_a_threshold_outside_the_float_range():
+    # the certificate's estimate is formed only for an int64 block form, in
+    # exact rationals, so no conversion to float can overflow
+    assert certify_lambda_min_below(complete_graph(4), 10**400) is None
+    for G in (complete_graph(4), Graph(1), line_graph_of_complete(6)):
+        for t in (10**400, -10**400, Fraction(1, 10**400), Fraction(-1, 10**400)):
+            w = certify_lambda_min_below(G, t)
+            assert (w is None) == (psd_witness(adjacency_rational(G).shifted(t)) is None)
+            if w is not None:
+                assert graph_quadratic_form(G, t, w) < 0
+
+
+def _one_pass_block_form(quotient, t, sizes):
+    """diag(sizes)(Q + tI) in one pass over Q, with its own overflow bound:
+    the builder that _block_witness used before it scaled Q.shifted(t), kept
+    as the oracle of the two-step build."""
+    from hoffman.exact import _amax
+
+    t = Fraction(t)
+    den = math.lcm(quotient.den, t.denominator)
+    scale = den // quotient.den
+    shift = t.numerator * (den // t.denominator)
+    num = quotient.num
+    wide = num.dtype == object or (
+        max(sizes, default=1) * (max(_amax(num), 1) * scale + abs(shift)) >= 2**63)
+    dtype = object if wide else np.int64
+    rows = np.array([n * scale for n in sizes], dtype=dtype)
+    num = rows[:, None] * num.astype(dtype, copy=False)
+    diagonal = np.arange(len(num))
+    num[diagonal, diagonal] += np.array([n * shift for n in sizes], dtype=dtype)
+    return RationalMatrix.fraction_free(num, den)
+
+
+def test_block_form_matches_the_one_pass_builder(monkeypatch):
+    import hoffman.forbidden as forbidden
+
+    seen = []
+    monkeypatch.setattr(forbidden, "psd_witness", lambda T, estimate: seen.append((T, estimate)))
+    rng = random.Random(22)
+
+    def entry():
+        magnitude = rng.choice((0, 1, 2, 3, 2**31, 2**62, 2**62 + 1, 2**63 - 1, 2**63,
+                                2**70, rng.randrange(100), rng.randrange(2**63),
+                                rng.randrange(2**70)))
+        return rng.choice((1, -1)) * magnitude
+
+    kinds = {"int64": 0, "object": 0, "promoted by the sizes": 0, "estimate": 0}
+    for _ in range(2400):
+        r = rng.randint(1, 4)
+        qden = rng.choice((1, 1, 2, 3, 2**63, rng.randrange(1, 2**64)))
+        Q = RationalMatrix([[Fraction(entry(), qden) for _ in range(r)] for _ in range(r)])
+        tden = rng.choice((1, 2, 2**62, 2**63, 2**64 + 1, rng.randrange(1, 2**65)))
+        t = Fraction(entry(), tden)
+        sizes = [rng.choice((1, 1, 2, 3, 2**10, rng.randint(1, 2**10))) for _ in range(r)]
+        starts = [sum(sizes[:i]) for i in range(r)]
+        blocks = [range(a, a + n) for a, n in zip(starts, sizes)]
+        lambda_min = rng.choice((None, 0.5, -3.0))
+        seen.clear()
+        assert forbidden._block_witness(Graph(sum(sizes)), t, blocks, Q, lambda_min) is None
+        (T, estimate), = seen
+        expected = _one_pass_block_form(Q, t, sizes)
+        assert T.den == expected.den
+        assert T.num.dtype == expected.num.dtype
+        assert np.array_equal(T.num, expected.num)
+        assert (estimate is None) == (lambda_min is None or T.num.dtype == object)
+        if estimate is not None:
+            assert math.isfinite(estimate)
+            kinds["estimate"] += 1
+        kinds["int64" if T.num.dtype == np.int64 else "object"] += 1
+        if Q.shifted(t).num.dtype == np.int64 and T.num.dtype == object:
+            kinds["promoted by the sizes"] += 1
+    assert min(kinds.values()) > 20, kinds
+
+
 @pytest.mark.parametrize("G", [
     *(line_graph_of_complete(m) for m in (5, 6, 7)),
     *(cycle_graph(n) for n in (5, 6, 7, 8, 9)),
@@ -405,6 +481,55 @@ def test_verify_proposition_cal_certifies_all_nine():
     for entry in results:
         assert entry["exact_verdict"]
         assert entry["lambda_min_float"] < -3 + 1e-7
+
+
+def test_cal_pairs_are_refuted_by_the_twin_split_and_by_the_expansion_quotient():
+    # the twin split that cal decides on, and the stated expansion partition
+    # that it lifted from before, refute lambda_min >= -3 on each pair
+    for name, p in PROP_CAL_PAIRS:
+        h = catalog(name).hoffman
+        G = expand(h, p)
+        w = certify_lambda_min_below(G, 3)
+        assert w is not None and graph_quadratic_form(G, 3, w) < 0, name
+        P = Partition(expansion_blocks(h, p))
+        x = _lift_quotient_witness(G, 3, P, graph_quotient_matrix(G, P))
+        assert graph_quadratic_form(G, 3, x) < 0, name
+
+
+def _count_certificate_work(monkeypatch):
+    import hoffman.exact as exact
+    import hoffman.forbidden as forbidden
+    import hoffman.graphs as graphs
+
+    def order(M):
+        return M.order if hasattr(M, "order") else len(M)
+
+    return {
+        "eigensolves": count_calls(monkeypatch, exact, "eigenvalues_float", order),
+        "twin splits": count_calls(monkeypatch, graphs, "twin_classes", lambda G: G.n),
+        "quotients": count_calls(monkeypatch, forbidden, "graph_quotient_matrix",
+                                 lambda G: G.n),
+        "lifts": count_calls(monkeypatch, forbidden, "_lift_quotient_witness", lambda G: G.n),
+    }
+
+
+def test_cal_splits_once_and_solves_once_per_pair(monkeypatch):
+    work = _count_certificate_work(monkeypatch)
+    results = verify_proposition_cal()
+    assert {k: len(v) for k, v in work.items()} == {
+        "eigensolves": 9, "twin splits": 9, "quotients": 0, "lifts": 0}
+    assert work["twin splits"] == [entry["vertices"] for entry in results]
+
+
+def test_prop215_solves_twice_per_expansion(monkeypatch):
+    # the stated quotient's float and the graph's float; the lift's block form
+    # comes with no estimate, so its certificate does not solve again
+    work = _count_certificate_work(monkeypatch)
+    for s in range(2, 6):
+        prop215(s)
+    assert len(work["eigensolves"]) == 24
+    assert len(work["lifts"]) == 12
+    assert len(work["quotients"]) == 12
 
 
 # -- threshold expansions ------------------------------------------------------------------

@@ -12,7 +12,9 @@ export is a second name for ``f``.  An ``assert`` cannot carry a check, since
 ``python -O`` strips it.  ``np.linalg`` is reached only from ``exact.py``, so
 no second floating path decides or reports anything.  The exact PSD kernel
 ``psd_witness`` is reached only from ``exact.py`` and ``forbidden.py``, so
-every graph decision re-checks its refutation on the graph.  Each
+every graph decision re-checks its refutation on the graph.  The dominance
+certificate proposes only from its caller's eigenvalue estimate, so it never
+names an eigensolver.  Each
 ``Boundary(module, function)`` of ``perfbench/spans.py`` names an attribute
 of that module, since the traced benchmark run patches it by name.
 """
@@ -187,6 +189,18 @@ def test_psd_witness_only_in_exact_and_forbidden():
     found = sorted(name for name, tree in _modules().items()
                    if name != "__init__.py" and _references(tree, "psd_witness"))
     assert found == ["exact.py", "forbidden.py"]
+
+
+def test_dominance_certificate_runs_no_eigensolve():
+    # every caller with an estimate already ran its one eigensolve; a solve
+    # inside the certificate would run a second one behind each decision
+    tree = _modules()["exact.py"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [f"{name}: {solver}"
+             for name in ("_dominance_residual", "_dominance_certificate")
+             for solver in ("eigenvalues_float", "eigvalsh")
+             if _identifiers(functions[name])[solver]]
+    assert found == []
 
 
 def _trace_boundaries() -> list[tuple[str, str]]:
