@@ -27,7 +27,6 @@ from .graphs import (
     twin_classes,
 )
 from .exact import (
-    Partition,
     RationalMatrix,
     det_exact,
     eigenvalues_float,

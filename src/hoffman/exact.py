@@ -7,20 +7,22 @@ denominator ``den``.  ``num`` is int64 whenever every entry fits
 (|x| < 2^63), and dtype=object with Python ints otherwise.
 
 Positive semidefiniteness is decided over the rationals.  A verdict "PSD
-holds" may first be proved by an integer dominance certificate
-s^2 A = C C^T + R with R diagonally dominant, which a floating Cholesky factor
-only proposes, from a smallest-eigenvalue estimate that the caller already
-has (the certificate runs no eigensolve of its own): s is chosen so that
-C C^T is an exact float64 product (every partial sum an integer below 2^53),
-and R and its dominance are checked in int64.  Everything the certificate
-does not prove is decided by
-fraction-free integer LDL^T with the semidefinite pivot rule (symmetric
-Bareiss elimination on ``num``): each pivot is one vectorised int64 update
-under an exact no-overflow bound, and the first pivot that fails the bound
-promotes the array once to Python ints, so no Fraction arithmetic and no
-rounding enters the elimination.  Strict eigenvalue inequalities carry exact
-certificates: when a matrix is not PSD the routine produces a rational
-vector x with x^T M x < 0 that can be re-checked independently.
+holds" may first be proved without elimination.  One proof is an integer
+dominance certificate s^2 A = C C^T + R with R diagonally dominant, which a
+floating Cholesky factor only proposes, from a smallest-eigenvalue estimate
+that the caller already has (the certificate runs no eigensolve of its own): s
+is chosen so that C C^T is an exact float64 product (every partial sum an
+integer below 2^53), R is formed in int64, and its dominance is checked
+exactly.  The other is A itself diagonally dominant, checked in exact integers
+of any size, which settles a large shift without growing big integers.
+Everything else is decided by fraction-free integer LDL^T with the
+semidefinite pivot rule (symmetric Bareiss elimination on ``num``): each pivot
+is one vectorised int64 update under an exact no-overflow bound, and the first
+pivot that fails the bound promotes the array once to Python ints, so no
+Fraction arithmetic and no rounding enters the elimination.  Strict eigenvalue
+inequalities carry exact certificates: when a matrix is not PSD the routine
+produces a rational vector x with x^T M x < 0 that can be re-checked
+independently.
 
 Otherwise the floating side is for reporting only: :func:`eigenvalues_float`,
 backed by LAPACK's dense symmetric solver via numpy, gives None above
@@ -30,7 +32,6 @@ FLOAT_ORDER_LIMIT.  No verdict depends on a floating value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -136,34 +137,6 @@ class RationalMatrix:
         return f"RationalMatrix({self.to_json()})"
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered partition of ``0..n-1`` into disjoint nonempty blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, blocks):
-        norm = tuple(tuple(sorted(b)) for b in blocks)
-        object.__setattr__(self, "blocks", norm)
-        seen: set[int] = set()
-        for b in norm:
-            if not b:
-                raise ValueError("empty block")
-            for v in b:
-                if v in seen:
-                    raise ValueError(f"index {v} appears in two blocks")
-                seen.add(v)
-        if seen != set(range(len(seen))):
-            raise ValueError("blocks must cover 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-
 # -- exact PSD decision ------------------------------------------------------
 
 def _dominance_residual(A: np.ndarray, lambda_min: float):
@@ -203,52 +176,61 @@ def _dominance_residual(A: np.ndarray, lambda_min: float):
     return s, C, R
 
 
+def _diagonally_dominant(A: np.ndarray) -> bool:
+    """Whether the diagonal of the symmetric integer matrix A dominates every
+    row (A_ii >= sum_{j != i} |A_ij|), which makes A PSD by Gershgorin.
+
+    The row sums are exact: they are formed in int64 only while n max|A| <
+    2^63, and in Python ints otherwise.
+    """
+    if A.dtype != object and len(A) * _amax(A) >= _INT64_LIMIT:
+        A = A.astype(object)
+    absolute = np.abs(A)
+    return bool(np.all(np.diagonal(A) >= absolute.sum(axis=1) - np.diagonal(absolute)))
+
+
 def _dominance_certificate(A: np.ndarray, lambda_min: float) -> bool:
     """True only when the symmetric integer matrix A is proved PSD.
 
     The proof is s^2 A = C C^T + R from :func:`_dominance_residual`, with an
-    integer R whose diagonal dominates every row (R_ii >= sum_{j != i}
-    |R_ij|), so R is PSD by Gershgorin and A is PSD.  ``lambda_min`` is
-    passed on to it.  False means no certificate was found, never that A is
-    not PSD.
+    integer R that is :func:`_diagonally_dominant`, so R and A are PSD.
+    ``lambda_min`` is passed on to it.  False means no certificate was
+    found, never that A is not PSD.
     """
     found = _dominance_residual(A, lambda_min)
-    if found is None:
-        return False
-    R = found[2]
-    absolute = np.abs(R)
-    diagonal = np.diagonal(R)
-    return bool(np.all(diagonal >= absolute.sum(axis=1) - np.diagonal(absolute)))
+    return found is not None and _diagonally_dominant(found[2])
 
 
 def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Optional[list[Fraction]]:
     """None when M is PSD; otherwise a rational x with x^T M x < 0.
 
     The decision is made on ``M.num`` alone, since ``M.den`` > 0.  "PSD
-    holds" may be proved by the exactly checked integer dominance certificate
-    of :func:`_dominance_certificate`, whose floating Cholesky factor only
-    proposes it; the certificate never refutes.  It is tried only when the
-    caller passes ``lambda_min``, a floating lower estimate of the smallest
-    eigenvalue of ``M.num`` from an eigensolve it already ran; without one,
-    no eigensolve runs and Bareiss decides alone.  Bareiss decides
-    everything else: fraction-free integer LDL^T (symmetric Bareiss
-    elimination) with the semidefinite pivot rule.  After the pivots of the eliminated index set
-    S, entry (i, j) of the trailing block holds the bordered minor
-    det A[S+i, S+j], so the Schur complement is W / prev with ``prev`` =
-    det A[S] > 0, and each Bareiss division is exact.  Each pivot p updates
-    the trailing block T with column c as one array operation,
-    T <- (p T - c c^T) / prev, in int64 while |p| max|T| + max|c|^2 < 2^63
-    (which bounds every intermediate); the first pivot that fails the bound
-    converts W once to Python ints and the same loop goes on, so the integers
-    are the same either way.  A negative pivot refutes PSD; a zero pivot whose
-    column has a nonzero residual refutes PSD via the indefinite 2x2 block it
-    exposes; a zero pivot with a zero column is skipped with ``prev``
-    unchanged, which is Bareiss on the matrix with that index deleted.
+    holds" may be proved without elimination, in two ways that never refute.
+    With ``lambda_min``, a floating lower estimate of the smallest eigenvalue
+    of ``M.num`` from an eigensolve the caller already ran, the exactly
+    checked integer certificate of :func:`_dominance_certificate` is tried,
+    whose floating Cholesky factor only proposes it; no eigensolve runs
+    here.  Then a ``M.num`` that is :func:`_diagonally_dominant` is PSD, in
+    exact integers of any size, which settles a large shift at once.
+    Bareiss decides everything else: fraction-free integer LDL^T (symmetric
+    Bareiss elimination) with the semidefinite pivot rule.  After the pivots
+    of the eliminated index set S, entry (i, j) of the trailing block holds
+    the bordered minor det A[S+i, S+j], so the Schur complement is W / prev
+    with ``prev`` = det A[S] > 0, and each Bareiss division is exact.  Each
+    pivot p updates the trailing block T with column c as one array
+    operation, T <- (p T - c c^T) / prev, in int64 while |p| max|T| +
+    max|c|^2 < 2^63 (which bounds every intermediate); the first pivot that
+    fails the bound converts W once to Python ints and the same loop goes
+    on, so the integers are the same either way.  A negative pivot refutes
+    PSD; a zero pivot whose column has a nonzero residual refutes PSD via
+    the indefinite 2x2 block it exposes; a zero pivot with a zero column is
+    skipped with ``prev`` unchanged, which is Bareiss on the matrix with
+    that index deleted.
     """
     A = M.num
     if not np.array_equal(A, A.T):
         raise ValueError("PSD decision requires a symmetric matrix")
-    if lambda_min is not None and _dominance_certificate(A, lambda_min):
+    if (lambda_min is not None and _dominance_certificate(A, lambda_min)) or _diagonally_dominant(A):
         return None
     n = M.order
     W = A.copy()

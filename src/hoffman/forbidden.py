@@ -12,53 +12,50 @@ sorted triples are distinct, so one dictionary lookup per index triple
 decides it.
 
 Certificates for claims of the form lambda_min(G) < -t are rational vectors
-x with x^T (A + tI) x < 0.  The threshold expansions of :func:`prop215` get
-theirs from their stated equitable partitions: the partition is verified and
-its quotient computed by :func:`graph_quotient_matrix`, the r x r block form
-diag(sizes)(Q + tI) is refuted by exact LDL^T, and the witness is lifted to
-a block-constant vector and re-checked on the graph itself in integers.  The
+x with x^T (A + tI) x < 0.  Every exact decision of lambda_min(G) >= -t on
+blocks reads one :class:`_Quotient`: an equitable partition of G with its
+quotient Q, whose block form diag(sizes)(Q + tI) represents A + tI on
+block-constant vectors.  It is decided by exact LDL^T, with the estimate for
+the dominance certificate from Q's one dense eigensolve, and a refutation is
+lifted block-constant and re-checked on the graph itself in integers.  The
 re-check groups the vertices by their value: each vertex's sum over its
 neighbors is one popcount of its neighborhood bitset against each value
 class, and a lifted witness has at most one value per block, so no edge is
 visited one at a time.
 
-Every other exact decision of lambda_min(G) >= -t on a graph, that is the
+The threshold expansions of :func:`prop215` state their partitions, which
+:func:`graph_quotient_matrix` verifies.  Every other decision, that is the
 nine pairs of :func:`verify_proposition_cal`, ``lambda-min --at-least`` and
-condition (iii) of ``check-intro2``, is :func:`certify_lambda_min_below`,
-and the floating evidence of every command is
-:func:`graph_lambda_min_float`.  Both first split G into its twin classes
+condition (iii) of ``check-intro2``, is :func:`certify_lambda_min_below`, and
+the floating evidence of every command is :func:`graph_lambda_min_float`.
+Both read the :class:`_TwinSplit` of G, whose blocks are its twin classes
 (:func:`hoffman.graphs.twin_classes`): closed twins have N[u] = N[v], open
 twins N(u) = N(v).  Each class V_I is a module, so the split of the spectrum
 is exact.  A vector supported on one class and summing to zero there is an
 eigenvector, with eigenvalue -1 for a closed class and 0 for an open one,
 since A restricted to the class is J - I or 0 and the rest of the graph sees
 every vertex of the class alike.  These vectors are orthogonal to the
-block-constant vectors, which A maps to themselves; on x = sum_I y_I 1_{V_I},
-x^T (A + tI) x = y^T (B + t diag(s)) y with B_IJ = e(V_I, V_J), the number of
-ordered adjacent pairs, and s the class sizes.  So A + tI is PSD exactly when
-t >= 1 if a closed class has two vertices, t >= 0 if an open class has two,
-and B + t diag(s) = diag(s)(Q + tI) is PSD, for the twin quotient Q.  A
-refutation is e_u - e_v inside a class or a witness of the r x r block form
-lifted block-constant, re-checked on the graph the same way before it is
-returned.  In a clique expansion G(h, p) the vertices of each fat clique are
-closed twins, so its block form has order at most that of h; on a twin-free
-graph it is A + tI itself.
-
-A command or ``cal`` pair that needs both passes them one
-:class:`_TwinSplit`, so G is split once and the dense eigensolve runs once,
-on Q (on A itself when G is twin-free, with no quotient built): it gives the
-floating evidence and the estimate from which the dominance certificate of
-the block form proposes.  A stated partition's block form comes with no
-estimate, so its certificate is not tried and LDL^T decides it alone.
+block-constant vectors, which A maps to themselves; on x = sum_I y_I
+1_{V_I}, x^T (A + tI) x = y^T (B + t diag(s)) y with B_IJ = e(V_I, V_J), the
+number of ordered adjacent pairs, and s the class sizes.  So A + tI is PSD
+exactly when t >= 1 if a closed class has two vertices, t >= 0 if an open
+class has two, and B + t diag(s) = diag(s)(Q + tI) is PSD.  A refutation is
+e_u - e_v inside a class or the lifted witness of the block form.  In a
+clique expansion G(h, p) the vertices of each fat clique are closed twins,
+so its block form has order at most that of h; on a twin-free graph it is
+A + tI itself.  A command or ``cal`` pair passes one split to both, so G is
+split once and the one eigensolve, on Q (on A itself when G is twin-free,
+with no quotient built), gives the floating evidence and the estimate.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 from . import exact
@@ -66,7 +63,6 @@ from ._numpy import np
 from .errors import NotEquitable, VerificationError
 from .exact import (
     _INT64_LIMIT,
-    Partition,
     RationalMatrix,
     _amax,
     adjacency_bits,
@@ -168,9 +164,71 @@ def adjacency_rational(G: Graph, vertices: Optional[Sequence[int]] = None) -> Ra
     return RationalMatrix.fraction_free(adjacency_bits(G, vertices).astype(np.int64), 1)
 
 
-class _TwinSplit:
-    """The twin classes of G, the matrix its spectral decisions read and that
-    matrix's one dense eigensolve, each computed on first use, so that the
+class _Quotient:
+    """An equitable partition of G into ``blocks`` with its quotient Q
+    (Q_IJ the number of neighbors in block J of any vertex of block I):
+    Q's one dense eigensolve, :attr:`lambda_min`, computed on first use, and
+    the exact decision on the block form, :meth:`witness`.
+    """
+
+    def __init__(self, G: Graph, blocks, quotient: RationalMatrix):
+        self.G = G
+        self.blocks = blocks
+        self.quotient = quotient
+
+    @cached_property
+    def lambda_min(self) -> Optional[float]:
+        """The smallest eigenvalue of Q; None at order 0 or above the
+        floating solver's limit.  When every block is a singleton Q is
+        symmetric and is solved as it is, without the symmetrizing passes."""
+        if len(self.blocks) == self.G.n:
+            values = exact.eigenvalues_float(self.quotient)
+        else:
+            values = quotient_eigenvalues_float(self.quotient, [len(b) for b in self.blocks])
+        return values[0] if values else None
+
+    def witness(self, t) -> Optional[list[Fraction]]:
+        """None when the block form is PSD; otherwise its witness, lifted
+        block-constant and re-checked on G.
+
+        For block sizes n_I the block form T = diag(n)(Q + tI) is symmetric
+        and represents A + tI on block-constant vectors, so any witness for T
+        lifts to the graph.  T is Q + tI from :meth:`RationalMatrix.shifted`
+        with row I scaled by n_I, in int64 unless max(n) max|num| reaches
+        2^63; when every block is a singleton T is Q + tI itself.  With N =
+        diag(n), T = N^(1/2) (S + tI) N^(1/2) for the symmetric S = N^(1/2) Q
+        N^(-1/2), so by Ostrowski's theorem T's smallest eigenvalue is at
+        least min(n) (lambda_min + t) when that is positive.  Scaled to T's
+        numerator that is the estimate the certificate proposes from.  It is
+        formed in exact rationals and converted to float once, and only for
+        an int64 numerator, the only kind the certificate reads, so a
+        threshold outside the float range cannot make it overflow.
+        """
+        t = Fraction(t)
+        sizes = np.array([len(block) for block in self.blocks], dtype=np.int64)
+        T = self.quotient.shifted(t)
+        largest = int(sizes.max(initial=1))
+        if largest > 1:
+            num = T.num
+            if num.dtype != object and largest * _amax(num) >= _INT64_LIMIT:
+                num = num.astype(object)
+            T = RationalMatrix.fraction_free(sizes.astype(num.dtype)[:, None] * num, T.den)
+        estimate = None
+        if T.num.dtype == np.int64 and self.lambda_min is not None:
+            estimate = float(T.den * int(sizes.min()) * (Fraction(self.lambda_min) + t))
+        y = psd_witness(T, estimate)
+        if y is None:
+            return None
+        x = [Fraction(0)] * self.G.n
+        for block, val in zip(self.blocks, y):
+            for v in block:
+                x[v] = val
+        return _rechecked(self.G, t, x)
+
+
+class _TwinSplit(_Quotient):
+    """The :class:`_Quotient` of G's twin classes, whose blocks, gaps,
+    quotient and eigensolve are each computed on first use, so that the
     floating evidence and the exact decision on one graph share them.
     """
 
@@ -178,8 +236,16 @@ class _TwinSplit:
         self.G = G
 
     @cached_property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
         return twin_classes(self.G)
+
+    @cached_property
+    def gaps(self) -> list[tuple[int, int, int, int]]:
+        """(I, u, v, e) for each twin class I of two or more with first
+        vertices u, v: e_u - e_v is an eigenvector of A with eigenvalue e, -1
+        for a closed class and 0 for an open one."""
+        return [(i, c[0], c[1], -1 if self.G.has_edge(c[0], c[1]) else 0)
+                for i, c in enumerate(self.blocks) if len(c) > 1]
 
     @cached_property
     def quotient(self) -> RationalMatrix:
@@ -191,36 +257,15 @@ class _TwinSplit:
         the v_I, not from per-vertex counts; on a twin-free graph (r = n) it
         is the adjacency matrix itself.
         """
-        classes = self.classes
+        classes = self.blocks
         if len(classes) == self.G.n:
             return adjacency_rational(self.G)
         Q = adjacency_rational(self.G, [c[0] for c in classes]).num * np.array(
             [len(c) for c in classes], dtype=np.int64)
-        for i, _, _, e in _twin_gaps(self.G, classes):
+        for i, _, _, e in self.gaps:
             if e:
                 Q[i, i] = len(classes[i]) - 1
         return RationalMatrix.fraction_free(Q, 1)
-
-    @cached_property
-    def lambda_min(self) -> Optional[float]:
-        """The smallest eigenvalue of Q; None at order 0 or above the
-        floating solver's limit.  On a twin-free graph Q = A is solved as
-        it is, without the symmetrizing passes a quotient needs."""
-        Q = self.quotient
-        if len(self.classes) == self.G.n:
-            values = exact.eigenvalues_float(Q)
-        else:
-            values = quotient_eigenvalues_float(Q, [len(c) for c in self.classes])
-        return values[0] if values else None
-
-
-def _twin_gaps(G: Graph, classes):
-    """(I, u, v, e) for each twin class I of two or more with first vertices
-    u, v: e_u - e_v is an eigenvector of A with eigenvalue e, -1 for a closed
-    class and 0 for an open one."""
-    for i, c in enumerate(classes):
-        if len(c) > 1:
-            yield i, c[0], c[1], -1 if G.has_edge(c[0], c[1]) else 0
 
 
 def graph_lambda_min_float(G: Graph, split: Optional[_TwinSplit] = None) -> Optional[float]:
@@ -236,21 +281,24 @@ def graph_lambda_min_float(G: Graph, split: Optional[_TwinSplit] = None) -> Opti
     if not 0 < G.n <= exact.FLOAT_ORDER_LIMIT:
         return None
     split = _TwinSplit(G) if split is None else split
-    return min([split.lambda_min, *(float(e) for *_, e in _twin_gaps(G, split.classes))])
+    return min([split.lambda_min, *(float(e) for *_, e in split.gaps)])
 
 
-def graph_quotient_matrix(G: Graph, P: Partition) -> RationalMatrix:
+def graph_quotient_matrix(G: Graph, blocks: Sequence[Sequence[int]]) -> RationalMatrix:
     """Equitable-partition quotient of an adjacency matrix, via bitsets.
 
+    ``blocks`` must be nonempty, disjoint and cover 0..n-1, else ValueError.
     Entry (I, J) is the number of neighbors in block J of any vertex of
     block I.  Equitability is verified, not assumed: a vertex whose count
     differs from its block's first vertex raises :class:`NotEquitable`.
     """
-    if P.n != G.n:
-        raise ValueError("partition size does not match vertex count")
-    masks = [_bitset(block) for block in P.blocks]
+    masks = [_bitset(block) for block in blocks]
+    # n indices in all whose union is 0..n-1 are n distinct ones
+    if (not all(masks) or sum(len(block) for block in blocks) != G.n
+            or reduce(operator.or_, masks, 0) != (1 << G.n) - 1):
+        raise ValueError("blocks must be nonempty, disjoint and cover 0..n-1")
     rows = []
-    for block in P.blocks:
+    for block in blocks:
         row = []
         for jdx, mask in enumerate(masks):
             counts = [(G.bits(v) & mask).bit_count() for v in block]
@@ -302,22 +350,20 @@ def certify_lambda_min_below(G: Graph, t, split: Optional[_TwinSplit] = None) ->
 
     A twin class of two or more gives e_u - e_v with value 2(t + e) for its
     eigenvalue e, which refutes when t < -e.  Otherwise A + tI is PSD exactly
-    when diag(s)(Q + tI) is, for the twin quotient Q; on a twin-free graph
-    that matrix is A + tI itself, so the verdict and the witness are those
-    of LDL^T on the full matrix.  The dominance certificate proposes from
-    the split's one eigensolve of Q (see :func:`_block_witness`), the one
-    that also gives the floating evidence.  ``split``, when given, is the
-    :class:`_TwinSplit` of G that a caller shares with
-    :func:`graph_lambda_min_float`.
+    when diag(s)(Q + tI) is, for the twin quotient Q, and the split's
+    :meth:`_Quotient.witness` decides it; on a twin-free graph that matrix
+    is A + tI itself, so the verdict and the witness are those of LDL^T on
+    the full matrix.  ``split``, when given, is the :class:`_TwinSplit` of G
+    that a caller shares with :func:`graph_lambda_min_float`.
     """
     t = Fraction(t)
     split = _TwinSplit(G) if split is None else split
-    for _, u, v, e in _twin_gaps(G, split.classes):
+    for _, u, v, e in split.gaps:
         if t < -e:
             x = [Fraction(0)] * G.n
             x[u], x[v] = Fraction(1), Fraction(-1)
             return _rechecked(G, t, x)
-    return _block_witness(G, t, split.classes, split.quotient, split.lambda_min)
+    return split.witness(t)
 
 
 def _rechecked(G: Graph, t, witness: Optional[list[Fraction]]) -> Optional[list[Fraction]]:
@@ -327,53 +373,9 @@ def _rechecked(G: Graph, t, witness: Optional[list[Fraction]]) -> Optional[list[
     return witness
 
 
-def _block_witness(G: Graph, t, blocks, quotient: RationalMatrix,
-                   lambda_min: Optional[float] = None) -> Optional[list[Fraction]]:
-    """None when the block form of an equitable partition is PSD; otherwise
-    its witness, lifted block-constant and re-checked on the graph.
-
-    For block sizes n_I the matrix T = diag(n)(Q + tI), with T_IJ = n_I Q_IJ
-    + t n_I [I = J], is symmetric and represents the quadratic form of
-    A + tI on block-constant vectors, so any witness for T lifts to the
-    graph.  T is Q + tI from :meth:`RationalMatrix.shifted` with row I
-    scaled by n_I, in int64 unless max(n) max|num| reaches 2^63; when every
-    block is a singleton T is Q + tI itself, and no second array is built.
-
-    ``lambda_min`` is a floating smallest eigenvalue of Q, when the caller
-    has one; without it the dominance certificate is not tried.  With
-    N = diag(n), T = N^(1/2) (S + tI) N^(1/2) for the symmetric
-    S = N^(1/2) Q N^(-1/2), so by Ostrowski's theorem T's smallest
-    eigenvalue is at least min(n) (lambda_min + t) when that is positive.
-    Scaled to T's numerator it is the estimate the certificate proposes
-    from.  It is formed in exact rationals and converted to float once, and
-    only for an int64 numerator, the only kind the certificate reads, so a
-    threshold outside the float range cannot make it overflow.
-    """
-    t = Fraction(t)
-    sizes = np.array([len(block) for block in blocks], dtype=np.int64)
-    T = quotient.shifted(t)
-    largest = int(sizes.max(initial=1))
-    if largest > 1:
-        num = T.num
-        if num.dtype != object and largest * _amax(num) >= _INT64_LIMIT:
-            num = num.astype(object)
-        T = RationalMatrix.fraction_free(sizes.astype(num.dtype)[:, None] * num, T.den)
-    estimate = None
-    if lambda_min is not None and T.num.dtype == np.int64:
-        estimate = float(T.den * int(sizes.min()) * (Fraction(lambda_min) + t))
-    y = psd_witness(T, estimate)
-    if y is None:
-        return None
-    x = [Fraction(0)] * G.n
-    for block, val in zip(blocks, y):
-        for v in block:
-            x[v] = val
-    return _rechecked(G, t, x)
-
-
-def _lift_quotient_witness(G: Graph, t, partition: Partition, quotient: RationalMatrix) -> list[Fraction]:
-    """The witness of :func:`_block_witness` for a stated partition, which must exist."""
-    x = _block_witness(G, t, partition.blocks, quotient)
+def _lift_quotient_witness(quotient: _Quotient, t) -> list[Fraction]:
+    """The witness of a stated partition's block form, which must exist."""
+    x = quotient.witness(t)
     if x is None:
         raise VerificationError("quotient form is PSD; no block-constant witness")
     return x
@@ -420,21 +422,19 @@ def verify_proposition_cal() -> list[dict]:
 # -- threshold expansions with quotient cross-checks -------------------------------
 
 def _quotient_check(G: Graph, s: int, blocks, construction: str) -> dict:
-    partition = Partition(blocks)
-    Q = graph_quotient_matrix(G, partition)
-    det = det_exact(Q.shifted(s))
+    q = _Quotient(G, blocks, graph_quotient_matrix(G, blocks))
+    det = det_exact(q.quotient.shifted(s))
     if det != -1:
         raise VerificationError(f"{construction}: det(quotient + {s}I) = {det}, expected -1")
     # det(T) = prod(sizes) * det < 0 for the block form T of the lift, so T
     # is not PSD and the lift cannot miss
-    witness = _lift_quotient_witness(G, s, partition, Q)
-    qmin = quotient_eigenvalues_float(Q, partition.sizes())[0]
+    witness = _lift_quotient_witness(q, s)
     return {
         "construction": construction,
         "vertices": G.n,
-        "quotient": Q.to_json(),
+        "quotient": q.quotient.to_json(),
         "det_shifted": str(det),
-        "quotient_lambda_min": qmin,
+        "quotient_lambda_min": q.lambda_min,
         "graph_lambda_min": graph_lambda_min_float(G),
         "exact_verdict": True,
         "witness_support": sum(1 for v in witness if v != 0),

@@ -12,7 +12,6 @@ from hoffman import (
     Graph,
     HoffmanGraph,
     NotEquitable,
-    Partition,
     RationalMatrix,
     complete_graph,
     cycle_graph,
@@ -103,20 +102,20 @@ def quadratic_form(M: RationalMatrix, x: Sequence) -> Fraction:
                 for j in range(M.order) if xs[j]), Fraction(0))
 
 
-def quotient_matrix(M: RationalMatrix, P: Partition) -> RationalMatrix:
-    """Quotient of M over an equitable partition (the dense reference).
+def quotient_matrix(M: RationalMatrix, blocks: Sequence[Sequence[int]]) -> RationalMatrix:
+    """Quotient of M over an equitable partition into ``blocks`` (the dense reference).
 
     Equitability is verified: for blocks I, J the sum of row entries into J
     must be the same for every row of I, else :class:`NotEquitable` names
     the violating (row, block) pair.
     """
-    if P.n != M.order:
+    if sum(len(block) for block in blocks) != M.order:
         raise ValueError("partition size does not match matrix order")
     rows = fraction_rows(M)
     q = []
-    for block in P.blocks:
+    for block in blocks:
         qrow = []
-        for jdx, other in enumerate(P.blocks):
+        for jdx, other in enumerate(blocks):
             sums = [sum(rows[i][j] for j in other) for i in block]
             for offset, s in enumerate(sums):
                 if s != sums[0]:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hoffman import (
     Graph,
     NotEquitable,
-    Partition,
     RationalMatrix,
     adjacency_rational,
     catalog,
@@ -301,9 +300,12 @@ def test_int64_kernel_promotes_once_and_matches_oracle(no_certificate):
             assert quadratic_form(M, w) < 0
 
 
-def test_kernel_at_the_int64_limits(no_certificate):
-    top, low = 2**63 - 1, -2**63
-    matrices = [
+_TOP, _LOW = 2**63 - 1, -2**63
+
+
+def _int64_limit_matrices():
+    top, low = _TOP, _LOW
+    return [
         [[top, 1], [1, 1]],
         [[top, top], [top, top]],
         [[top, top], [top, top - 1]],
@@ -321,7 +323,11 @@ def test_kernel_at_the_int64_limits(no_certificate):
         [[2**32, 1], [1, 2**32]],
         [[2**32, 2**31], [2**31, 2**30]],
     ]
-    for rows in matrices:
+
+
+def test_kernel_at_the_int64_limits(no_certificate):
+    low = _LOW
+    for rows in _int64_limit_matrices():
         M = RationalMatrix(rows)
         assert M.num.dtype == (object if any(low in row or -low in row for row in rows)
                                else np.int64)
@@ -436,6 +442,61 @@ def test_psd_witness_without_an_estimate_runs_no_eigensolve(monkeypatch):
         monkeypatch.setattr(module, name, forbidden_call)
     for M, w in zip(cases, expected):
         assert psd_witness(M) == w
+
+
+# -- the diagonal dominance check ------------------------------------------------------
+
+def _dominant_by_rows(rows):
+    """A_ii >= sum_{j != i} |A_ij| for every row, in Python ints (the reference)."""
+    return all(row[i] >= sum(abs(x) for j, x in enumerate(row) if j != i)
+               for i, row in enumerate(rows))
+
+
+def _assert_dominance_is_sound(rows):
+    """The check matches the row-sum reference, and each "PSD holds" it
+    gives is PSD by the Fraction LDL^T oracle; returns its verdict."""
+    from hoffman.exact import _diagonally_dominant
+
+    M = RationalMatrix(rows)
+    dominant = _diagonally_dominant(M.num)
+    assert dominant == _dominant_by_rows(rows), rows
+    if dominant:
+        assert _fraction_psd_witness(M) is None, rows
+    assert psd_witness(M) == _fraction_psd_witness(M), rows
+    return dominant
+
+
+def test_dominance_at_the_int64_limits():
+    # summed in int64, the rows of this matrix wrap to a dominant diagonal,
+    # though its determinant is negative
+    wraps = [[_TOP, 0, _TOP], [0, _TOP, _TOP], [_TOP, _TOP, _TOP]]
+    assert det_exact(RationalMatrix(wraps)) < 0
+    assert not _assert_dominance_is_sound(wraps)
+    verdicts = [_assert_dominance_is_sound(rows) for rows in _int64_limit_matrices()]
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+def test_dominance_on_random_symmetric_matrices(wide):
+    # off-diagonal entries below 2^59 keep every int64 row sum below 2^63,
+    # though n max|A| is not, so the check promotes some of them
+    rng = random.Random(f"dominance {wide}")
+    bound = 2**70 if wide else 2**59
+    dominant = wide_matrices = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.choice((0, rng.randrange(-bound, bound)))
+        for i in range(n):
+            # at, just below or just above the sum of the rest of the row
+            off = sum(abs(x) for j, x in enumerate(rows[i]) if j != i)
+            rows[i][i] = off + rng.choice((0, 1, -1, rng.randrange(-bound, bound)))
+        wide_matrices += RationalMatrix(rows).num.dtype == object
+        dominant += _assert_dominance_is_sound(rows)
+    assert 50 < dominant < 250
+    assert wide_matrices > 200 if wide else wide_matrices == 0
 
 
 # -- the float64 product of the certificate is exact -----------------------------------
@@ -687,14 +748,14 @@ def test_empty_matrix_has_no_smallest_eigenvalue():
 def test_quotient_identity_singletons():
     # over singletons the quotient is the adjacency matrix itself
     G = petersen_graph()
-    P = Partition([[v] for v in range(G.n)])
+    P = [[v] for v in range(G.n)]
     assert graph_quotient_matrix(G, P) == adjacency_rational(G)
 
 
 def test_quotient_not_equitable_reports_pair():
     # path 0-1-2, blocks {0}, {1,2}: vertex 1 and 2 differ toward block {0}
     G = Graph(3, [(0, 1), (1, 2)])
-    P = Partition([[0], [1, 2]])
+    P = [[0], [1, 2]]
     for quotient in (lambda: graph_quotient_matrix(G, P),
                      lambda: quotient_matrix(adjacency_rational(G), P)):
         with pytest.raises(NotEquitable) as err:
@@ -706,10 +767,10 @@ def test_quotient_not_equitable_reports_pair():
 def test_quotient_eigenvalues_interlace_into_host():
     # complete multipartite-ish: K5 with blocks {0}, rest
     A = adjacency_rational(complete_graph(5))
-    P = Partition([[0], [1, 2, 3, 4]])
+    P = [[0], [1, 2, 3, 4]]
     Q = graph_quotient_matrix(complete_graph(5), P)
     assert Q == RationalMatrix([[0, 4], [1, 3]]) == quotient_matrix(A, P)
-    qvals = quotient_eigenvalues_float(Q, P.sizes())
+    qvals = quotient_eigenvalues_float(Q, [len(b) for b in P])
     host = eigenvalues_float(A)
     for v in qvals:
         assert any(abs(v - h) < 1e-8 for h in host)
@@ -717,11 +778,11 @@ def test_quotient_eigenvalues_interlace_into_host():
 
 def test_partition_validation():
     with pytest.raises(ValueError):
-        Partition([[0], [0, 1]])
+        graph_quotient_matrix(Graph(2), [[0], [0, 1]])
     with pytest.raises(ValueError):
-        Partition([[0], [2]])
+        graph_quotient_matrix(Graph(2), [[0], [2]])
     with pytest.raises(ValueError):
-        Partition([[0], []])
+        graph_quotient_matrix(Graph(1), [[0], []])
 
 
 def test_lambda_min_on_forbidden_templates():
@@ -745,7 +806,7 @@ def test_quotient_complete_bipartite_sides():
 
     a, b = 3, 5
     G = Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    P = Partition([list(range(a)), list(range(a, a + b))])
+    P = [list(range(a)), list(range(a, a + b))]
     Q = graph_quotient_matrix(G, P)
     assert Q == RationalMatrix([[0, b], [a, 0]]) == quotient_matrix(adjacency_rational(G), P)
     qvals = quotient_eigenvalues_float(Q, (a, b))

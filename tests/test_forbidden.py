@@ -11,7 +11,6 @@ from hoffman import (
     ForbiddenHit,
     Graph,
     NotEquitable,
-    Partition,
     RationalMatrix,
     VerificationError,
     adjacency_rational,
@@ -37,7 +36,7 @@ from hoffman import (
     twin_classes,
     verify_proposition_cal,
 )
-from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness
+from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness, _Quotient
 
 from .conftest import (
     count_calls,
@@ -317,9 +316,17 @@ def test_certificate_with_a_threshold_outside_the_float_range():
                 assert graph_quadratic_form(G, t, w) < 0
 
 
+def test_certificate_at_a_threshold_that_dominates_every_row():
+    # A + tI is diagonally dominant, so PSD holds without elimination on
+    # Python ints of the size of t
+    G = line_graph_of_complete(14)
+    for t in (2**62, 10**19, 10**40):
+        assert certify_lambda_min_below(G, t) is None
+
+
 def _one_pass_block_form(quotient, t, sizes):
     """diag(sizes)(Q + tI) in one pass over Q, with its own overflow bound:
-    the builder that _block_witness used before it scaled Q.shifted(t), kept
+    the builder the block form used before it scaled Q.shifted(t), kept
     as the oracle of the two-step build."""
     from hoffman.exact import _amax
 
@@ -363,7 +370,9 @@ def test_block_form_matches_the_one_pass_builder(monkeypatch):
         blocks = [range(a, a + n) for a, n in zip(starts, sizes)]
         lambda_min = rng.choice((None, 0.5, -3.0))
         seen.clear()
-        assert forbidden._block_witness(Graph(sum(sizes)), t, blocks, Q, lambda_min) is None
+        q = forbidden._Quotient(Graph(sum(sizes)), blocks, Q)
+        q.lambda_min = lambda_min
+        assert q.witness(t) is None
         (T, estimate), = seen
         expected = _one_pass_block_form(Q, t, sizes)
         assert T.den == expected.den
@@ -403,26 +412,31 @@ def _threshold_expansions(s):
     g2 = expand(clique_with_two_fats(s), p2)
     g3 = expand(pendant_slim_pair(s), p3)
     return [
-        (g1, Partition([[0], list(range(1, g1.n))])),
-        (g2, Partition([list(range(s)), list(range(s, g2.n))])),
-        (g3, Partition([[0], [1], list(range(2, g3.n))])),
+        (g1, [[0], list(range(1, g1.n))]),
+        (g2, [list(range(s)), list(range(s, g2.n))]),
+        (g3, [[0], [1], list(range(2, g3.n))]),
     ]
 
 
 def _expansion_cases():
     for name, p in PROP_CAL_PAIRS:
         h = catalog(name).hoffman
-        yield f"{name}, p={p}", expand(h, p), 3, Partition(expansion_blocks(h, p))
+        yield f"{name}, p={p}", expand(h, p), 3, expansion_blocks(h, p)
     for s in (2, 3, 4):
         for k, (G, P) in enumerate(_threshold_expansions(s)):
             yield f"prop215 s={s} #{k + 1}", G, s, P
+
+
+def _lift(G, t, blocks):
+    """The witness lifted from a stated partition, as prop215 forms it."""
+    return _lift_quotient_witness(_Quotient(G, blocks, graph_quotient_matrix(G, blocks)), t)
 
 
 def test_lifted_witness_agrees_with_dense_ldlt():
     # the lifted witness is checked against the dense matrix form, and LDL^T
     # on the full A + tI (the route the lift replaced) must refute PSD too
     for label, G, t, P in _expansion_cases():
-        x = _lift_quotient_witness(G, t, P, graph_quotient_matrix(G, P))
+        x = _lift(G, t, P)
         A = adjacency_rational(G).shifted(t)
         assert quadratic_form(A, x) < 0, label
         assert quadratic_form(A, x) == graph_quadratic_form(G, t, x), label
@@ -432,9 +446,9 @@ def test_lifted_witness_agrees_with_dense_ldlt():
 def test_lift_refuses_when_psd():
     # A + 3I is exactly PSD for (h_5, p = 10): no witness of any kind exists
     h = catalog("h_5").hoffman
-    G, P = expand(h, 10), Partition(expansion_blocks(h, 10))
+    G, P = expand(h, 10), expansion_blocks(h, 10)
     with pytest.raises(VerificationError):
-        _lift_quotient_witness(G, 3, P, graph_quotient_matrix(G, P))
+        _lift(G, 3, P)
 
 
 def test_expansion_blocks_are_equitable():
@@ -444,8 +458,8 @@ def test_expansion_blocks_are_equitable():
         assert h.n_fat >= 2, name
         for p in (1, 2, 5):
             G = expand(h, p)
-            P = Partition(expansion_blocks(h, p))
-            assert list(P.sizes()) == [1] * h.n_slim + [p] * h.n_fat
+            P = expansion_blocks(h, p)
+            assert [len(b) for b in P] == [1] * h.n_slim + [p] * h.n_fat
             Q = graph_quotient_matrix(G, P)
             assert Q == quotient_matrix(adjacency_rational(G), P), (name, p)
             rows = fraction_rows(Q)
@@ -459,11 +473,11 @@ def test_expansion_blocks_are_equitable():
 
 def test_graph_quotient_matches_dense_quotient():
     G = expand(slim_with_fats(3), 3)
-    P = Partition([[0], list(range(1, G.n))])
+    P = [[0], list(range(1, G.n))]
     assert graph_quotient_matrix(G, P) == quotient_matrix(adjacency_rational(G), P)
     assert graph_quotient_matrix(G, P) == RationalMatrix([[0, 9], [1, 2]])
     with pytest.raises(NotEquitable):
-        graph_quotient_matrix(cycle_graph(4), Partition([[0], [1, 2, 3]]))
+        graph_quotient_matrix(cycle_graph(4), [[0], [1, 2, 3]])
 
 
 # -- the nine expansion inequalities ------------------------------------------------------
@@ -491,8 +505,8 @@ def test_cal_pairs_are_refuted_by_the_twin_split_and_by_the_expansion_quotient()
         G = expand(h, p)
         w = certify_lambda_min_below(G, 3)
         assert w is not None and graph_quadratic_form(G, 3, w) < 0, name
-        P = Partition(expansion_blocks(h, p))
-        x = _lift_quotient_witness(G, 3, P, graph_quotient_matrix(G, P))
+        P = expansion_blocks(h, p)
+        x = _lift(G, 3, P)
         assert graph_quadratic_form(G, 3, x) < 0, name
 
 
@@ -509,7 +523,7 @@ def _count_certificate_work(monkeypatch):
         "twin splits": count_calls(monkeypatch, graphs, "twin_classes", lambda G: G.n),
         "quotients": count_calls(monkeypatch, forbidden, "graph_quotient_matrix",
                                  lambda G: G.n),
-        "lifts": count_calls(monkeypatch, forbidden, "_lift_quotient_witness", lambda G: G.n),
+        "lifts": count_calls(monkeypatch, forbidden, "_lift_quotient_witness", lambda q: q.G.n),
     }
 
 
@@ -523,7 +537,7 @@ def test_cal_splits_once_and_solves_once_per_pair(monkeypatch):
 
 def test_prop215_solves_twice_per_expansion(monkeypatch):
     # the stated quotient's float and the graph's float; the lift's block form
-    # comes with no estimate, so its certificate does not solve again
+    # takes its estimate from the stated quotient's float and does not solve again
     work = _count_certificate_work(monkeypatch)
     for s in range(2, 6):
         prop215(s)
@@ -682,7 +696,7 @@ def test_graph_form_matches_edge_sum_on_lifted_witnesses():
     # block-constant vectors on expansions of up to 2025 vertices
     for s in (5, 6, 7):
         for G, P in _threshold_expansions(s):
-            x = _lift_quotient_witness(G, s, P, graph_quotient_matrix(G, P))
+            x = _lift(G, s, P)
             value = graph_quadratic_form(G, s, x)
             assert value < 0
             assert value == _edge_quadratic_form(G, s, x), (s, G.n)

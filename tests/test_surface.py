@@ -12,9 +12,10 @@ export is a second name for ``f``.  An ``assert`` cannot carry a check, since
 ``python -O`` strips it.  ``np.linalg`` is reached only from ``exact.py``, so
 no second floating path decides or reports anything.  The exact PSD kernel
 ``psd_witness`` is reached only from ``exact.py`` and ``forbidden.py``, so
-every graph decision re-checks its refutation on the graph.  The dominance
-certificate proposes only from its caller's eigenvalue estimate, so it never
-names an eigensolver.  Each
+every graph decision re-checks its refutation on the graph, and
+``forbidden.py`` calls it once, with an estimate, so every block form is
+decided the same way.  The dominance certificate proposes only from its
+caller's eigenvalue estimate, so it never names an eigensolver.  Each
 ``Boundary(module, function)`` of ``perfbench/spans.py`` names an attribute
 of that module, since the traced benchmark run patches it by name.
 """
@@ -201,6 +202,17 @@ def test_dominance_certificate_runs_no_eigensolve():
              for solver in ("eigenvalues_float", "eigvalsh")
              if _identifiers(functions[name])[solver]]
     assert found == []
+
+
+def test_one_block_form_decision_in_forbidden():
+    # every block form, twin split or stated partition, is decided by
+    # _Quotient.witness with the estimate from its own quotient's eigensolve;
+    # a second call would be a second pipeline, and one without an estimate
+    # would skip the certificate
+    calls = [node for node in ast.walk(_modules()["forbidden.py"])
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "psd_witness"]
+    assert [len(call.args) + len(call.keywords) for call in calls] == [2]
 
 
 def _trace_boundaries() -> list[tuple[str, str]]:
