@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import exact
@@ -168,7 +167,8 @@ class _Quotient:
     """An equitable partition of G into ``blocks`` with its quotient Q
     (Q_IJ the number of neighbors in block J of any vertex of block I):
     Q's one dense eigensolve, :attr:`lambda_min`, computed on first use, and
-    the exact decision on the block form, :meth:`witness`.
+    the exact decision on the block form, :meth:`witness`.  A subclass may
+    supply ``blocks`` and ``quotient`` as lazy attributes instead.
     """
 
     def __init__(self, G: Graph, blocks, quotient: RationalMatrix):
@@ -229,7 +229,9 @@ class _Quotient:
 class _TwinSplit(_Quotient):
     """The :class:`_Quotient` of G's twin classes, whose blocks, gaps,
     quotient and eigensolve are each computed on first use, so that the
-    floating evidence and the exact decision on one graph share them.
+    floating evidence and the exact decision on one graph share them.  It
+    does not call the base initializer: ``blocks`` and ``quotient`` are the
+    cached properties below, not constructor arguments.
     """
 
     def __init__(self, G: Graph):
@@ -292,11 +294,9 @@ def graph_quotient_matrix(G: Graph, blocks: Sequence[Sequence[int]]) -> Rational
     block I.  Equitability is verified, not assumed: a vertex whose count
     differs from its block's first vertex raises :class:`NotEquitable`.
     """
-    masks = [_bitset(block) for block in blocks]
-    # n indices in all whose union is 0..n-1 are n distinct ones
-    if (not all(masks) or sum(len(block) for block in blocks) != G.n
-            or reduce(operator.or_, masks, 0) != (1 << G.n) - 1):
+    if not all(blocks) or sorted(v for block in blocks for v in block) != list(range(G.n)):
         raise ValueError("blocks must be nonempty, disjoint and cover 0..n-1")
+    masks = [_bitset(block) for block in blocks]
     rows = []
     for block in blocks:
         row = []

@@ -258,9 +258,12 @@ def test_integer_kernel_matches_oracle_on_line_graphs(m):
 
 @pytest.fixture
 def no_certificate(monkeypatch):
+    """Neither the certificate nor the dominance check proves PSD, so every
+    matrix is decided by Bareiss elimination."""
     import hoffman.exact as exact
 
     monkeypatch.setattr(exact, "_dominance_certificate", lambda A, lambda_min: False)
+    monkeypatch.setattr(exact, "_diagonally_dominant", lambda A: False)
 
 
 def _minor(rows, k):
