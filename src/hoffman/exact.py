@@ -13,13 +13,14 @@ floating Cholesky factor only proposes, from a smallest-eigenvalue estimate
 that the caller already has (the certificate runs no eigensolve of its own): s
 is chosen so that C C^T is an exact float64 product (every partial sum an
 integer below 2^53), R is formed in int64, and its dominance is checked
-exactly.  The other is A itself diagonally dominant, checked in exact integers
-of any size, which settles a large shift without growing big integers.
-Everything else is decided by fraction-free integer LDL^T with the
+exactly.  Everything else is decided by fraction-free integer LDL^T with the
 semidefinite pivot rule (symmetric Bareiss elimination on ``num``): each pivot
 is one vectorised int64 update under an exact no-overflow bound, and the first
 pivot that fails the bound promotes the array once to Python ints, so no
-Fraction arithmetic and no rounding enters the elimination.  Strict eigenvalue
+Fraction arithmetic and no rounding enters the elimination.  Before that first
+pivot on Python ints, A itself diagonally dominant, checked in exact integers
+of any size, proves "PSD holds", which settles a large shift without growing
+big integers.  Strict eigenvalue
 inequalities carry exact certificates: when a matrix is not PSD the routine
 produces a rational vector x with x^T M x < 0 that can be re-checked
 independently.
@@ -204,37 +205,40 @@ def _dominance_certificate(A: np.ndarray, lambda_min: float) -> bool:
 def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Optional[list[Fraction]]:
     """None when M is PSD; otherwise a rational x with x^T M x < 0.
 
-    The decision is made on ``M.num`` alone, since ``M.den`` > 0.  "PSD
-    holds" may be proved without elimination, in two ways that never refute.
-    With ``lambda_min``, a floating lower estimate of the smallest eigenvalue
-    of ``M.num`` from an eigensolve the caller already ran, the exactly
-    checked integer certificate of :func:`_dominance_certificate` is tried,
-    whose floating Cholesky factor only proposes it; no eigensolve runs
-    here.  Then a ``M.num`` that is :func:`_diagonally_dominant` is PSD, in
-    exact integers of any size, which settles a large shift at once.
-    Bareiss decides everything else: fraction-free integer LDL^T (symmetric
-    Bareiss elimination) with the semidefinite pivot rule.  After the pivots
-    of the eliminated index set S, entry (i, j) of the trailing block holds
-    the bordered minor det A[S+i, S+j], so the Schur complement is W / prev
-    with ``prev`` = det A[S] > 0, and each Bareiss division is exact.  Each
-    pivot p updates the trailing block T with column c as one array
-    operation, T <- (p T - c c^T) / prev, in int64 while |p| max|T| +
-    max|c|^2 < 2^63 (which bounds every intermediate); the first pivot that
-    fails the bound converts W once to Python ints and the same loop goes
-    on, so the integers are the same either way.  A negative pivot refutes
-    PSD; a zero pivot whose column has a nonzero residual refutes PSD via
-    the indefinite 2x2 block it exposes; a zero pivot with a zero column is
-    skipped with ``prev`` unchanged, which is Bareiss on the matrix with
-    that index deleted.
+    The decision is made on ``M.num`` alone, since ``M.den`` > 0.  With
+    ``lambda_min``, a floating lower estimate of the smallest eigenvalue of
+    ``M.num`` from an eigensolve the caller already ran, "PSD holds" may
+    first be proved by the exactly checked integer certificate of
+    :func:`_dominance_certificate`, whose floating Cholesky factor only
+    proposes it; no eigensolve runs here.  Bareiss decides everything else:
+    fraction-free integer LDL^T (symmetric Bareiss elimination) with the
+    semidefinite pivot rule.  After the pivots of the eliminated index set
+    S, entry (i, j) of the trailing block holds the bordered minor
+    det A[S+i, S+j], so the Schur complement is W / prev with ``prev`` =
+    det A[S] > 0, and each Bareiss division is exact.  Each pivot p updates
+    the trailing block T with column c as one array operation,
+    T <- (p T - c c^T) / prev, in int64 while |p| max|T| + max|c|^2 < 2^63
+    (which bounds every intermediate); the first pivot that fails the bound
+    converts W once to Python ints and the same loop goes on, so the
+    integers are the same either way.  Before the first pivot on Python
+    ints, a ``M.num`` that is :func:`_diagonally_dominant` is PSD, in exact
+    integers of any size, which settles a large shift without growing big
+    integers; an elimination that stays in int64 never pays for the check.
+    A negative pivot refutes PSD; a zero pivot whose column has a nonzero
+    residual refutes PSD via the indefinite 2x2 block it exposes; a zero
+    pivot with a zero column is skipped with ``prev`` unchanged, which is
+    Bareiss on the matrix with that index deleted.  Neither proof of "PSD
+    holds" ever refutes, so every witness is the one Bareiss gives.
     """
     A = M.num
     if not np.array_equal(A, A.T):
         raise ValueError("PSD decision requires a symmetric matrix")
-    if (lambda_min is not None and _dominance_certificate(A, lambda_min)) or _diagonally_dominant(A):
+    if lambda_min is not None and _dominance_certificate(A, lambda_min):
         return None
     n = M.order
     W = A.copy()
     prev = 1
+    wide = False
     for k in range(n):
         p = int(W[k, k])
         if p < 0:
@@ -251,8 +255,10 @@ def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Option
             c = Fraction(int(W[r, r]), prev)
             return _refuting_vector(W.tolist(), k, {k: -(c + 1) / (2 * m), r: Fraction(1)})
         T = W[k + 1:, k + 1:]
-        if W.dtype != object and p * _amax(T) + _amax(col) ** 2 >= _INT64_LIMIT:
-            W = W.astype(object)
+        if not wide and (W.dtype == object or p * _amax(T) + _amax(col) ** 2 >= _INT64_LIMIT):
+            if _diagonally_dominant(A):
+                return None
+            wide, W = True, W.astype(object, copy=False)
             col, T = W[k + 1:, k], W[k + 1:, k + 1:]
         T *= p
         T -= np.multiply.outer(col, col)
