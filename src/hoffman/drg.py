@@ -33,6 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -423,10 +424,37 @@ def feasibility_scan(
 
 @dataclass(frozen=True)
 class BetaBounds:
+    """The four exact quantities of the large-diameter degree argument at (b, D, alpha).
+
+    ``f`` is computed by :func:`theorem_beta_bounds`; ``alpha_bound``, ``g``
+    and ``beta_bound`` on first read, and cached.  A report reads ``f`` or
+    ``alpha_bound`` alone, and ``g`` and ``beta_bound`` cost the most.
+    """
+
+    b: int
+    D: int
+    alpha: Fraction
     f: Fraction
-    g: Fraction
-    alpha_bound: Fraction
-    beta_bound: Fraction
+
+    @cached_property
+    def alpha_bound(self) -> Fraction:
+        return self.b * self.b * (self.b + 1) + self.f
+
+    @cached_property
+    def g(self) -> Fraction:
+        b, bp, alpha = self.b, self.b + 1, self.alpha
+        bracket = Fraction(b ** (self.D - 1) - 1, b - 1)
+        return alpha * (bracket - Fraction(bp**2 * (bp**2 + 1), 2)) - bp**5 * b - (b - 1) * bp
+
+    @cached_property
+    def beta_bound(self) -> Fraction:
+        b, bp, alpha = self.b, self.b + 1, self.alpha
+        return (
+            (b * bp**2 - alpha) * Fraction(b**self.D - 1, b - 1)
+            + bp**6 * b
+            + (Fraction(bp**3 * (bp**2 + 1), 2) + 1) * alpha
+            - b
+        )
 
 
 def theorem_beta_bounds(b: int, D: int, alpha) -> BetaBounds:
@@ -438,6 +466,9 @@ def theorem_beta_bounds(b: int, D: int, alpha) -> BetaBounds:
     alpha_bound = b^2(b+1) + f(D,b);
     beta_bound = (b(b+1)^2 - alpha)(b^D-1)/(b-1) + (b+1)^6 b
                  + ((b+1)^3((b+1)^2+1)/2 + 1) alpha - b.
+
+    Only f is evaluated here; the other three when first read (see
+    :class:`BetaBounds`).
     """
     if b < 2 or D < 9:
         raise ValueError("defined for b >= 2 and D >= 9")
@@ -447,16 +478,7 @@ def theorem_beta_bounds(b: int, D: int, alpha) -> BetaBounds:
     if denom <= 0:
         raise ValueError("denominator of f is not positive")
     f = Fraction(b * bp**7, denom)
-    bracket = Fraction(b ** (D - 1) - 1, b - 1)
-    g = alpha * (bracket - Fraction(bp**2 * (bp**2 + 1), 2)) - bp**5 * b - (b - 1) * bp
-    alpha_bound = b * b * bp + f
-    beta_bound = (
-        (b * bp**2 - alpha) * Fraction(b**D - 1, b - 1)
-        + bp**6 * b
-        + (Fraction(bp**3 * (bp**2 + 1), 2) + 1) * alpha
-        - b
-    )
-    return BetaBounds(f=f, g=g, alpha_bound=alpha_bound, beta_bound=beta_bound)
+    return BetaBounds(b=b, D=D, alpha=alpha, f=f)
 
 
 # -- local graph data -------------------------------------------------------------------

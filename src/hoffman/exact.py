@@ -242,7 +242,7 @@ def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Option
     for k in range(n):
         p = int(W[k, k])
         if p < 0:
-            return _refuting_vector(W.tolist(), k, {k: Fraction(1)})
+            return _refuting_vector(W, k, {k: Fraction(1)})
         col = W[k + 1:, k]
         if p == 0:
             nonzero = np.flatnonzero(col)
@@ -253,7 +253,7 @@ def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Option
             # a*e_k + e_r with a = -(c+1)/(2m) has value -1 there
             m = Fraction(int(W[r, k]), prev)
             c = Fraction(int(W[r, r]), prev)
-            return _refuting_vector(W.tolist(), k, {k: -(c + 1) / (2 * m), r: Fraction(1)})
+            return _refuting_vector(W, k, {k: -(c + 1) / (2 * m), r: Fraction(1)})
         T = W[k + 1:, k + 1:]
         if not wide and (W.dtype == object or p * _amax(T) + _amax(col) ** 2 >= _INT64_LIMIT):
             if _diagonally_dominant(A):
@@ -267,20 +267,22 @@ def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Option
     return None
 
 
-def _refuting_vector(W: list[list[int]], k: int, y: dict[int, Fraction]) -> list[Fraction]:
+def _refuting_vector(W: np.ndarray, k: int, y: dict[int, Fraction]) -> list[Fraction]:
     """x with L^T x = y, where columns 0..k-1 of W hold the eliminated pivots
     and l_ij = W[i][j] / W[j][j]; x^T M x then has the sign of y's value on
     the Schur complement, which the caller made negative.  y is supported on
-    indices >= k.
+    indices >= k, so only rows up to its last index and columns below k are
+    read, and only those are converted to Python ints.
     """
     x = [Fraction(0)] * len(W)
     for i, v in y.items():
         x[i] = v
     support = max(y)
+    rows = W[:support + 1, :k].tolist()
     for j in range(k - 1, -1, -1):
-        if W[j][j]:  # a skipped pivot has a zero column and no multipliers
-            acc = sum((W[i][j] * x[i] for i in range(j + 1, support + 1) if x[i]), Fraction(0))
-            x[j] = -acc / W[j][j]
+        if rows[j][j]:  # a skipped pivot has a zero column and no multipliers
+            acc = sum((rows[i][j] * x[i] for i in range(j + 1, support + 1) if x[i]), Fraction(0))
+            x[j] = -acc / rows[j][j]
     return x
 
 

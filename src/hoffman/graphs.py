@@ -11,7 +11,7 @@ input-size limit (:data:`MAX_VERTICES`), a count limit on maximal cliques
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._numpy import np
 from .errors import CliqueLimitExceeded, SearchBudgetExhausted
@@ -184,12 +184,12 @@ def mu_parameter(G: Graph) -> int:
 
     Returns 0 when no non-adjacent pair exists (complete graphs).
     """
+    adj = G._adj
     best = 0
-    for u in range(G.n):
-        au = G.bits(u)
+    for u, au in enumerate(adj):
         for v in range(u + 1, G.n):
             if not (au >> v) & 1:
-                common = (au & G.bits(v)).bit_count()
+                common = (au & adj[v]).bit_count()
                 if common > best:
                     best = common
     return best
@@ -197,19 +197,18 @@ def mu_parameter(G: Graph) -> int:
 
 # -- maximal clique enumeration --------------------------------------------
 
-def maximal_cliques(G: Graph, min_size: int = 1) -> tuple[tuple[int, ...], ...]:
-    """All inclusion-maximal cliques of order >= ``min_size``, each a sorted tuple.
+def _clique_search(
+    adj: Sequence[int], min_size: int, found: list[tuple[int, ...]],
+) -> Callable[[list[int], int, int], None]:
+    """Bron-Kerbosch with pivoting over bitsets, as ``extend(r, p, x)``.
 
-    Bron-Kerbosch with pivoting over bitset candidate sets.  The output is
-    sorted lexicographically by vertex list, so downstream indexings are
-    reproducible.  Raises :class:`CliqueLimitExceeded` once more than
-    :data:`MAX_CLIQUES` maximal cliques have been found.
+    ``extend`` appends to ``found`` every maximal clique of order >= ``min_size``
+    that contains the vertex list ``r``, lies in r plus the candidate bitset
+    ``p`` and misses the excluded bitset ``x``, each as a sorted tuple.  Every
+    maximal clique it meets counts towards :data:`MAX_CLIQUES`, over all calls
+    of the same ``extend``, and :class:`CliqueLimitExceeded` is raised past it.
     """
-    if min_size < 1:
-        raise ValueError("min_size must be positive")
-    found: list[tuple[int, ...]] = []
     count = 0
-    adj = G._adj
 
     def extend(r: list[int], p: int, x: int) -> None:
         nonlocal count
@@ -235,9 +234,44 @@ def maximal_cliques(G: Graph, min_size: int = 1) -> tuple[tuple[int, ...], ...]:
             p &= ~(1 << v)
             x |= 1 << v
 
+    return extend
+
+
+def maximal_cliques(G: Graph, min_size: int = 1) -> tuple[tuple[int, ...], ...]:
+    """All inclusion-maximal cliques of order >= ``min_size``, each a sorted tuple.
+
+    Bron-Kerbosch with pivoting over bitset candidate sets.  The output is
+    sorted lexicographically by vertex list, so downstream indexings are
+    reproducible.  Raises :class:`CliqueLimitExceeded` once more than
+    :data:`MAX_CLIQUES` maximal cliques have been found.
+    """
+    if min_size < 1:
+        raise ValueError("min_size must be positive")
+    found: list[tuple[int, ...]] = []
     if G.n:
-        extend([], (1 << G.n) - 1, 0)
+        _clique_search(G._adj, min_size, found)([], (1 << G.n) - 1, 0)
     return tuple(sorted(found))
+
+
+def _maximal_cliques_in_order(G: Graph) -> Iterator[tuple[int, ...]]:
+    """The maximal cliques of G in the order of :func:`maximal_cliques`, lazily.
+
+    One smallest vertex at a time: for each v in increasing order, the
+    maximal cliques whose smallest vertex is v are those through v inside
+    N(v) ∩ {> v} that no vertex of N(v) ∩ {< v} extends; they are found by
+    the same recursion, sorted and yielded before the next v is searched.  A
+    caller that stops early pays only for the groups it reached, but a full
+    walk costs more than the single pivoted search of
+    :func:`maximal_cliques`, whose top level branches on fewer vertices.
+    The :data:`MAX_CLIQUES` limit counts the cliques of the groups reached.
+    """
+    group: list[tuple[int, ...]] = []
+    extend = _clique_search(G._adj, 1, group)
+    for v, bits in enumerate(G._adj):
+        extend([v], bits >> (v + 1) << (v + 1), bits & ((1 << v) - 1))
+        group.sort()
+        yield from group
+        group.clear()
 
 
 # -- independent sets -------------------------------------------------------

@@ -19,7 +19,10 @@ from typing import Optional
 
 from .errors import BoundViolation
 from .forbidden import _TwinSplit, certify_lambda_min_below, graph_lambda_min_float, scan_M_t
-from .graphs import Graph, _bitset, maximal_cliques, maximum_independent_set, mu_parameter
+from .graphs import (
+    Graph, _bitset, _maximal_cliques_in_order, maximal_cliques, maximum_independent_set,
+    mu_parameter,
+)
 from .hgraphs import HoffmanGraph, is_t_fat, special_matrix
 
 
@@ -207,6 +210,15 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
     refutation re-checked on the graph.  When all three hold the associated
     Hoffman graph at level q is built, 2-fatness is asserted, and its special
     matrix is scanned for forbidden principal submatrices at t = 2.
+
+    The violations of (ii) listed are the lexicographically first ten, and
+    the clique search stops at the tenth.  K >= 519 for every c, so on a
+    graph whose degrees are all at most K every maximal clique violates:
+    the cliques are then walked in lexicographic order, one smallest vertex
+    at a time, and only the groups up to the tenth clique are searched, so
+    :data:`~hoffman.graphs.MAX_CLIQUES` bounds those groups, not the whole
+    enumeration.  Any other graph may hold fewer than ten violations, and
+    its cliques come from one full :func:`maximal_cliques` search.
     """
     th = thresholds(3, c)
     report: dict = {"c": c, "c_tilde": th.c_tilde, "q": th.q, "K": th.K}
@@ -214,12 +226,20 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
     mu = mu_parameter(G)
     report["condition_mu"] = {"passed": mu <= c, "mu": mu}
 
+    # with every degree <= K every maximal clique violates, so the walk stops
+    # after ten cliques; a full walk would cost more than the pivoted search
+    if max(map(G.degree, range(G.n)), default=0) <= th.K:
+        cliques = _maximal_cliques_in_order(G)
+    else:
+        cliques = maximal_cliques(G)
     violations = []
-    for clique in maximal_cliques(G):
+    for clique in cliques:
         min_deg = min(G.degree(x) for x in clique)
         if len(clique) > min_deg - th.K:
             violations.append({"clique": list(clique), "min_degree": min_deg})
-    report["condition_clique_order"] = {"passed": not violations, "violations": violations[:10]}
+            if len(violations) == 10:  # the report lists the first ten
+                break
+    report["condition_clique_order"] = {"passed": not violations, "violations": violations}
 
     split = _TwinSplit(G)
     report["condition_lambda_min"] = {

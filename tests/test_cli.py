@@ -216,6 +216,29 @@ def test_check_intro2_desk_scale_fails_clique_condition(capsys, c5_g6):
     assert not report["results"]["condition_clique_order"]["passed"]
 
 
+def test_check_intro2_stops_at_the_tenth_violation(capsys, monkeypatch, tmp_path):
+    import hoffman.graphs as graphs
+
+    from .conftest import line_graph_of_complete
+
+    # every degree of L(K14) is 24 <= K, so every one of its 378 maximal
+    # cliques violates (ii); the report lists the first ten, all in the 14
+    # cliques through vertex 0, and the walk searches no further, so a clique
+    # limit of 20 that the full enumeration exceeds is not reached
+    G = line_graph_of_complete(14)
+    path = tmp_path / "lk14.json"
+    path.write_text(json.dumps({"n": G.n, "edges": [list(e) for e in G.edges()]}))
+    first = [list(c) for c in hoffman.maximal_cliques(G)[:10]]
+    monkeypatch.setattr(graphs, "MAX_CLIQUES", 20)
+    code, report = run_cli(capsys, "check-intro2", "--graph", str(path), "--c", "4")
+    assert code == 2
+    condition = report["results"]["condition_clique_order"]
+    assert not condition["passed"]
+    assert condition["violations"] == [{"clique": c, "min_degree": 24} for c in first]
+    assert main(["assoc", "--graph", str(path), "--q", "2"]) == 1
+    assert capsys.readouterr().err == "error: more than 20 maximal cliques\n"
+
+
 def test_scan_forbidden_matrix(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([[-2, 0, 1], [0, -2, -1], [1, -1, -2]]))

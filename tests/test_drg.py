@@ -542,6 +542,30 @@ def test_alpha_bound_grid_is_b_squared_b_plus_one_squared():
         assert math.floor(bound * (b + 1)) == b * b * (b + 1) ** 2, b
 
 
+def _eager_beta_bounds(b: int, D: int, alpha: Fraction) -> tuple:
+    """(f, g, alpha_bound, beta_bound), each written out from the formulas at once."""
+    bp = b + 1
+    f = Fraction(b * bp**7, 2 * b ** (D - 1) - b * bp**4)
+    g = (alpha * (Fraction(b ** (D - 1) - 1, b - 1) - Fraction(bp**2 * (bp**2 + 1), 2))
+         - bp**5 * b - (b - 1) * bp)
+    alpha_bound = b**2 * bp + f
+    beta_bound = ((b * bp**2 - alpha) * Fraction(b**D - 1, b - 1) + bp**6 * b
+                  + (Fraction(bp**3 * (bp**2 + 1), 2) + 1) * alpha - b)
+    return f, g, alpha_bound, beta_bound
+
+
+def test_lazy_beta_bounds_match_the_eager_formulas():
+    for b in range(2, 41):
+        for D in range(9, 15):
+            for alpha in (Fraction(0), Fraction(1, 3), Fraction(b)):
+                bounds = theorem_beta_bounds(b, D, alpha)
+                # g and beta_bound are not evaluated until read
+                assert "g" not in vars(bounds) and "beta_bound" not in vars(bounds)
+                got = (bounds.f, bounds.g, bounds.alpha_bound, bounds.beta_bound)
+                assert got == _eager_beta_bounds(b, D, alpha), (b, D, alpha)
+                assert (bounds.g, bounds.beta_bound) == got[1::2]
+
+
 def test_beta_bounds_domain():
     with pytest.raises(ValueError):
         theorem_beta_bounds(2, 8, 0)

@@ -22,11 +22,12 @@ from hoffman import (
     parse_graph6,
     twin_classes,
 )
-from hoffman.graphs import MAX_VERTICES
+from hoffman.graphs import MAX_VERTICES, _maximal_cliques_in_order
 
 from .conftest import (
     graph6_encode,
     is_clique,
+    line_graph_of_complete,
     parse_graph6_by_edges,
     petersen_graph,
     planted_twin_graph,
@@ -109,6 +110,24 @@ def _mu_bruteforce(G: Graph) -> int:
     return best
 
 
+def _mu_by_set_intersection(G: Graph) -> int:
+    nbrs = [set(G.neighbors(v)) for v in range(G.n)]
+    return max((len(nbrs[u] & nbrs[v]) for u, v in combinations(range(G.n), 2)
+                if v not in nbrs[u]), default=0)
+
+
+def test_mu_matches_set_intersection_oracle():
+    # no pair (n = 0, 1), no non-adjacent pair (complete graphs), and random
+    # graphs of up to 130 vertices, whose bitsets span several machine words
+    graphs = [Graph(0), Graph(1), Graph(2)] + [complete_graph(n) for n in range(2, 9)]
+    rng = random.Random(29)
+    for n in (2, 3, 63, 64, 65, 130):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            graphs.append(random_graph(rng, n, p))
+    for G in graphs:
+        assert mu_parameter(G) == _mu_by_set_intersection(G), G
+
+
 def test_mu_matches_bruteforce_on_random_graphs():
     rng = random.Random(7)
     for _ in range(40):
@@ -166,6 +185,35 @@ def test_maximal_cliques_match_bruteforce():
         G = random_graph(rng, rng.randint(1, 9), rng.random())
         got = set(maximal_cliques(G))
         assert got == _all_maximal_cliques_bruteforce(G)
+
+
+def test_lexicographic_walk_matches_the_sorted_enumeration():
+    # seeded random graphs of every density, and L(K_m) for m = 5..14
+    rng = random.Random(31)
+    graphs = [Graph(0), Graph(1), Graph(4)]
+    for p in (0.0, 0.05, 0.2, 0.4, 0.5, 0.6, 0.8, 0.95, 1.0):
+        for n in (2, 7, 16, 30, 45):
+            graphs.append(random_graph(rng, n, p))
+    graphs += [line_graph_of_complete(m) for m in range(5, 15)]
+    for G in graphs:
+        assert tuple(_maximal_cliques_in_order(G)) == maximal_cliques(G), G
+
+
+def test_lexicographic_walk_searches_only_the_groups_it_reaches(monkeypatch):
+    import hoffman.graphs as graphs
+
+    # the 14 maximal cliques of L(K_14) through vertex 0 = {0, 1} are the two
+    # stars at 0 and 1 and twelve triangles, all found before vertex 1 is searched
+    G = line_graph_of_complete(14)
+    first = maximal_cliques(G)[:14]
+    assert all(0 in clique for clique in first)
+    monkeypatch.setattr(graphs, "MAX_CLIQUES", 14)
+    walk = _maximal_cliques_in_order(G)
+    assert tuple(next(walk) for _ in range(14)) == first
+    with pytest.raises(CliqueLimitExceeded, match="more than 14 maximal cliques"):
+        next(walk)
+    with pytest.raises(CliqueLimitExceeded, match="more than 14 maximal cliques"):
+        maximal_cliques(G)
 
 
 def test_clique_set_json_is_sorted_lists():

@@ -1,5 +1,6 @@
 """Associated Hoffman graphs, thresholds, clique extraction, the structure check."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from hoffman import (
     theorem_intro2_check,
     thresholds,
 )
-from .conftest import is_clique, petersen_graph, random_graph
+from .conftest import is_clique, line_graph_of_complete, petersen_graph, random_graph
 
 
 # -- associated Hoffman graphs -----------------------------------------------------
@@ -182,6 +183,41 @@ def test_intro2_desk_scale_clique_condition_fails():
     assert report["condition_lambda_min"]["passed"]
     assert not report["condition_clique_order"]["passed"]
     assert report["associated"] is None
+
+
+def _clique_violations(G: Graph, K: int) -> list[dict]:
+    """Every violation of condition (ii), over the full enumeration."""
+    violations = []
+    for clique in maximal_cliques(G):
+        min_deg = min(G.degree(x) for x in clique)
+        if len(clique) > min_deg - K:
+            violations.append({"clique": list(clique), "min_degree": min_deg})
+    return violations
+
+
+def test_intro2_clique_condition_matches_the_full_enumeration(monkeypatch):
+    import hoffman.structure as structure
+
+    rng = random.Random(37)
+    graphs = [Graph(0), Graph(3), cycle_graph(5), petersen_graph(), complete_graph(5)]
+    graphs += [line_graph_of_complete(m) for m in (4, 5, 6, 7)]
+    graphs += [random_graph(rng, n, p) for n in (8, 14, 20) for p in (0.1, 0.3, 0.6, 0.9)]
+    kinds, walked = set(), set()
+    # a small K leaves few violations or none; K >= 519 makes every clique one
+    for K in (0, 1, 2, 3, 5, 8, 519):
+        monkeypatch.setattr(structure, "thresholds",
+                            lambda lam, c, K=K: dataclasses.replace(thresholds(lam, c), K=K))
+        for G in graphs:
+            violations = _clique_violations(G, K)
+            report = theorem_intro2_check(G, 1)
+            assert report["K"] == K
+            assert report["condition_clique_order"] == {
+                "passed": not violations, "violations": violations[:10]}, (G, K)
+            total = len(violations)
+            kinds.add("none" if total == 0 else "few" if total < 10 else "ten or more")
+            walked.add(max(map(G.degree, range(G.n)), default=0) <= K)
+    assert kinds == {"none", "few", "ten or more"}
+    assert walked == {True, False}
 
 
 def test_intro2_constants_for_c6():
