@@ -69,7 +69,7 @@ from .exact import (
     psd_witness,
     quotient_eigenvalues_float,
 )
-from .graphs import Graph, _bitset, _is_int, _iter_bits, twin_classes
+from .graphs import Graph, _bitset, _is_int, twin_classes
 from .hgraphs import (
     catalog,
     clique_with_two_fats,
@@ -312,16 +312,14 @@ def graph_quotient_matrix(G: Graph, blocks: Sequence[Sequence[int]]) -> Rational
 
 
 def graph_quadratic_form(G: Graph, t, x: Sequence) -> Fraction:
-    """x^T (A(G) + t I) x evaluated exactly, over classes of equal values or edge by edge.
+    """x^T (A(G) + t I) x evaluated over classes of equal values, exactly.
 
     Denominators are cleared once: with y = L x integral and t = a/b the value
     is (b W + a sum_u y_u^2) / (b L^2), all in integers, where
     W = 2 sum_{uv in E} y_u y_v.  With M_c the bitset of the vertices where
-    y = c != 0, W = sum_u y_u sum_c c |N(u) & M_c|, at one popcount per
-    support vertex and distinct value; a block-constant vector has at most
-    one value per block.  When that product exceeds twice the edge count, W
-    is summed edge by edge instead, over the edges inside the support; at
-    desk scale one step of that walk costs about two popcount steps.
+    y = c != 0, W = sum_u y_u sum_c c |N(u) & M_c|, so the cost is one
+    popcount per support vertex and distinct value; a block-constant vector
+    has at most one value per block.
     """
     # Fractions are immutable, so the lifted witnesses' entries are reused as they are
     xs = [v if type(v) is Fraction else Fraction(v) for v in x]
@@ -330,23 +328,15 @@ def graph_quadratic_form(G: Graph, t, x: Sequence) -> Fraction:
     t = Fraction(t)
     scale = math.lcm(*(v.denominator for v in xs))
     ys = [v.numerator * (scale // v.denominator) for v in xs]
-    support = [u for u, y in enumerate(ys) if y]
-    masks = dict.fromkeys((ys[u] for u in support), 0)
-    adj = G._adj
-    if len(support) * len(masks) > 2 * G.edge_count():
-        mask = _bitset(support)
-        twice_edge_sum = 2 * sum(
-            ys[u] * sum(ys[v] for v in _iter_bits(adj[u] & mask & ((1 << u) - 1)))
-            for u in support
-        )
-    else:
-        for u in support:
-            masks[ys[u]] |= 1 << u
-        values = list(masks.items())
-        twice_edge_sum = sum(
-            ys[u] * sum(c * (adj[u] & mask).bit_count() for c, mask in values)
-            for u in support
-        )
+    classes: dict[int, int] = {}
+    for v, y in enumerate(ys):
+        if y:
+            classes[y] = classes.get(y, 0) | (1 << v)
+    values = list(classes.items())
+    twice_edge_sum = sum(
+        y * sum(c * (G.bits(u) & mask).bit_count() for c, mask in values)
+        for u, y in enumerate(ys) if y
+    )
     square_sum = sum(y * y for y in ys)
     return Fraction(
         t.denominator * twice_edge_sum + t.numerator * square_sum,

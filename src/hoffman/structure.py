@@ -211,14 +211,13 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
     Hoffman graph at level q is built, 2-fatness is asserted, and its special
     matrix is scanned for forbidden principal submatrices at t = 2.
 
-    The violations of (ii) listed are the lexicographically first ten, and
-    the clique search stops at the tenth.  K >= 519 for every c, so on a
-    graph whose degrees are all at most K every maximal clique violates:
-    the cliques are then walked in lexicographic order, one smallest vertex
-    at a time, and only the groups up to the tenth clique are searched, so
-    :data:`~hoffman.graphs.MAX_CLIQUES` bounds those groups, not the whole
-    enumeration.  Any other graph may hold fewer than ten violations, and
-    its cliques come from one full :func:`maximal_cliques` search.
+    The violations of (ii) listed are the lexicographically first ten: the
+    maximal cliques are walked in lexicographic order, one smallest vertex
+    at a time, and the walk stops at the tenth violation, so
+    :data:`~hoffman.graphs.MAX_CLIQUES` bounds the cliques of the groups it
+    reached, not the whole enumeration.  K >= 519 for every c, so on a graph
+    whose degrees are all at most K every maximal clique violates and the
+    walk stops after ten cliques.
     """
     th = thresholds(3, c)
     report: dict = {"c": c, "c_tilde": th.c_tilde, "q": th.q, "K": th.K}
@@ -226,14 +225,8 @@ def theorem_intro2_check(G: Graph, c: int) -> dict:
     mu = mu_parameter(G)
     report["condition_mu"] = {"passed": mu <= c, "mu": mu}
 
-    # with every degree <= K every maximal clique violates, so the walk stops
-    # after ten cliques; a full walk would cost more than the pivoted search
-    if max(map(G.degree, range(G.n)), default=0) <= th.K:
-        cliques = _maximal_cliques_in_order(G)
-    else:
-        cliques = maximal_cliques(G)
     violations = []
-    for clique in cliques:
+    for clique in _maximal_cliques_in_order(G):
         min_deg = min(G.degree(x) for x in clique)
         if len(clique) > min_deg - th.K:
             violations.append({"clique": list(clique), "min_degree": min_deg})

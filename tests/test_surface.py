@@ -39,7 +39,7 @@ KEEP = {
 # public methods no other library code calls, each with the reason it stays
 KEEP_METHODS = {
     "_Parser.error": "argparse override, called by argparse itself",
-    "BetaBounds.beta_bound": "the degree argument's fourth quantity, computed on first read",
+    "BetaBounds.beta_bound": "the degree argument's bound on beta, read by the research notes",
 }
 
 
