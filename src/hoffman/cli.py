@@ -28,6 +28,7 @@ from fractions import Fraction
 from .errors import HoffmanError, VerificationError
 from .forbidden import (
     PROP_CAL_PAIRS,
+    _prop215_s_limit,
     _TwinSplit,
     certify_lambda_min_below,
     graph_lambda_min_float,
@@ -36,7 +37,7 @@ from .forbidden import (
     scan_M_t,
     verify_proposition_cal,
 )
-from .graphs import load_graph_file
+from .graphs import MAX_VERTICES, load_graph_file
 from .hgraphs import catalog, load_hoffman_file, special_matrix
 from .structure import (
     associated_hoffman,
@@ -119,13 +120,19 @@ def _check_pair(text: str) -> tuple[int, int]:
 
 def _s_max(text: str) -> int:
     """argparse type for ``--s-max``; prop215 starts at s = 2, so a smaller
-    bound would check nothing."""
+    bound would check nothing, and past the largest s whose expansions fit
+    in ``MAX_VERTICES`` it could not build them."""
     try:
         s = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if s < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {s}")
+    limit = _prop215_s_limit()
+    if s > limit:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {limit}, got {s}: an expansion at s = {limit + 1} "
+            f"has more than {MAX_VERTICES} vertices")
     return s
 
 

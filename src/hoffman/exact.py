@@ -33,6 +33,7 @@ FLOAT_ORDER_LIMIT.  No verdict depends on a floating value.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -228,7 +229,8 @@ def psd_witness(M: RationalMatrix, lambda_min: Optional[float] = None) -> Option
     residual refutes PSD via the indefinite 2x2 block it exposes; a zero
     pivot with a zero column is skipped with ``prev`` unchanged, which is
     Bareiss on the matrix with that index deleted.  Neither proof of "PSD
-    holds" ever refutes, so every witness is the one Bareiss gives.
+    holds" ever refutes, so every witness is the one Bareiss gives, solved
+    back from the pivots in integers by :func:`_refuting_vector`.
     """
     A = M.num
     if not np.array_equal(A, A.T):
@@ -273,16 +275,38 @@ def _refuting_vector(W: np.ndarray, k: int, y: dict[int, Fraction]) -> list[Frac
     the Schur complement, which the caller made negative.  y is supported on
     indices >= k, so only rows up to its last index and columns below k are
     read, and only those are converted to Python ints.
+
+    The solve runs in integers over one common denominator d: x = X / d.
+    Pivot j gives x_j = -acc / (p_j d) with acc = sum_{i>j} W[i][j] X_i, and
+    p_j > 0 (a negative pivot stops the elimination, a zero one is skipped),
+    so scaling X and d by f = p_j / gcd(acc, p_j) makes X_j = -acc / (p_j /
+    f) an integer.  Only the nonzero entries become Fractions at the end;
+    the others are one shared zero.
     """
-    x = [Fraction(0)] * len(W)
-    for i, v in y.items():
-        x[i] = v
+    d = math.lcm(*(v.denominator for v in y.values()))
     support = max(y)
-    rows = W[:support + 1, :k].tolist()
+    X = [0] * (support + 1)
+    for i, v in y.items():
+        X[i] = v.numerator * (d // v.denominator)
+    columns = W[:support + 1, :k].T.tolist()
     for j in range(k - 1, -1, -1):
-        if rows[j][j]:  # a skipped pivot has a zero column and no multipliers
-            acc = sum((rows[i][j] * x[i] for i in range(j + 1, support + 1) if x[i]), Fraction(0))
-            x[j] = -acc / rows[j][j]
+        column = columns[j]
+        p = column[j]
+        if not p:  # a skipped pivot has a zero column and no multipliers
+            continue
+        acc = sum(map(operator.mul, column[j + 1:], X[j + 1:]))
+        if not acc:
+            continue
+        g = math.gcd(acc, p)
+        f = p // g
+        if f != 1:
+            X[j + 1:] = map(f.__mul__, X[j + 1:])
+            d *= f
+        X[j] = -acc // g
+    x = [Fraction(0)] * len(W)
+    for i, v in enumerate(X):
+        if v:
+            x[i] = Fraction(v, d)
     return x
 
 

@@ -17,11 +17,15 @@ blocks reads one :class:`_Quotient`: an equitable partition of G with its
 quotient Q, whose block form diag(sizes)(Q + tI) represents A + tI on
 block-constant vectors.  It is decided by exact LDL^T, with the estimate for
 the dominance certificate from Q's one dense eigensolve, and a refutation is
-lifted block-constant and re-checked on the graph itself in integers.  The
-re-check groups the vertices by their value: each vertex's sum over its
-neighbors is one popcount of its neighborhood bitset against each value
-class, and a lifted witness has at most one value per block, so no edge is
-visited one at a time.
+re-checked on the graph itself in integers and lifted block-constant.  One
+routine, :func:`_form_by_class`, does every re-check and
+:func:`graph_quadratic_form` too: the support falls into value classes V_I
+with integer values y_I, and x^T (A + tI) x is sum_{I <= J} (2 - [I = J])
+y_I y_J e(V_I, V_J) + t sum_I |V_I| y_I^2 over one common denominator.  Each
+e(V_I, V_J), the number of ordered adjacent pairs, is counted by popcounts
+of G's own neighborhood bitsets over the smaller class of the pair, never
+read from Q, so no edge is visited one at a time.  A lifted witness has one
+value per block, so its blocks, grouped by value, are its classes.
 
 The threshold expansions of :func:`prop215` state their partitions, which
 :func:`graph_quotient_matrix` verifies.  Every other decision, that is the
@@ -52,9 +56,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import exact
@@ -69,8 +75,9 @@ from .exact import (
     psd_witness,
     quotient_eigenvalues_float,
 )
-from .graphs import Graph, _bitset, _is_int, twin_classes
+from .graphs import MAX_VERTICES, Graph, _bitset, _is_int, _neighborhoods, twin_classes
 from .hgraphs import (
+    HoffmanGraph,
     catalog,
     clique_with_two_fats,
     expand,
@@ -188,8 +195,8 @@ class _Quotient:
         return values[0] if values else None
 
     def witness(self, t) -> Optional[list[Fraction]]:
-        """None when the block form is PSD; otherwise its witness, lifted
-        block-constant and re-checked on G.
+        """None when the block form is PSD; otherwise its witness, re-checked
+        on G block by block and lifted block-constant.
 
         For block sizes n_I the block form T = diag(n)(Q + tI) is symmetric
         and represents A + tI on block-constant vectors, so any witness for T
@@ -203,27 +210,43 @@ class _Quotient:
         formed in exact rationals and converted to float once, and only for
         an int64 numerator, the only kind the certificate reads, so a
         threshold outside the float range cannot make it overflow.
+
+        The re-check reads the blocks and G, not Q: blocks of equal value
+        form one class of :func:`_form_by_class`, so it costs at most one
+        popcount per support vertex and value class.
         """
         t = Fraction(t)
-        sizes = np.array([len(block) for block in self.blocks], dtype=np.int64)
+        sizes = [len(block) for block in self.blocks]
         T = self.quotient.shifted(t)
-        largest = int(sizes.max(initial=1))
+        largest = max(sizes, default=1)
         if largest > 1:
             num = T.num
             if num.dtype != object and largest * _amax(num) >= _INT64_LIMIT:
                 num = num.astype(object)
-            T = RationalMatrix.fraction_free(sizes.astype(num.dtype)[:, None] * num, T.den)
+            T = RationalMatrix.fraction_free(np.array(sizes, dtype=num.dtype)[:, None] * num, T.den)
         estimate = None
         if T.num.dtype == np.int64 and self.lambda_min is not None:
-            estimate = float(T.den * int(sizes.min()) * (Fraction(self.lambda_min) + t))
+            # int / int rounds once, as float(Fraction) does
+            a, b = self.lambda_min.as_integer_ratio()
+            estimate = (T.den * min(sizes) * (a * t.denominator + t.numerator * b)
+                        / (b * t.denominator))
         y = psd_witness(T, estimate)
         if y is None:
             return None
+        # the re-check groups the blocks by value, so it never reads Q
+        scale = math.lcm(*(v.denominator for v in y))
+        classes: dict[int, Sequence[int]] = {}
+        for block, v in zip(self.blocks, y):
+            if v:
+                key = v.numerator * (scale // v.denominator)
+                classes[key] = [*classes[key], *block] if key in classes else block
+        _rechecked(self.G, t, classes, scale)
         x = [Fraction(0)] * self.G.n
-        for block, val in zip(self.blocks, y):
-            for v in block:
-                x[v] = val
-        return _rechecked(self.G, t, x)
+        for block, v in zip(self.blocks, y):
+            if v:
+                for u in block:
+                    x[u] = v
+        return x
 
 
 class _TwinSplit(_Quotient):
@@ -294,18 +317,19 @@ def graph_quotient_matrix(G: Graph, blocks: Sequence[Sequence[int]]) -> Rational
     block I.  Equitability is verified, not assumed: a vertex whose count
     differs from its block's first vertex raises :class:`NotEquitable`.
     """
-    if not all(blocks) or sorted(v for block in blocks for v in block) != list(range(G.n)):
+    if not all(blocks) or sorted(chain.from_iterable(blocks)) != list(range(G.n)):
         raise ValueError("blocks must be nonempty, disjoint and cover 0..n-1")
     masks = [_bitset(block) for block in blocks]
     rows = []
     for block in blocks:
+        neighborhoods = _neighborhoods(G, block)
         row = []
         for jdx, mask in enumerate(masks):
-            counts = [(G.bits(v) & mask).bit_count() for v in block]
+            counts = list(map(int.bit_count, map(mask.__and__, neighborhoods)))
             first = counts[0]
-            for offset, c in enumerate(counts):
-                if c != first:
-                    raise NotEquitable(block[offset], jdx)
+            if counts.count(first) != len(counts):
+                offset = next(k for k, c in enumerate(counts) if c != first)
+                raise NotEquitable(block[offset], jdx)
             row.append(first)
         rows.append(row)
     return RationalMatrix(rows)
@@ -314,30 +338,57 @@ def graph_quotient_matrix(G: Graph, blocks: Sequence[Sequence[int]]) -> Rational
 def graph_quadratic_form(G: Graph, t, x: Sequence) -> Fraction:
     """x^T (A(G) + t I) x evaluated over classes of equal values, exactly.
 
-    Denominators are cleared once: with y = L x integral and t = a/b the value
-    is (b W + a sum_u y_u^2) / (b L^2), all in integers, where
-    W = 2 sum_{uv in E} y_u y_v.  With M_c the bitset of the vertices where
-    y = c != 0, W = sum_u y_u sum_c c |N(u) & M_c|, so the cost is one
-    popcount per support vertex and distinct value; a block-constant vector
-    has at most one value per block.
+    Denominators are cleared once, y = L x integral, and the vertices are
+    grouped by their integer value y, so the form is :func:`_form_by_class`
+    on those classes: at most one popcount per support vertex and value
+    class, each pair of classes counted over the smaller one.
     """
     # Fractions are immutable, so the lifted witnesses' entries are reused as they are
     xs = [v if type(v) is Fraction else Fraction(v) for v in x]
     if len(xs) != G.n:
         raise ValueError("vector length mismatch")
-    t = Fraction(t)
     scale = math.lcm(*(v.denominator for v in xs))
-    ys = [v.numerator * (scale // v.denominator) for v in xs]
-    classes: dict[int, int] = {}
-    for v, y in enumerate(ys):
+    classes: dict[int, list[int]] = {}
+    for u, v in enumerate(xs):
+        y = v.numerator * (scale // v.denominator)
         if y:
-            classes[y] = classes.get(y, 0) | (1 << v)
-    values = list(classes.items())
-    twice_edge_sum = sum(
-        y * sum(c * (G.bits(u) & mask).bit_count() for c, mask in values)
-        for u, y in enumerate(ys) if y
-    )
-    square_sum = sum(y * y for y in ys)
+            classes.setdefault(y, []).append(u)
+    return _form_by_class(G, t, classes, scale)
+
+
+def _form_by_class(G: Graph, t, classes: dict[int, Sequence[int]], scale: int) -> Fraction:
+    """x^T (A(G) + t I) x, counted on G's neighborhood bitsets, for the x
+    that is y / scale on the vertices ``classes[y]`` of each nonzero
+    integer y and 0 elsewhere; the vertex lists must be disjoint.
+
+    With V_I the class of y_I, e(V_I, V_J) = sum_{u in V_I} |N(u) & V_J| and
+    t = a/b, the form is (b W + a sum_I |V_I| y_I^2) / (b scale^2) with
+    W = sum_{I <= J} (2 - [I = J]) y_I y_J e(V_I, V_J).  The classes are
+    taken in order of size, so each e with I < J is counted over the rows
+    of the smaller class V_I against V_J's bitset: at most one popcount per
+    support vertex and value class, and nothing but G's adjacency is read.
+    The loop in Python runs over the later classes or over V_I's rows,
+    whichever is shorter; the other side is one C-level map.
+    """
+    t = Fraction(t)
+    order = sorted(classes.items(), key=lambda item: len(item[1]))
+    values = [y for y, _ in order]
+    masks = [_bitset(vs) for _, vs in order]
+    twice_edge_sum = 0
+    square_sum = 0
+    for i, (y, vs) in enumerate(order):
+        rows = _neighborhoods(G, vs)
+        later_values, later_masks = values[i + 1:], masks[i + 1:]
+        if len(rows) <= len(later_masks):
+            cross = sum(sum(map(operator.mul, later_values,
+                                map(int.bit_count, map(row.__and__, later_masks))))
+                        for row in rows)
+        else:
+            cross = sum(z * sum(map(int.bit_count, map(mask.__and__, rows)))
+                        for z, mask in zip(later_values, later_masks))
+        inner = sum(map(int.bit_count, map(masks[i].__and__, rows)))
+        twice_edge_sum += y * (y * inner + 2 * cross)
+        square_sum += len(vs) * y * y
     return Fraction(
         t.denominator * twice_edge_sum + t.numerator * square_sum,
         t.denominator * scale * scale,
@@ -360,17 +411,18 @@ def certify_lambda_min_below(G: Graph, t, split: Optional[_TwinSplit] = None) ->
     split = _TwinSplit(G) if split is None else split
     for _, u, v, e in split.gaps:
         if t < -e:
+            _rechecked(G, t, {1: [u], -1: [v]}, 1)
             x = [Fraction(0)] * G.n
             x[u], x[v] = Fraction(1), Fraction(-1)
-            return _rechecked(G, t, x)
+            return x
     return split.witness(t)
 
 
-def _rechecked(G: Graph, t, witness: Optional[list[Fraction]]) -> Optional[list[Fraction]]:
-    """``witness`` once x^T (A + tI) x < 0 is re-checked on G in integers; None passes."""
-    if witness is not None and graph_quadratic_form(G, t, witness) >= 0:
+def _rechecked(G: Graph, t, classes: dict[int, Sequence[int]], scale: int) -> None:
+    """Re-check x^T (A + tI) x < 0 on G in integers for the witness x that
+    :func:`_form_by_class` reads from ``classes`` and ``scale``."""
+    if _form_by_class(G, t, classes, scale) >= 0:
         raise VerificationError("internal error: witness failed re-verification")
-    return witness
 
 
 def _lift_quotient_witness(quotient: _Quotient, t) -> list[Fraction]:
@@ -437,8 +489,35 @@ def _quotient_check(G: Graph, s: int, blocks, construction: str) -> dict:
         "quotient_lambda_min": q.lambda_min,
         "graph_lambda_min": graph_lambda_min_float(G),
         "exact_verdict": True,
-        "witness_support": sum(1 for v in witness if v != 0),
+        # the lift is constant on each block
+        "witness_support": sum(len(block) for block in blocks if witness[block[0]]),
     }
+
+
+def _threshold_expansions(s: int) -> list[tuple[str, HoffmanGraph, int, list[range]]]:
+    """(construction, h, p, slim blocks) of the three expansions G(h, p) of
+    :func:`prop215` at s.  The stated partition of G(h, p) is the slim
+    blocks followed by one block of every clique vertex, which :func:`expand`
+    numbers after the slims."""
+    return [
+        ("hub_with_cliques", slim_with_fats(s + 1), s * (s - 1) + 1, [range(1)]),
+        ("clique_with_two_cliques", clique_with_two_fats(s), (s - 1) * (2 * s - 1) + 1,
+         [range(s)]),
+        ("pendant_pair_with_cliques", pendant_slim_pair(s), (s + 1) * (s - 1) ** 2 + 1,
+         [range(1), range(1, 2)]),
+    ]
+
+
+@cache
+def _prop215_s_limit() -> int:
+    """The largest s at which every expansion of :func:`prop215` has at most
+    ``MAX_VERTICES`` vertices, the most :func:`expand` builds; each order,
+    h.n_slim + p h.n_fat, grows with s."""
+    s = 2
+    while all(h.n_slim + p * h.n_fat <= MAX_VERTICES
+              for _, h, p, _ in _threshold_expansions(s + 1)):
+        s += 1
+    return s
 
 
 def prop215(s: int) -> dict:
@@ -454,28 +533,18 @@ def prop215(s: int) -> dict:
     """
     if s < 2:
         raise ValueError("s must be at least 2")
-    p1 = s * (s - 1) + 1
-    p2 = (s - 1) * (2 * s - 1) + 1
-    p3 = (s + 1) * (s - 1) ** 2 + 1
-
-    g1 = expand(slim_with_fats(s + 1), p1)
-    blocks1 = [[0], list(range(1, g1.n))]
-    r1 = _quotient_check(g1, s, blocks1, "hub_with_cliques")
-
-    g2 = expand(clique_with_two_fats(s), p2)
-    blocks2 = [list(range(s)), list(range(s, g2.n))]
-    r2 = _quotient_check(g2, s, blocks2, "clique_with_two_cliques")
-
-    g3 = expand(pendant_slim_pair(s), p3)
-    blocks3 = [[0], [1], list(range(2, g3.n))]
-    r3 = _quotient_check(g3, s, blocks3, "pendant_pair_with_cliques")
-
+    expansions = _threshold_expansions(s)
+    checks = []
+    for construction, h, p, slim_blocks in expansions:
+        G = expand(h, p)
+        checks.append(_quotient_check(G, s, [*slim_blocks, range(h.n_slim, G.n)], construction))
+    p1, p2, p3 = (p for _, _, p, _ in expansions)
     return {
         "s": s,
         "p1": p1,
         "p2": p2,
         "p3": p3,
-        "checks": [r1, r2, r3],
+        "checks": checks,
         "note": (
             "the third inequality is asserted for the pendant-pair expansion "
             "as constructed"

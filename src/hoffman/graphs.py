@@ -128,7 +128,17 @@ def _iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def _neighborhoods(G: Graph, vertices: Sequence[int]) -> Sequence[int]:
+    """The neighborhood bitsets of ``vertices``, in order; one slice for a range."""
+    adj = G._adj
+    if isinstance(vertices, range) and vertices.step == 1:
+        return adj[vertices.start:vertices.stop]
+    return [adj[v] for v in vertices]
+
+
 def _bitset(vertices: Iterable[int]) -> int:
+    if isinstance(vertices, range) and vertices.step == 1:
+        return ((1 << len(vertices)) - 1) << vertices.start if vertices else 0
     b = 0
     for v in vertices:
         b |= 1 << v

@@ -23,6 +23,7 @@ from hoffman import (
     verify_proposition_cal,
 )
 from hoffman.cli import REPORT_SCHEMA, _emit, build_parser, main
+from hoffman.forbidden import _prop215_s_limit
 
 from .conftest import count_calls
 
@@ -108,7 +109,7 @@ def test_refutation_is_rechecked_on_the_graph(capsys, monkeypatch, c5_g6, star11
     # re-check on the graph is an error, not a verdict
     import hoffman.forbidden as forbidden
 
-    monkeypatch.setattr(forbidden, "graph_quadratic_form", lambda G, t, x: 0)
+    monkeypatch.setattr(forbidden, "_form_by_class", lambda G, t, classes, scale: 0)
     code = main([a.format(c5=c5_g6, star11=star11_json) for a in argv])
     captured = capsys.readouterr()
     assert code == 1
@@ -358,12 +359,45 @@ def test_verify_prop215_beyond_float_limit(capsys):
 
 
 def test_verify_prop215_past_the_vertex_limit_is_one_error_line(capsys):
-    # at s = 11 the pendant-pair expansion would have 13213 vertices
-    assert main(["verify-paper", "prop215", "--s-max", "11"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "13213 vertices" in err
+    # at s = 11 the pendant-pair expansion would have 13213 vertices, so 10
+    # is the largest --s-max, for prop215 and for every suite of all
+    assert _prop215_s_limit() == 10
+    for suite in ("prop215", "all"):
+        assert main(["verify-paper", suite, "--s-max", "11"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "usage error: argument --s-max: must be at most 10, got 11: "
+            "an expansion at s = 11 has more than 10000 vertices"]
+        assert "Traceback" not in err
+
+
+def test_verify_prop215_at_the_vertex_limit_is_accepted():
+    # s = 10 is the largest that fits (8922 vertices); it runs in
+    # test_verify_prop215_beyond_float_limit, and parses for every suite
+    for suite in ("prop215", "all"):
+        assert build_parser().parse_args(["verify-paper", suite, "--s-max", "10"]).s_max == 10
+
+
+def test_prop215_s_max_limit_follows_the_vertex_limit(monkeypatch, capsys):
+    # the limit is derived from MAX_VERTICES and the expansion orders: at
+    # s = 3 the orders are 29, 25 and 53, at s = 4 they are 66, 48 and 186
+    import hoffman.cli as cli
+    import hoffman.forbidden as forbidden
+
+    for module in (cli, forbidden):
+        monkeypatch.setattr(module, "MAX_VERTICES", 185)
+    forbidden._prop215_s_limit.cache_clear()
+    try:
+        assert forbidden._prop215_s_limit() == 3
+        code, report = run_cli(capsys, "verify-paper", "prop215", "--s-max", "3")
+        assert code == 0 and report["results"]["ok"] is True
+        assert main(["verify-paper", "prop215", "--s-max", "4"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: argument --s-max: must be at most 3, got 4: "
+            "an expansion at s = 4 has more than 185 vertices\n")
+    finally:
+        forbidden._prop215_s_limit.cache_clear()
 
 
 def test_verify_prop5_reports_extra_survivor(capsys):

@@ -230,6 +230,20 @@ def _assert_agrees_with_oracle(M):
     for x in (w, ref):
         if x is not None:
             assert quadratic_form(M, x) < 0
+    if w is not None:
+        _assert_oracle_witness(w, M)
+
+
+def _assert_oracle_witness(w, M):
+    """The integer back-substitution gives the oracle's Fractions exactly,
+    and Fraction(0), not an int, at every index outside the support.  The
+    kernel decides on ``M.num``, and the oracle's zero-pivot coefficient
+    -(c + 1) / (2m) is not invariant under scaling, so the oracle runs on
+    ``M.num`` too."""
+    ref = _fraction_psd_witness(RationalMatrix.fraction_free(M.num.copy(), 1))
+    assert w == ref
+    assert all(type(v) is Fraction for v in w)
+    assert all(v == Fraction(0) for v, r in zip(w, ref) if not r)
 
 
 def test_integer_kernel_matches_oracle_on_criterion_7d_matrices():
@@ -326,6 +340,26 @@ def _int64_limit_matrices():
         [[2**32, 1], [1, 2**32]],
         [[2**32, 2**31], [2**31, 2**30]],
     ]
+
+
+def test_refutation_after_promotion_matches_the_oracle(no_certificate):
+    # the lowered crossing matrices start in int64 and refute at the last
+    # pivot, after the promotion; a matrix beyond int64 is dtype=object from
+    # the start.  Both back-substitute over Python ints
+    refuted = 0
+    for rows in _crossing_matrices():
+        M = RationalMatrix(rows)
+        w = psd_witness(M)
+        if w is not None:
+            refuted += 1
+            _assert_oracle_witness(w, M)
+    assert refuted == 6
+    big = 2**70
+    M = RationalMatrix([[big, big + 1, 3], [big + 1, big, 5], [3, 5, 7]])
+    assert M.num.dtype == object
+    w = psd_witness(M)
+    assert w is not None and quadratic_form(M, w) < 0
+    _assert_oracle_witness(w, M)
 
 
 def test_kernel_at_the_int64_limits(no_certificate):
@@ -608,6 +642,21 @@ def test_zero_pivot_after_elimination_with_residual_refutes():
     assert w is not None
     assert quadratic_form(M, w) < 0
     _assert_agrees_with_oracle(M)
+
+
+def test_zero_pivot_residual_with_a_fractional_coefficient():
+    # after pivot 0 the Schur complement on (1, 2) is [[0, m], [m, c]], and
+    # the coefficient -(c + 1) / (2m) of e_1 is -5/4 (prev = 1, m = 2, c = 4)
+    # and -1/3 (prev = 2, m = 3, c = 1): the right-hand side is not integral
+    for rows, coefficient in (([[1, 1, 0], [1, 1, 2], [0, 2, 4]], Fraction(-5, 4)),
+                              ([[2, 2, 0], [2, 2, 3], [0, 3, 1]], Fraction(-1, 3)),
+                              ([[2, 2, 0, 0], [2, 2, 3, 0], [0, 3, 1, 0], [0, 0, 0, 5]],
+                               Fraction(-1, 3))):
+        M = _sym(rows)
+        w = psd_witness(M)
+        assert w[1:3] == [coefficient, 1]
+        assert quadratic_form(M, w) < 0
+        _assert_oracle_witness(w, M)
 
 
 def test_negative_pivot_after_skipped_zero_pivot():

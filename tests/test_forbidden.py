@@ -36,7 +36,8 @@ from hoffman import (
     twin_classes,
     verify_proposition_cal,
 )
-from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness, _Quotient
+from hoffman.forbidden import PROP_CAL_PAIRS, _lift_quotient_witness, _Quotient, _TwinSplit
+from hoffman.hgraphs import HoffmanGraph
 
 from .conftest import (
     count_calls,
@@ -700,6 +701,118 @@ def test_graph_form_matches_edge_sum_on_lifted_witnesses():
             value = graph_quadratic_form(G, s, x)
             assert value < 0
             assert value == _edge_quadratic_form(G, s, x), (s, G.n)
+
+
+# -- the block-level re-check of a lifted witness ----------------------------------------------
+
+def _assert_block_form_agrees(monkeypatch, q, t, y=None, label=None):
+    """The value q.witness(t)'s re-check computed on the value classes, once
+    it equals graph_quadratic_form and the dense form on the lift that
+    q.witness returns.  With ``y`` the block form's witness is replaced by
+    ``y``, and a nonnegative value is let through so that the lift can still
+    be compared."""
+    import hoffman.forbidden as forbidden
+
+    original = forbidden._form_by_class
+    values = []
+
+    def recorded(G, t, classes, scale):
+        values.append(original(G, t, classes, scale))
+        return values[-1] if y is None else Fraction(-1)
+
+    with monkeypatch.context() as m:
+        m.setattr(forbidden, "_form_by_class", recorded)
+        if y is not None:
+            m.setattr(forbidden, "psd_witness", lambda T, estimate: list(y))
+        x = q.witness(t)
+    [value] = values
+    assert value == graph_quadratic_form(q.G, t, x), label
+    assert value == quadratic_form(adjacency_rational(q.G).shifted(t), x), label
+    return value
+
+
+def test_block_recheck_agrees_on_the_expansions(monkeypatch):
+    # the nine cal pairs through their twin split and their stated partition,
+    # and the three prop215 expansions at s = 2..5
+    cases = [(f"{name}, p={p}", expand(catalog(name).hoffman, p), 3,
+              expansion_blocks(catalog(name).hoffman, p)) for name, p in PROP_CAL_PAIRS]
+    cases += [(f"prop215 s={s} #{k + 1}", G, s, P)
+              for s in (2, 3, 4, 5) for k, (G, P) in enumerate(_threshold_expansions(s))]
+    for label, G, t, P in cases:
+        for q in (_Quotient(G, P, graph_quotient_matrix(G, P)), _TwinSplit(G)):
+            assert _assert_block_form_agrees(monkeypatch, q, t, label=label) < 0, label
+
+
+def _random_expansion(rng):
+    """A random Hoffman graph's expansion with its equitable expansion blocks."""
+    n_slim = rng.randint(1, 5)
+    edges = [(u, v) for u in range(n_slim) for v in range(u + 1, n_slim) if rng.random() < 0.5]
+    fats = [rng.sample(range(n_slim), rng.randint(1, n_slim)) for _ in range(rng.randint(0, 4))]
+    h = HoffmanGraph(n_slim, edges, fats)
+    p = rng.randint(1, 6)
+    return expand(h, p), expansion_blocks(h, p)
+
+
+def test_block_recheck_agrees_with_repeated_and_zero_block_values(monkeypatch):
+    # random equitable partitions, from expansions and from twin splits, with
+    # block values drawn from two nonzero values and zero, so value classes
+    # merge blocks and skip the zero ones
+    rng = random.Random("block re-check")
+    merged = zeros = 0
+    for trial in range(120):
+        if trial % 2:
+            G, P = _random_expansion(rng)
+            q = _Quotient(G, P, graph_quotient_matrix(G, P))
+        else:
+            q = _TwinSplit(planted_twin_graph(rng, rng.randint(1, 6), rng.random()))
+        pool = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                for _ in range(2)] + [Fraction(0)]
+        y = [rng.choice(pool) for _ in q.blocks]
+        merged += len({v for v in y if v}) < sum(map(bool, y))
+        zeros += y.count(0) > 0
+        t = Fraction(rng.randint(-3, 5), rng.randint(1, 3))
+        _assert_block_form_agrees(monkeypatch, q, t, y, label=trial)
+    assert merged > 10 and zeros > 10
+
+
+def test_block_recheck_refuses_a_tampered_block_value(monkeypatch):
+    # one block value of the genuine witness scaled by 10^6: the block form
+    # is dominated by its positive diagonal entry there, so the re-check on
+    # the graph must refuse it
+    import hoffman.forbidden as forbidden
+
+    G = expand(catalog("h_5").hoffman, 11)
+    q = _TwinSplit(G)
+    genuine = forbidden.psd_witness
+    sent = []
+
+    def tampered(T, estimate):
+        y = genuine(T, estimate)
+        i = next(i for i, v in enumerate(y) if v)
+        y[i] *= 10**6
+        sent.append(y)
+        return y
+
+    monkeypatch.setattr(forbidden, "psd_witness", tampered)
+    with pytest.raises(VerificationError, match="witness failed re-verification"):
+        q.witness(3)
+    x = [Fraction(0)] * G.n
+    for block, v in zip(q.blocks, sent[0]):
+        for u in block:
+            x[u] = v
+    assert graph_quadratic_form(G, 3, x) >= 0
+
+
+def test_twin_gap_witness_is_rechecked(monkeypatch):
+    # K_3 has one closed class, so e_0 - e_1 refutes below t = 1 before any
+    # block form is decided; that witness is re-checked on the graph too
+    import hoffman.forbidden as forbidden
+
+    G = complete_graph(3)
+    assert certify_lambda_min_below(G, Fraction(1, 2)) == [1, -1, 0]
+    monkeypatch.setattr(forbidden, "_form_by_class", lambda G, t, classes, scale: 0)
+    with pytest.raises(VerificationError, match="witness failed re-verification"):
+        certify_lambda_min_below(G, Fraction(1, 2))
 
 
 # -- floating evidence -----------------------------------------------------------------------

@@ -14,8 +14,11 @@ no second floating path decides or reports anything.  The exact PSD kernel
 ``psd_witness`` is reached only from ``exact.py`` and ``forbidden.py``, so
 every graph decision re-checks its refutation on the graph, and
 ``forbidden.py`` calls it once, with an estimate, so every block form is
-decided the same way.  The dominance certificate proposes only from its
-caller's eigenvalue estimate, so it never names an eigensolver.  Each
+decided the same way.  A failed witness re-check is raised in one place,
+which every refutation on a graph reaches, and that re-check counts on the
+graph through the routine ``graph_quadratic_form`` shares.  The dominance
+certificate proposes only from its caller's eigenvalue estimate, so it
+never names an eigensolver.  Each
 ``Boundary(module, function)`` of ``perfbench/spans.py`` names an attribute
 of that module, since the traced benchmark run patches it by name.
 """
@@ -34,6 +37,8 @@ SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 KEEP = {
     "complete_graph": "graph constructor",
     "cycle_graph": "graph constructor",
+    "graph_quadratic_form": "re-checks a returned witness on the graph, independently of "
+                            "the decision; the library re-checks its own witnesses by class",
 }
 
 # public methods no other library code calls, each with the reason it stays
@@ -214,6 +219,51 @@ def test_one_block_form_decision_in_forbidden():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "psd_witness"]
     assert [len(call.args) + len(call.keywords) for call in calls] == [2]
+
+
+def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Module functions by name and methods by ``Class.method``."""
+    found = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            found.update({f"{cls.name}.{node.name}": node for node in cls.body
+                          if isinstance(node, ast.FunctionDef)})
+    return found
+
+
+def _reachable(functions: dict[str, ast.FunctionDef], start: str) -> set[str]:
+    """Functions of one module that ``start`` calls, directly or not; a call
+    ``obj.m(...)`` is taken to reach every method named ``m``."""
+    seen, todo = {start}, [start]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for key in functions:
+                if name in (key, key.rpartition(".")[2]) and key not in seen:
+                    seen.add(key)
+                    todo.append(key)
+    return seen
+
+
+def test_one_witness_recheck_in_forbidden():
+    # every refutation on a graph, lifted from a block form or a twin gap
+    # e_u - e_v, meets the one raise of a failed re-check, and that re-check
+    # and graph_quadratic_form count on the graph through one routine that
+    # never reads the quotient
+    functions = _functions(_modules()["forbidden.py"])
+    raisers = sorted(
+        name for name, fn in functions.items()
+        if any(isinstance(node, ast.Raise) and any(
+            isinstance(c, ast.Constant) and "witness failed re-verification" in str(c.value)
+            for c in ast.walk(node)) for node in ast.walk(fn)))
+    assert raisers == ["_rechecked"]
+    for start in ("_Quotient.witness", "certify_lambda_min_below"):
+        assert "_rechecked" in _reachable(functions, start), start
+    for start in ("_rechecked", "graph_quadratic_form"):
+        assert "_form_by_class" in _reachable(functions, start), start
+    assert not {"quotient", "Q"} & set(_identifiers(functions["_form_by_class"]))
 
 
 def _trace_boundaries() -> list[tuple[str, str]]:
