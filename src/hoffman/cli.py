@@ -4,8 +4,8 @@ One executable exposes the library operations and the verification suite for
 the published computational claims.  Every subcommand emits a single Report
 (JSON by default) that validates against :data:`REPORT_SCHEMA`.
 
-Exit codes: 0 success, 1 usage or input error, 2 a claimed result failed to
-reproduce under exact verification.
+Exit codes: 0 success, 1 usage or input error or a closed standard output, 2 a
+claimed result failed to reproduce under exact verification.
 
 A new command is a subparser in :func:`build_parser` whose ``run`` default is
 its handler, ``(args, timings) -> (results, certificates, exit code)``.  A new
@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -542,7 +543,17 @@ def main(argv=None) -> int:
         k: v for k, v in fields.items()
         if k not in ("cmd", "format", "drg_cmd") and v is not None and not callable(v)
     }
-    _emit(_report(command, inputs, results, certs, timings), args.format)
+    try:
+        _emit(_report(command, inputs, results, certs, timings), args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``... | head``): as Python's documentation of
+        # SIGPIPE advises, point stdout at devnull so that the flush at exit
+        # cannot raise again, and fail without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -8,8 +8,13 @@ covers every parameter value.  Each order-3 template m_5..m_9 has diagonal
 off-diagonal positions in every possible way.  So a 3 x 3 principal
 submatrix is equivalent to a template exactly when its diagonal is -t
 throughout and its sorted off-diagonal triple is the template's; the five
-sorted triples are distinct, so one dictionary lookup per index triple
-decides it.
+sorted triples are distinct, so the triple alone names the template.  The
+order-3 step never visits a triple: each -t row i holds one bitset per
+template value v, the -t rows k with S[i][k] = v, and a pair i < j of -t
+rows is completed by the k > j in the union, over the value pairs (b, c)
+that complete S[i][j] to a template triple, of mask(i, b) & mask(j, c).
+That is O(r^2) bitset operations on r rows of diagonal -t, not O(r^3)
+tuple sorts.
 
 Certificates for claims of the form lambda_min(G) < -t are rational vectors
 x with x^T (A + tI) x < 0.  Every exact decision of lambda_min(G) >= -t on
@@ -117,6 +122,13 @@ def scan_M_t(S: RationalMatrix, t: int) -> Optional[ForbiddenHit]:
     Scan order is deterministic: orders 1, 2, 3, index sets lexicographic,
     and within one index set the templates in subscript order.  A matrix
     with a non-integer entry (``S.den`` != 1) raises ValueError.
+
+    Order 2 visits only the rows of diagonal -t and -t - 1, the only ones
+    m_2..m_4 can match once order 1 has found none.  Order 3 walks the
+    pairs i < j of rows of diagonal -t in lexicographic order and takes the
+    smallest k > j in their candidate bitset (see the module docstring), so
+    the first pair with a candidate gives the lexicographically first index
+    triple, which at most one template matches.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
@@ -130,35 +142,59 @@ def scan_M_t(S: RationalMatrix, t: int) -> Optional[ForbiddenHit]:
         if d <= -t - 2:
             return ForbiddenHit((i,), f"m_{{1,{d + t}}}", ((d,),))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            d1, d2 = entries[i][i], entries[j][j]
-            off = entries[i][j]
+    # only diagonals -t and -t - 1 are left that m_2..m_4 can match
+    near = [i for i in range(n) if -t - 1 <= entries[i][i] <= -t]
+    for a, i in enumerate(near):
+        row_i = entries[i]
+        d1 = row_i[i]
+        for j in near[a + 1:]:
+            d2 = entries[j][j]
+            off = row_i[j]
             sub = ((d1, off), (off, d2))
             if d1 == -t and d2 == -t and off <= -2:
                 return ForbiddenHit((i, j), f"m_{{2,{off}}}", sub)
-            if {d1, d2} == {-t - 1, -t} and (off == 1 or off <= -1):
+            if d1 != d2 and (off == 1 or off <= -1):
                 return ForbiddenHit((i, j), f"m_{{3,{off}}}", sub)
             if d1 == -t - 1 and d2 == -t - 1 and (off == 1 or off <= -1):
                 return ForbiddenHit((i, j), f"m_{{4,{off}}}", sub)
 
     # every m_5..m_9 has diagonal (-t, -t, -t) and its own sorted
-    # off-diagonal triple, so one lookup decides an index triple
+    # off-diagonal triple; completions[a] lists the ordered pairs (b, c)
+    # that make (a, b, c) one of them
     kinds: dict[tuple[int, ...], str] = {}
     for kind in (5, 6, 7, 8, 9):
         m = m_matrix(kind, t=t)
         kinds[tuple(sorted((m[0][1], m[0][2], m[1][2])))] = f"m_{kind}"
-    minus_t = [i for i in range(n) if entries[i][i] == -t]
-    for a, i in enumerate(minus_t):
+    values = set(chain.from_iterable(kinds))
+    completions = {a: [(b, c) for b in values for c in values
+                       if tuple(sorted((a, b, c))) in kinds] for a in values}
+    minus_t = [i for i in near if entries[i][i] == -t]
+    # masks[p][v]: the positions q of minus_t with S[minus_t[p], minus_t[q]] = v
+    masks = []
+    for i in minus_t:
         row_i = entries[i]
-        for b in range(a + 1, len(minus_t)):
-            j = minus_t[b]
-            row_j = entries[j]
-            for k in minus_t[b + 1:]:
-                member = kinds.get(tuple(sorted((row_i[j], row_i[k], row_j[k]))))
-                if member is not None:
-                    sub = tuple(tuple(entries[r][c] for c in (i, j, k)) for r in (i, j, k))
-                    return ForbiddenHit((i, j, k), member, sub)
+        mask = dict.fromkeys(values, 0)
+        for q, k in enumerate(minus_t):
+            v = row_i[k]
+            if v in mask:
+                mask[v] |= 1 << q
+        masks.append(mask)
+    for p, i in enumerate(minus_t):
+        row_i, mask_i = entries[i], masks[p]
+        for q in range(p + 1, len(minus_t)):
+            mask_j = masks[q]
+            j = minus_t[q]
+            found = 0
+            for b, c in completions.get(row_i[j], ()):
+                found |= mask_i[b] & mask_j[c]
+            found >>= q + 1
+            if found:
+                # the first pair with a completion, at its smallest k, is
+                # the lexicographically first index triple
+                k = minus_t[q + (found & -found).bit_length()]
+                member = kinds[tuple(sorted((row_i[j], row_i[k], entries[j][k])))]
+                sub = tuple(tuple(entries[r][c] for c in (i, j, k)) for r in (i, j, k))
+                return ForbiddenHit((i, j, k), member, sub)
     return None
 
 

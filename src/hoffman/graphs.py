@@ -33,8 +33,16 @@ def _check_order(n: int) -> None:
         raise ValueError(f"graphs with more than {MAX_VERTICES} vertices are not supported")
 
 
+class _NotAnEdge(ValueError):
+    """An entry of an edge list that is not a pair of ``int`` vertices."""
+
+
 class Graph:
-    """Simple undirected graph on vertices ``0..n-1`` with bitset adjacency."""
+    """Simple undirected graph on vertices ``0..n-1`` with bitset adjacency.
+
+    Each edge is a pair of ``int`` endpoints; anything else, ``bool`` and
+    numpy integers included, raises ValueError.
+    """
 
     __slots__ = ("n", "_adj")
 
@@ -43,7 +51,14 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         _check_order(n)
         adj = [0] * n
-        for u, v in edges:
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise _NotAnEdge(f"edge {e!r} is not a pair of vertices") from None
+            # bool and numpy integers are not vertices: 1 << np.int64(70) is not a bitset
+            if type(u) is not int or type(v) is not int:
+                raise _NotAnEdge(f"edge {e!r} is not a pair of int vertices")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -298,14 +313,19 @@ def _mis_size(cand: int, adj: Sequence[int], nodes_left: list[int]) -> int:
             f"no maximum independent set within {MIS_NODE_BUDGET} search nodes")
     if cand == 0:
         return 0
-    # branch on a vertex of maximum degree within cand
+    # branch on a vertex of maximum degree within cand; the bits are walked
+    # inline, since a generator per node costs more than the walk
     best_v = -1
     best_d = -1
-    for v in _iter_bits(cand):
+    rest = cand
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
         d = (adj[v] & cand).bit_count()
         if d > best_d:
             best_d = d
             best_v = v
+        rest ^= low
     if best_d == 0:
         return cand.bit_count()
     without = _mis_size(cand & ~(1 << best_v), adj, nodes_left)
@@ -325,7 +345,7 @@ def maximum_independent_set(G: Graph, within: Optional[Iterable[int]] = None) ->
     nodes_left = [MIS_NODE_BUDGET]
     alpha = _mis_size(cand, adj, nodes_left)
     chosen: list[int] = []
-    for v in range(G.n):
+    for v in _iter_bits(cand):
         if not (cand >> v) & 1:
             continue
         rest = cand & ~adj[v] & ~(1 << v)
@@ -342,13 +362,6 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
-def _is_int_pairs(edges) -> bool:
-    return isinstance(edges, (list, tuple)) and all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
-        for e in edges
-    )
-
-
 def graph_from_json(obj) -> Graph:
     """Build a graph from ``{"n": int, "edges": [[u, v], ...]}``.
 
@@ -361,9 +374,13 @@ def graph_from_json(obj) -> Graph:
     if not _is_int(n):
         raise ValueError(f"graph JSON: 'n' must be an integer, got {n!r}")
     edges = obj.get("edges", [])
-    if not _is_int_pairs(edges):
-        raise ValueError("graph JSON: 'edges' must be a list of [u, v] integer pairs")
-    return Graph(n, edges)
+    message = "graph JSON: 'edges' must be a list of [u, v] integer pairs"
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(message)
+    try:
+        return Graph(n, edges)
+    except _NotAnEdge:
+        raise ValueError(message) from None
 
 
 def parse_graph6(text: str | bytes) -> Graph:

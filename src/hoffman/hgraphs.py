@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 from ._numpy import np
 from .errors import IndexOutOfFamily
 from .exact import RationalMatrix, adjacency_bits
-from .graphs import MAX_VERTICES, Graph, _bitset, _is_int, _is_int_pairs
+from .graphs import MAX_VERTICES, Graph, _NotAnEdge, _bitset, _is_int
 
 
 class HoffmanGraph:
@@ -80,16 +80,18 @@ class HoffmanGraph:
         if not isinstance(obj, dict) or not _is_int(obj.get("slim")):
             raise ValueError("Hoffman graph JSON must be an object with an integer 'slim'")
         edges = obj.get("slim_edges", [])
-        if not _is_int_pairs(edges):
-            raise ValueError(
-                "Hoffman graph JSON: 'slim_edges' must be a list of [u, v] integer pairs"
-            )
+        edges_message = "Hoffman graph JSON: 'slim_edges' must be a list of [u, v] integer pairs"
+        if not isinstance(edges, (list, tuple)):
+            raise ValueError(edges_message)
         fat_adj = obj.get("fat_adj", [])
         if not isinstance(fat_adj, (list, tuple)) or not all(
             isinstance(f, (list, tuple)) and all(_is_int(s) for s in f) for f in fat_adj
         ):
             raise ValueError("Hoffman graph JSON: 'fat_adj' must be a list of integer lists")
-        h = cls(obj["slim"], edges, fat_adj)
+        try:
+            h = cls(obj["slim"], edges, fat_adj)
+        except _NotAnEdge:
+            raise ValueError(edges_message) from None
         if "fat" in obj and (not _is_int(obj["fat"]) or obj["fat"] != h.n_fat):
             raise ValueError("Hoffman graph JSON: 'fat' does not match the length of 'fat_adj'")
         return h

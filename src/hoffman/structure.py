@@ -20,8 +20,8 @@ from typing import Optional
 from .errors import BoundViolation
 from .forbidden import _TwinSplit, certify_lambda_min_below, graph_lambda_min_float, scan_M_t
 from .graphs import (
-    Graph, _bitset, _maximal_cliques_in_order, maximal_cliques, maximum_independent_set,
-    mu_parameter,
+    Graph, _bitset, _clique_search, _iter_bits, _maximal_cliques_in_order,
+    maximal_cliques, maximum_independent_set, mu_parameter,
 )
 from .hgraphs import HoffmanGraph, is_t_fat, special_matrix
 
@@ -112,6 +112,11 @@ def bose_laskar(G: Graph, x: int, lam, c: int, r: Optional[int] = None) -> Cliqu
     clique, is the first output.  When ``r`` is given and every maximal
     clique containing x has order at most d(x) - r, the second-largest part
     gives the second output.
+
+    Everything is read from G's neighborhood bitsets: with F = N(x) - W,
+    the part of v in I is F ∩ N(v) ∪ {v}, and the largest clique through x
+    comes from the maximal cliques of G through x, found by the clique
+    search started at x with candidates N(x); no induced subgraph is built.
     """
     if not 0 <= x < G.n:
         raise ValueError(f"vertex {x} out of range")
@@ -122,35 +127,30 @@ def bose_laskar(G: Graph, x: int, lam, c: int, r: Optional[int] = None) -> Cliqu
     mu = mu_parameter(G)
     if mu > c:
         raise ValueError(f"graph has non-adjacent pairs with {mu} > c = {c} common neighbors")
-    floor_l2 = math.floor(Fraction(lam) ** 2)
+    lam = Fraction(lam)
+    floor_l2 = lam.numerator ** 2 // lam.denominator ** 2
 
+    adj = G._adj
+    nbrs = adj[x]
     ind = maximum_independent_set(G, G.neighbors(x))
     ind_bits = _bitset(ind)
     s = len(ind)
 
-    w_set = tuple(
-        y for y in G.neighbors(x) if (G.bits(y) & ind_bits).bit_count() >= 2
-    )
-    w_bits = _bitset(w_set)
+    w_bits = 0
+    for y in _iter_bits(nbrs):
+        if (adj[y] & ind_bits).bit_count() >= 2:
+            w_bits |= 1 << y
+    free = nbrs & ~w_bits
+    # the parts are disjoint, so (size, smallest vertex) orders them totally
+    part_bits = sorted((free & adj[v] | 1 << v for v in ind),
+                       key=lambda part: (-part.bit_count(), part & -part))
+    parts = tuple(tuple(_iter_bits(part)) for part in part_bits)
 
-    parts = []
-    for v in ind:
-        members = {v} | {
-            y for y in G.neighbors(x)
-            if (G.bits(y) >> v) & 1 and not (w_bits >> y) & 1
-        }
-        parts.append(tuple(sorted(members)))
-    parts.sort(key=lambda part: (-len(part), part[0]))
-    parts = tuple(parts)
-
-    d = G.degree(x)
+    d = nbrs.bit_count()
     denom = math.comb(floor_l2, 2) * (c - 1)
     bound1 = Fraction(d - denom, floor_l2) + 1 if floor_l2 else Fraction(1)
 
-    if parts:
-        clique1 = _extend_to_maximal(G, set(parts[0]) | {x})
-    else:
-        clique1 = _extend_to_maximal(G, {x})
+    clique1 = _extend_to_maximal(adj, (part_bits[0] if part_bits else 0) | 1 << x)
     if len(clique1) < bound1:
         raise BoundViolation(
             f"first clique through {x} has order {len(clique1)} < {bound1}"
@@ -160,42 +160,38 @@ def bose_laskar(G: Graph, x: int, lam, c: int, r: Optional[int] = None) -> Cliqu
     bound2 = None
     hypothesis = None
     if r is not None:
-        hypothesis = _max_clique_order_through(G, x) <= d - r
+        cliques: list[tuple[int, ...]] = []
+        _clique_search(adj, 1, cliques)([x], nbrs, 0)
+        hypothesis = max(map(len, cliques)) <= d - r
         if hypothesis and s >= 2:
             if floor_l2 < 2:
                 raise BoundViolation(
                     f"independent set of order {s} in N({x}) with floor(lambda^2) = {floor_l2}"
                 )
             bound2 = Fraction(r - denom + 1, floor_l2 - 1) + 1
-            clique2 = _extend_to_maximal(G, set(parts[1]) | {x})
+            clique2 = _extend_to_maximal(adj, part_bits[1] | 1 << x)
             if len(clique2) < bound2:
                 raise BoundViolation(
                     f"second clique through {x} has order {len(clique2)} < {bound2}"
                 )
     return CliqueExtraction(
-        x=x, independent_set=ind, w_set=w_set, parts=parts,
+        x=x, independent_set=ind, w_set=tuple(_iter_bits(w_bits)), parts=parts,
         clique1=clique1, bound1=bound1, clique2=clique2, bound2=bound2,
         second_hypothesis_holds=hypothesis,
     )
 
 
-def _extend_to_maximal(G: Graph, clique: set[int]) -> tuple[int, ...]:
-    common = (1 << G.n) - 1
-    for v in clique:
-        common &= G.bits(v)
+def _extend_to_maximal(adj, clique: int) -> tuple[int, ...]:
+    """The nonempty clique bitset ``clique``, extended greedily by its smallest
+    common neighbor, as a sorted tuple."""
+    common = -1
+    for v in _iter_bits(clique):
+        common &= adj[v]
     while common:
-        v = (common & -common).bit_length() - 1
-        clique.add(v)
-        common &= G.bits(v)
-    return tuple(sorted(clique))
-
-
-def _max_clique_order_through(G: Graph, x: int) -> int:
-    nbrs = G.neighbors(x)
-    if not nbrs:
-        return 1
-    sub = G.induced(list(nbrs))
-    return 1 + max(len(c) for c in maximal_cliques(sub))
+        low = common & -common
+        clique |= low
+        common &= adj[low.bit_length() - 1]
+    return tuple(_iter_bits(clique))
 
 
 # -- full structural condition check ------------------------------------------------------

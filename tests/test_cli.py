@@ -807,6 +807,25 @@ print(sorted(m for m in sys.modules if m.startswith(("numpy.", "jsonschema"))))
     assert _fresh_python(code, lk6_json) == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-paper", "thresholds"],
+    ["verify-paper", "thresholds", "--format", "text"],
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # a pipe whose read end is closed before the command starts: the first
+    # write or flush fails with EPIPE, whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "hoffman.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": _SRC}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
+
+
 def _twin_test_graphs():
     from .conftest import line_graph_of_complete, planted_twin_graph
 

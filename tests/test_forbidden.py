@@ -158,6 +158,19 @@ def _random_symmetric(rng, n, t):
     return rows
 
 
+def _random_sparse_symmetric(rng, n, t):
+    # mostly -t on the diagonal and 0 off it, so that orders up to 30 still
+    # reach order 3, with many -t rows and every value class of the templates
+    diag = [-t - 2, -t - 1, -t + 1, 0] + [-t] * rng.randint(20, 400)
+    off = [-2, 2, -1, 1] + [-1, 1] * rng.randint(0, 6) + [0] * rng.randint(20, 800)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice(diag)
+        for j in range(i):
+            rows[i][j] = rows[j][i] = rng.choice(off)
+    return rows
+
+
 def test_scan_matches_brute_oracle_on_random_matrices():
     rng = random.Random(2024)
     orders = {1: 0, 2: 0, 3: 0, None: 0}
@@ -169,6 +182,21 @@ def test_scan_matches_brute_oracle_on_random_matrices():
         orders[expected and len(expected.slim_subset)] += 1
     # no hit, and a first hit of each order, all occur at least 100 times
     assert min(orders.values()) >= 100, orders
+
+    wide = {1: 0, 2: 0, 3: 0, None: 0}
+    minus_t_rows = []
+    for _ in range(100):
+        t = rng.choice((1, 2, 3))
+        S = _random_sparse_symmetric(rng, rng.randint(10, 30), t)
+        expected = _brute_scan_M_t(S, t)
+        assert scan_M_t(RationalMatrix(S), t) == expected, (S, t)
+        wide[expected and len(expected.slim_subset)] += 1
+        if expected is None or len(expected.slim_subset) == 3:
+            minus_t_rows.append(sum(S[i][i] == -t for i in range(len(S))))
+    # at orders 10..30 each outcome occurs too, and the order-3 step sees
+    # many -t rows: about 17 on average
+    assert min(wide.values()) >= 10, wide
+    assert sum(minus_t_rows) >= 12 * len(minus_t_rows), minus_t_rows
 
 
 def test_scan_matches_brute_oracle_on_catalog():

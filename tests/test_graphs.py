@@ -4,6 +4,7 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -402,6 +403,24 @@ def test_json_graph_roundtrip():
 def test_json_graph_rejects_non_integer_input(text):
     with pytest.raises(ValueError, match="graph JSON"):
         graph_from_json(json.loads(text))
+
+
+@pytest.mark.parametrize("n, edges", [
+    # 1 << np.int64(70) is 0 in int64, which once gave bits(0) = 0 and an
+    # edge_count() of 0 while bits(70) held vertex 0
+    (80, [(np.int64(0), np.int64(70))]),
+    (80, [(0, np.int64(1))]),
+    (3, [(0, True)]),
+    (3, [(True, 2)]),
+    (3, [(0, 1.0)]),
+    (3, [(0, "1")]),
+    (3, [(0, 1), (0,)]),
+    (3, [(0, 1, 2)]),
+    (3, [0, 1]),
+])
+def test_graph_rejects_edges_that_are_not_int_pairs(n, edges):
+    with pytest.raises(ValueError, match="edge"):
+        Graph(n, edges)
 
 
 def test_load_graph_autodetects():

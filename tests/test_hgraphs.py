@@ -58,6 +58,19 @@ def test_json_roundtrip():
         HoffmanGraph.from_json({"slim": 1, "fat": 2, "slim_edges": [], "fat_adj": [[0]]})
 
 
+@pytest.mark.parametrize("slim_edges", [
+    [[0, True]], [[0, 1.0]], [[0, "1"]], [[0]], [[0, 1, 2]], [0, 1], {"0": 1},
+])
+def test_json_rejects_slim_edges_that_are_not_integer_pairs(slim_edges):
+    with pytest.raises(ValueError, match="'slim_edges' must be a list of"):
+        HoffmanGraph.from_json({"slim": 3, "slim_edges": slim_edges, "fat_adj": [[0, 1]]})
+
+
+def test_json_reports_an_integer_pair_out_of_range_as_such():
+    with pytest.raises(ValueError, match="out of range"):
+        HoffmanGraph.from_json({"slim": 3, "slim_edges": [[0, 3]], "fat_adj": [[0, 1]]})
+
+
 def test_slim_edges_are_stored_as_a_graph():
     # repeated and reversed edges collapse; to_json lists the edges sorted
     h = HoffmanGraph(3, [(2, 1), (1, 2), (0, 1)], [[0]])

@@ -9,6 +9,7 @@ import pytest
 
 from hoffman import (
     BoundViolation,
+    CliqueExtraction,
     Graph,
     adjacency_rational,
     associated_hoffman,
@@ -16,6 +17,7 @@ from hoffman import (
     complete_graph,
     cycle_graph,
     maximal_cliques,
+    maximum_independent_set,
     mu_parameter,
     n1_threshold,
     n2_threshold,
@@ -159,6 +161,72 @@ def test_bose_laskar_w_bound_and_partition():
             assert union.isdisjoint(part)
             union.update(part)
         assert union == set(G.neighbors(x))
+
+
+def _bose_laskar_by_sets(G, x, lam, c, r=None):
+    """bose_laskar's construction on vertex sets: W, the parts and the
+    largest clique through x from G.induced(N(x)), as the reference."""
+    floor_l2 = math.floor(Fraction(lam) ** 2)
+    nbrs = G.neighbors(x)
+    ind = maximum_independent_set(G, nbrs)
+    w_set = tuple(y for y in nbrs if sum(G.has_edge(y, v) for v in ind) >= 2)
+    parts = sorted(
+        (tuple(sorted({v} | {y for y in nbrs if G.has_edge(y, v) and y not in w_set}))
+         for v in ind),
+        key=lambda part: (-len(part), part[0]))
+
+    def extend(clique):
+        clique = set(clique)
+        while True:
+            common = [v for v in range(G.n)
+                      if v not in clique and all(G.has_edge(v, u) for u in clique)]
+            if not common:
+                return tuple(sorted(clique))
+            clique.add(common[0])
+
+    d = len(nbrs)
+    denom = math.comb(floor_l2, 2) * (c - 1)
+    bound1 = Fraction(d - denom, floor_l2) + 1 if floor_l2 else Fraction(1)
+    clique1 = extend((parts[0] if parts else ()) + (x,))
+    if len(clique1) < bound1:
+        raise BoundViolation("first clique")
+    clique2 = bound2 = hypothesis = None
+    if r is not None:
+        largest = 1 + max((len(k) for k in maximal_cliques(G.induced(list(nbrs)))), default=0)
+        hypothesis = largest <= d - r
+        if hypothesis and len(ind) >= 2:
+            if floor_l2 < 2:
+                raise BoundViolation("independent set")
+            bound2 = Fraction(r - denom + 1, floor_l2 - 1) + 1
+            clique2 = extend(parts[1] + (x,))
+            if len(clique2) < bound2:
+                raise BoundViolation("second clique")
+    return CliqueExtraction(
+        x=x, independent_set=ind, w_set=w_set, parts=tuple(parts), clique1=clique1,
+        bound1=bound1, clique2=clique2, bound2=bound2, second_hypothesis_holds=hypothesis)
+
+
+def test_bose_laskar_matches_the_set_construction():
+    rng = random.Random(57)
+    outcomes = {"second clique": 0, "no second clique": 0, "violation": 0}
+    for _ in range(120):
+        G = random_graph(rng, rng.randint(1, 16), rng.uniform(0.1, 0.8))
+        c = max(1, mu_parameter(G))
+        lam = rng.choice((1, Fraction(3, 2), 2, Fraction(5, 2), 3, 3.5, 10))
+        for x in range(G.n):
+            for r in (None, rng.randint(1, max(1, G.degree(x)))):
+                try:
+                    expected = _bose_laskar_by_sets(G, x, lam, c, r)
+                except BoundViolation:
+                    with pytest.raises(BoundViolation):
+                        bose_laskar(G, x, lam, c, r)
+                    outcomes["violation"] += 1
+                    continue
+                assert bose_laskar(G, x, lam, c, r) == expected, (G, x, lam, c, r)
+                if r is not None:
+                    outcomes["no second clique" if expected.clique2 is None
+                             else "second clique"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_bose_laskar_isolated_vertex():
