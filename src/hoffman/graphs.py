@@ -5,13 +5,14 @@ across threads; every operation in this module is a pure function.  The
 enumeration routines are exponential in the worst case and are guarded by an
 input-size limit (:data:`MAX_VERTICES`), a count limit on maximal cliques
 (:data:`MAX_CLIQUES`) and a node budget on the independent-set search
-(:data:`MIS_NODE_BUDGET`); the intended instances are desk scale.
+(:data:`MIS_NODE_BUDGET`).  Both keep an explicit stack, so no clique or
+candidate set is too large for Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._numpy import np
 from .errors import CliqueLimitExceeded, SearchBudgetExhausted
@@ -222,81 +223,76 @@ def mu_parameter(G: Graph) -> int:
 
 # -- maximal clique enumeration --------------------------------------------
 
-def _clique_search(
-    adj: Sequence[int], min_size: int, found: list[tuple[int, ...]],
-) -> Callable[[list[int], int, int], None]:
-    """Bron-Kerbosch with pivoting over bitsets, as ``extend(r, p, x)``.
+def _cliques(adj: Sequence[int], roots: Iterable[tuple]) -> Iterator[tuple[int, ...]]:
+    """Bron-Kerbosch with pivoting over bitsets, on an explicit stack of frames.
 
-    ``extend`` appends to ``found`` every maximal clique of order >= ``min_size``
-    that contains the vertex list ``r``, lies in r plus the candidate bitset
-    ``p`` and misses the excluded bitset ``x``, each as a sorted tuple.  Every
-    maximal clique it meets counts towards :data:`MAX_CLIQUES`, over all calls
-    of the same ``extend``, and :class:`CliqueLimitExceeded` is raised past it.
+    A frame ``(r, p, x)`` stands for the maximal cliques that contain the
+    vertex bitset ``r``, lie in r plus the candidate bitset ``p`` and miss the
+    excluded bitset ``x``.  The roots, such frames, are taken lazily, and each
+    root's cliques are yielded as sorted tuples, in lexicographic order.  All
+    of them count towards :data:`MAX_CLIQUES`, past which
+    :class:`CliqueLimitExceeded` is raised.
     """
     count = 0
+    for root in roots:
+        group, stack = [], [root]
+        while stack:
+            r, p, x = stack.pop()
+            if not p | x:
+                count += 1
+                if count > MAX_CLIQUES:
+                    raise CliqueLimitExceeded(f"more than {MAX_CLIQUES} maximal cliques")
+                group.append(tuple(_iter_bits(r)))
+                continue
+            # pivot: first vertex of p|x with the most neighbors inside p; the
+            # bits are walked inline, since a generator per frame costs more
+            pivot = best = -1
+            top = p.bit_count()
+            rest = p | x
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                cnt = (p & adj[u]).bit_count()
+                if cnt > best:
+                    best = cnt
+                    pivot = u
+                    if cnt == top:  # no vertex has more
+                        break
+                rest ^= low
+            # children pushed highest first, so searched lowest first, as a
+            # recursion would: the branch vertices below v leave p for x
+            branch = p & ~adj[pivot]
+            while branch:
+                v = branch.bit_length() - 1
+                branch ^= 1 << v
+                stack.append((r | 1 << v, p & ~branch & adj[v], (x | branch) & adj[v]))
+        group.sort()
+        yield from group
 
-    def extend(r: list[int], p: int, x: int) -> None:
-        nonlocal count
-        if p == 0 and x == 0:
-            count += 1
-            if count > MAX_CLIQUES:
-                raise CliqueLimitExceeded(f"more than {MAX_CLIQUES} maximal cliques")
-            if len(r) >= min_size:
-                found.append(tuple(sorted(r)))
-            return
-        # pivot: vertex of p|x with the most neighbors inside p
-        pivot = -1
-        best = -1
-        for u in _iter_bits(p | x):
-            cnt = (p & adj[u]).bit_count()
-            if cnt > best:
-                best = cnt
-                pivot = u
-        for v in _iter_bits(p & ~adj[pivot]):
-            r.append(v)
-            extend(r, p & adj[v], x & adj[v])
-            r.pop()
-            p &= ~(1 << v)
-            x |= 1 << v
 
-    return extend
+def _maximal_cliques_in_order(G: Graph) -> Iterator[tuple[int, ...]]:
+    """The maximal cliques of G in lexicographic order, lazily.
+
+    One smallest vertex v at a time, as the root ``({v}, N(v) ∩ {> v},
+    N(v) ∩ {< v})`` of :func:`_cliques`.  A caller that stops early pays only
+    for the groups it reached, and only their cliques count towards
+    :data:`MAX_CLIQUES`.
+    """
+    return _cliques(G._adj, ((1 << v, bits >> (v + 1) << (v + 1), bits & ((1 << v) - 1))
+                             for v, bits in enumerate(G._adj)))
 
 
 def maximal_cliques(G: Graph, min_size: int = 1) -> tuple[tuple[int, ...], ...]:
     """All inclusion-maximal cliques of order >= ``min_size``, each a sorted tuple.
 
-    Bron-Kerbosch with pivoting over bitset candidate sets.  The output is
-    sorted lexicographically by vertex list, so downstream indexings are
-    reproducible.  Raises :class:`CliqueLimitExceeded` once more than
-    :data:`MAX_CLIQUES` maximal cliques have been found.
+    The lexicographic walk of :func:`_maximal_cliques_in_order`, filtered by
+    order, so downstream indexings are reproducible.  Raises
+    :class:`CliqueLimitExceeded` past :data:`MAX_CLIQUES` maximal cliques of
+    any order.
     """
     if min_size < 1:
         raise ValueError("min_size must be positive")
-    found: list[tuple[int, ...]] = []
-    if G.n:
-        _clique_search(G._adj, min_size, found)([], (1 << G.n) - 1, 0)
-    return tuple(sorted(found))
-
-
-def _maximal_cliques_in_order(G: Graph) -> Iterator[tuple[int, ...]]:
-    """The maximal cliques of G in the order of :func:`maximal_cliques`, lazily.
-
-    One smallest vertex at a time: for each v in increasing order, the
-    maximal cliques whose smallest vertex is v are those through v inside
-    N(v) ∩ {> v} that no vertex of N(v) ∩ {< v} extends; they are found by
-    the same recursion, sorted and yielded before the next v is searched.  A
-    caller that stops early pays only for the groups it reached, but a full
-    walk costs more than the single pivoted search of
-    :func:`maximal_cliques`, whose top level branches on fewer vertices.
-    The :data:`MAX_CLIQUES` limit counts the cliques of the groups reached.
-    """
-    group: list[tuple[int, ...]] = []
-    extend = _clique_search(G._adj, 1, group)
-    for v, bits in enumerate(G._adj):
-        extend([v], bits >> (v + 1) << (v + 1), bits & ((1 << v) - 1))
-        group.sort()
-        yield from group
-        group.clear()
+    return tuple(c for c in _maximal_cliques_in_order(G) if len(c) >= min_size)
 
 
 # -- independent sets -------------------------------------------------------
@@ -304,33 +300,38 @@ def _maximal_cliques_in_order(G: Graph) -> Iterator[tuple[int, ...]]:
 def _mis_size(cand: int, adj: Sequence[int], nodes_left: list[int]) -> int:
     """Order of a maximum independent set inside the bitset ``cand``.
 
-    Each node spends one unit of ``nodes_left[0]``, which the calling search
-    shares across all its calls.
+    An explicit stack of ``(cand, size)`` frames, each branching on a vertex
+    v of maximum degree within cand into v left out and v taken, down to
+    independent candidates, leaves worth size + |cand|; the best leaf wins.
+    Each frame spends one unit of ``nodes_left[0]``, which the caller shares.
     """
-    nodes_left[0] -= 1
-    if nodes_left[0] < 0:
-        raise SearchBudgetExhausted(
-            f"no maximum independent set within {MIS_NODE_BUDGET} search nodes")
-    if cand == 0:
-        return 0
-    # branch on a vertex of maximum degree within cand; the bits are walked
-    # inline, since a generator per node costs more than the walk
-    best_v = -1
-    best_d = -1
-    rest = cand
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        d = (adj[v] & cand).bit_count()
-        if d > best_d:
-            best_d = d
-            best_v = v
-        rest ^= low
-    if best_d == 0:
-        return cand.bit_count()
-    without = _mis_size(cand & ~(1 << best_v), adj, nodes_left)
-    with_v = 1 + _mis_size(cand & ~adj[best_v] & ~(1 << best_v), adj, nodes_left)
-    return max(without, with_v)
+    best, stack = 0, [(cand, 0)]
+    while stack:
+        cand, size = stack.pop()
+        nodes_left[0] -= 1
+        if nodes_left[0] < 0:
+            raise SearchBudgetExhausted(
+                f"no maximum independent set within {MIS_NODE_BUDGET} search nodes")
+        # a vertex of maximum degree within cand, walked inline as above
+        best_v, best_d = -1, 0
+        top = cand.bit_count() - 1
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            d = (adj[v] & cand).bit_count()
+            if d > best_d:
+                best_d = d
+                best_v = v
+                if d == top:  # no vertex has more
+                    break
+            rest ^= low
+        if best_d:
+            stack.append((cand & ~adj[best_v] & ~(1 << best_v), size + 1))
+            stack.append((cand & ~(1 << best_v), size))
+        else:
+            best = max(best, size + cand.bit_count())
+    return best
 
 
 def maximum_independent_set(G: Graph, within: Optional[Iterable[int]] = None) -> tuple[int, ...]:

@@ -20,8 +20,8 @@ from typing import Optional
 from .errors import BoundViolation
 from .forbidden import _TwinSplit, certify_lambda_min_below, graph_lambda_min_float, scan_M_t
 from .graphs import (
-    Graph, _bitset, _clique_search, _iter_bits, _maximal_cliques_in_order,
-    maximal_cliques, maximum_independent_set, mu_parameter,
+    Graph, _bitset, _cliques, _iter_bits, _maximal_cliques_in_order, maximal_cliques,
+    maximum_independent_set, mu_parameter,
 )
 from .hgraphs import HoffmanGraph, is_t_fat, special_matrix
 
@@ -115,8 +115,8 @@ def bose_laskar(G: Graph, x: int, lam, c: int, r: Optional[int] = None) -> Cliqu
 
     Everything is read from G's neighborhood bitsets: with F = N(x) - W,
     the part of v in I is F ∩ N(v) ∪ {v}, and the largest clique through x
-    comes from the maximal cliques of G through x, found by the clique
-    search started at x with candidates N(x); no induced subgraph is built.
+    comes from the maximal cliques of G through x, the clique enumeration
+    from the one root ({x}, N(x), ∅); no induced subgraph is built.
     """
     if not 0 <= x < G.n:
         raise ValueError(f"vertex {x} out of range")
@@ -160,9 +160,7 @@ def bose_laskar(G: Graph, x: int, lam, c: int, r: Optional[int] = None) -> Cliqu
     bound2 = None
     hypothesis = None
     if r is not None:
-        cliques: list[tuple[int, ...]] = []
-        _clique_search(adj, 1, cliques)([x], nbrs, 0)
-        hypothesis = max(map(len, cliques)) <= d - r
+        hypothesis = max(map(len, _cliques(adj, [(1 << x, nbrs, 0)]))) <= d - r
         if hypothesis and s >= 2:
             if floor_l2 < 2:
                 raise BoundViolation(

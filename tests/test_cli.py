@@ -240,6 +240,26 @@ def test_check_intro2_stops_at_the_tenth_violation(capsys, monkeypatch, tmp_path
     assert capsys.readouterr().err == "error: more than 20 maximal cliques\n"
 
 
+def test_graph_commands_past_the_recursion_limit(capsys, tmp_path):
+    # the one clique of K_1100 is a search path deeper than Python's default
+    # recursion limit; each command still writes its report, and no traceback
+    path = tmp_path / "k1100.json"
+    path.write_text(json.dumps(
+        {"n": 1100, "edges": [[i, j] for i in range(1100) for j in range(i + 1, 1100)]}))
+    assert main(["check-intro2", "--graph", str(path), "--c", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    condition = json.loads(captured.out)["results"]["condition_clique_order"]
+    assert condition["violations"] == [{"clique": list(range(1100)), "min_degree": 1099}]
+    argv = ["bose-laskar", "--graph", str(path), "--x", "0", "--lam", "3", "--c", "1", "--r", "1"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results = json.loads(captured.out)["results"]
+    assert results["clique1"] == list(range(1100))
+    assert results["second_hypothesis_holds"] is False
+
+
 def test_scan_forbidden_matrix(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([[-2, 0, 1], [0, -2, -1], [1, -1, -2]]))

@@ -188,6 +188,30 @@ def test_maximal_cliques_match_bruteforce():
         assert got == _all_maximal_cliques_bruteforce(G)
 
 
+def _maximal_cliques_by_sets(G: Graph):
+    """Bron-Kerbosch without pivoting on frozensets, sharing no code with the
+    library's search, in lexicographic order.  A branch stops once a vertex
+    already searched is adjacent to every candidate: each clique below it
+    extends."""
+    nbrs = [frozenset(v for v in range(G.n) if G.has_edge(u, v)) for u in range(G.n)]
+    found = []
+
+    def extend(r, p, x):
+        if not p:
+            if r and not x:
+                found.append(r)
+            return
+        if any(p <= nbrs[u] for u in x):
+            return
+        for v in sorted(p):
+            extend(r + (v,), p & nbrs[v], x & nbrs[v])
+            p = p - {v}
+            x = x | {v}
+
+    extend((), frozenset(range(G.n)), frozenset())
+    return tuple(sorted(found))
+
+
 def test_lexicographic_walk_matches_the_sorted_enumeration():
     # seeded random graphs of every density, and L(K_m) for m = 5..14
     rng = random.Random(31)
@@ -197,7 +221,9 @@ def test_lexicographic_walk_matches_the_sorted_enumeration():
             graphs.append(random_graph(rng, n, p))
     graphs += [line_graph_of_complete(m) for m in range(5, 15)]
     for G in graphs:
-        assert tuple(_maximal_cliques_in_order(G)) == maximal_cliques(G), G
+        expected = _maximal_cliques_by_sets(G)
+        assert tuple(_maximal_cliques_in_order(G)) == expected, G
+        assert maximal_cliques(G) == expected, G
 
 
 def test_lexicographic_walk_searches_only_the_groups_it_reaches(monkeypatch):
@@ -215,6 +241,15 @@ def test_lexicographic_walk_searches_only_the_groups_it_reaches(monkeypatch):
         next(walk)
     with pytest.raises(CliqueLimitExceeded, match="more than 14 maximal cliques"):
         maximal_cliques(G)
+
+
+def test_searches_run_past_the_recursion_limit():
+    # in K_1100 each search follows one path 1100 frames deep, past Python's
+    # default recursion limit of 1000
+    G = complete_graph(1100)
+    assert maximal_cliques(G) == (tuple(range(1100)),)
+    assert tuple(_maximal_cliques_in_order(G)) == (tuple(range(1100)),)
+    assert maximum_independent_set(G, range(1, 1100)) == (1,)
 
 
 def test_clique_set_json_is_sorted_lists():

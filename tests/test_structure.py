@@ -335,3 +335,14 @@ def test_bose_laskar_outputs_are_maximal_cliques():
         assert not any(
             all(G.has_edge(v, w) for w in res.clique1) for v in outside
         )
+
+
+def test_bose_laskar_past_the_recursion_limit():
+    # the independent-set search in N(0) and the clique search through 0 each
+    # follow one path of about 1100 frames; the one clique has order
+    # 1100 > d(0) - r = 1098, so the second clique's hypothesis fails
+    res = bose_laskar(complete_graph(1100), 0, 3, 1, r=1)
+    assert res.independent_set == (1,)
+    assert res.clique1 == tuple(range(1100))
+    assert res.second_hypothesis_holds is False
+    assert res.clique2 is None

@@ -1,6 +1,6 @@
 """The library's public surface: every export and method has a user, no export
 is a second name for another, no check is an assert, there is one floating
-path, and every function the benchmark traces exists.
+path, no function recurses, and every function the benchmark traces exists.
 
 A name exported from ``hoffman`` must be needed by the library itself, that
 is referenced by a module of ``src/hoffman/`` other than ``__init__`` outside
@@ -18,7 +18,9 @@ decided the same way.  A failed witness re-check is raised in one place,
 which every refutation on a graph reaches, and that re-check counts on the
 graph through the routine ``graph_quadratic_form`` shares.  The dominance
 certificate proposes only from its caller's eigenvalue estimate, so it
-never names an eigensolver.  Each
+never names an eigensolver.  No function calls itself, by name or through
+``self``, since Python caps a recursion's depth near 1000 and a clique can be
+deeper.  Each
 ``Boundary(module, function)`` of ``perfbench/spans.py`` names an attribute
 of that module, since the traced benchmark run patches it by name.
 """
@@ -167,6 +169,47 @@ def test_every_public_method_is_used_or_kept():
 
 def test_method_keep_list_names_only_unused_methods():
     assert sorted(set(KEEP_METHODS) - set(_unused_methods(_modules()))) == []
+
+
+def _calls_itself(fn: ast.FunctionDef) -> bool:
+    """Whether ``fn`` calls ``fn(...)`` or ``self.fn(...)``; ``super().fn(...)``
+    and ``other.fn(...)`` reach another function."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name or (
+                    isinstance(f, ast.Attribute) and f.attr == fn.name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                return True
+    return False
+
+
+def _self_calls(modules) -> list[str]:
+    """Functions, nested ones and methods included, that call themselves by
+    name, as sorted ``module:function`` entries."""
+    return sorted(f"{name}:{fn.name}" for name, tree in modules.items()
+                  for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and _calls_itself(fn))
+
+
+def test_no_library_function_recurses():
+    # a recursion's depth is capped by Python's recursion limit, and a clique
+    # of order about 1000 is as deep; the searches keep explicit stacks
+    assert _self_calls(_modules()) == []
+
+
+def test_recursion_guard_sees_a_self_call():
+    # f recurses, extend is a nested recursion and m recurses through self;
+    # h only calls f, and __init__ and add only reach other functions
+    tree = ast.parse(
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    def extend(r):\n        extend(r)\n    return extend\n"
+        "class C(B):\n    def m(self):\n        return self.m()\n"
+        "    def __init__(self):\n        super().__init__()\n"
+        "    def add(self, s):\n        s.add(1)\n"
+        "def h():\n    return f(1)\n"
+    )
+    assert _self_calls({"x.py": tree}) == ["x.py:extend", "x.py:f", "x.py:m"]
 
 
 def _mentions_linalg(node: ast.AST) -> bool:
